@@ -10,11 +10,9 @@
 //      {1, 4, 8, 16, 32} with SweepMode::kScalar (the oracle, i.e. the
 //      pre-substrate single-read path run per read) vs SweepMode::kBatched
 //      on the string-QUBO workloads palindrome(8) and palindrome(16). Both
-//      sides run single-threaded (omp_set_num_threads(1)): this bench
-//      measures per-core substrate throughput — the scalar path would
-//      otherwise hide SIMD wins behind read-level OpenMP parallelism that
-//      both substrates share anyway (blocks parallelise exactly like
-//      reads). Thread scaling is covered by hotpath/service benches.
+//      sides run on the calling thread, as every sampler does, so this
+//      bench measures per-core substrate throughput. Thread scaling comes
+//      from the SolveService pool and is covered by the service bench.
 //      Every (workload, reads) cell asserts full bit-identity of the two
 //      sample sets before its timing is trusted.
 //
@@ -29,8 +27,6 @@
 // scalar path at 16 replicas on a string-QUBO workload; the gate is
 // enforced in full runs and skipped under --smoke (CI runs --smoke for
 // wiring + identity coverage, not for timing fidelity).
-#include <omp.h>
-
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -250,7 +246,6 @@ void write_json(const std::vector<ReplicaCell>& replica_sweep,
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
   const std::size_t reps = smoke ? 2 : 7;
-  omp_set_num_threads(1);
 
   std::vector<Workload> workloads;
   workloads.push_back(

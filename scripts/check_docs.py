@@ -42,6 +42,14 @@ docs/*.md, plus any root-level markdown they link to):
    cache-layer catalog (keys, scopes, invalidation, tenant sharing)
    cannot silently fall behind the canonicalizer/answer-cache API.
 
+9. One scheduler: no file under src/, tests/, bench/ or examples/ may
+   use `#pragma omp`, include `<omp.h>` or link `OpenMP::`. The
+   SolveService worker pool is the only parallelism; samplers run their
+   reads on the calling thread.
+
+Also prints the line count of src/, which the roadmap tracks next to the
+benchmarks.
+
 Exits non-zero with one line per problem.
 """
 
@@ -63,6 +71,13 @@ SERVICE_TYPE_RE = re.compile(r"^(?:class|struct)\s+(\w+)", re.MULTILINE)
 SERVICE_FUNC_RE = re.compile(
     r"^[A-Za-z_][\w:<>, ]*\s+(\w+)\s*\(", re.MULTILINE
 )
+
+OPENMP_RE = re.compile(r"#\s*pragma\s+omp\b|<omp\.h>|OpenMP::")
+CODE_DIRS = ("src", "tests", "bench", "examples")
+
+
+def files_under(top: str) -> list:
+    return sorted(p for p in (REPO / top).rglob("*") if p.is_file())
 
 
 def github_slug(heading: str) -> str:
@@ -188,6 +203,27 @@ def check_caching_coverage() -> list:
     ]
 
 
+def check_one_scheduler() -> list:
+    errors = []
+    for top in CODE_DIRS:
+        for path in files_under(top):
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for number, line in enumerate(text.splitlines(), 1):
+                if OPENMP_RE.search(line):
+                    errors.append(
+                        f"{path.relative_to(REPO)}:{number}: OpenMP is not "
+                        "allowed; the SolveService pool is the only scheduler"
+                    )
+    return errors
+
+
+def src_line_count() -> int:
+    return sum(
+        len(path.read_text(encoding="utf-8", errors="replace").splitlines())
+        for path in files_under("src")
+    )
+
+
 def main() -> int:
     errors = (
         check_links()
@@ -198,6 +234,7 @@ def main() -> int:
         + check_incremental_coverage()
         + check_route_coverage()
         + check_caching_coverage()
+        + check_one_scheduler()
     )
     for err in errors:
         print(f"check_docs: {err}", file=sys.stderr)
@@ -206,6 +243,7 @@ def main() -> int:
         print(f"check_docs: FAILED ({len(errors)} problem(s))", file=sys.stderr)
         return 1
     print(f"check_docs: OK ({names})")
+    print(f"check_docs: src/ is {src_line_count()} lines")
     return 0
 
 

@@ -32,7 +32,7 @@ done
 echo "=== tests: ctest -L tier1 (QSMT_NO_AVX2=1 scalar fallback) ==="
 QSMT_NO_AVX2=1 ctest --test-dir build -L tier1 --output-on-failure -j "${jobs}"
 
-echo "=== docs consistency (links + formulation coverage) ==="
+echo "=== docs consistency (links, API coverage, no OpenMP, src/ size) ==="
 python3 scripts/check_docs.py
 
 # Seconds-scale correctness pass over the quantum hot path: kernel

@@ -1,7 +1,5 @@
 #include "anneal/batched_kernel.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
@@ -101,9 +99,7 @@ BatchedSweepKernel::BatchedSweepKernel(const qubo::QuboAdjacency& adjacency,
   lane_sweeps_.assign(lanes, 0);
   lane_early_exit_.assign(lanes, 0);
   lane_annealed_.assign(lanes, 0);
-  group_cancelled_ =
-      std::make_unique<std::atomic<std::uint8_t>[]>(groups_.size());
-  for (std::size_t g = 0; g < groups_.size(); ++g) group_cancelled_[g] = 0;
+  group_cancelled_.assign(groups_.size(), 0);
 }
 
 void BatchedSweepKernel::run(std::span<const double> betas,
@@ -125,10 +121,8 @@ void BatchedSweepKernel::run(std::span<const double> betas,
 
   const std::size_t blocks =
       (num_lanes() + detail::kBatchedLanes - 1) / detail::kBatchedLanes;
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(blocks); ++b) {
-    run_block(static_cast<std::size_t>(b), betas, monotone_from,
-              allow_early_exit, use_avx2);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    run_block(b, betas, monotone_from, allow_early_exit, use_avx2);
   }
 }
 
@@ -187,7 +181,7 @@ void BatchedSweepKernel::run_block(std::size_t block,
   for (const GroupLanes& gl : block_groups) {
     const CancelToken& token = groups_[gl.group].cancel;
     if (token.cancellable() && token.cancelled()) {
-      group_cancelled_[gl.group].store(1, std::memory_order_relaxed);
+      group_cancelled_[gl.group] = 1;
       annealed &= ~gl.mask;
       active &= ~gl.mask;
     }
@@ -215,7 +209,7 @@ void BatchedSweepKernel::run_block(std::size_t block,
       if ((active & gl.mask) == 0) continue;
       const CancelToken& token = groups_[gl.group].cancel;
       if (token.cancellable() && token.cancelled()) {
-        group_cancelled_[gl.group].store(1, std::memory_order_relaxed);
+        group_cancelled_[gl.group] = 1;
         for (std::uint64_t m = active & gl.mask; m != 0; m &= m - 1) {
           lane_sweeps[std::countr_zero(m)] = s;
         }
@@ -294,7 +288,7 @@ bool BatchedSweepKernel::lane_annealed(std::size_t lane) const {
 BatchedGroupStats BatchedSweepKernel::group_stats(std::size_t group) const {
   BatchedGroupStats stats;
   stats.replicas = groups_[group].num_replicas;
-  stats.cancelled = group_cancelled_[group].load(std::memory_order_relaxed) != 0;
+  stats.cancelled = group_cancelled_[group] != 0;
   const std::size_t first = group_first_lane_[group];
   for (std::size_t r = 0; r < stats.replicas; ++r) {
     stats.sweeps_executed =

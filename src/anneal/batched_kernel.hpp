@@ -16,8 +16,8 @@
 //                               regenerated once per sweep per active lane
 //
 // Lanes are grouped into blocks of kBatchedLanesPerBlock; blocks are
-// independent (their lane state never interacts), so OpenMP distributes
-// blocks across threads without affecting results. Within a block the sweep
+// independent (their lane state never interacts) and run one after another
+// on the calling thread. Within a block the sweep
 // is vectorized with AVX2 when the CPU supports it (runtime dispatch; set
 // QSMT_NO_AVX2=1 to force the portable scalar fallback). Both paths produce
 // bit-identical results to the retained scalar kernel (detail::anneal_read):
@@ -41,9 +41,7 @@
 // anything while its siblings continue.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -174,17 +172,14 @@ class BatchedSweepKernel {
   std::vector<std::uint32_t> lane_group_;
   std::vector<std::size_t> group_first_lane_;
 
-  // Per-lane outputs (blocks write disjoint lane ranges, so the parallel
-  // block loop needs no synchronisation here).
+  // Per-lane outputs; each block writes its own lane range.
   std::vector<std::uint8_t> final_bits_;   // [lanes * n]
   std::vector<double> final_field_;        // [lanes * n]
   std::vector<std::uint64_t> lane_flips_;
   std::vector<std::size_t> lane_sweeps_;
   std::vector<std::uint8_t> lane_early_exit_;
   std::vector<std::uint8_t> lane_annealed_;
-  // Written concurrently by every block holding lanes of the group (always
-  // with the same value), hence the single-word relaxed atomics.
-  std::unique_ptr<std::atomic<std::uint8_t>[]> group_cancelled_;
+  std::vector<std::uint8_t> group_cancelled_;
 
   std::size_t scheduled_sweeps_ = 0;
   bool used_avx2_ = false;

@@ -12,7 +12,7 @@ AnnealContext& thread_local_context() {
 void record_read_stats(const ReadStats& stats) {
   if (!telemetry::enabled()) return;
   // Interned once; the handles record into the calling thread's shard, so
-  // OpenMP read workers never contend here.
+  // concurrent pool workers never contend here.
   static const auto reads = telemetry::counter("anneal.reads");
   static const auto early_exits = telemetry::counter("anneal.read.early_exits");
   static const auto flips =

@@ -13,8 +13,9 @@
 //    deliberately does NOT clear them — kernels overwrite every entry they
 //    read (bits are re-initialised by the caller, fields by anneal_read).
 //  - A context may only be used by one read at a time. The thread_local
-//    accessor guarantees this within OpenMP worker threads as long as
-//    kernels do not recursively sample on the same thread (none do).
+//    accessor guarantees this: samplers run their reads one after another
+//    on the calling thread (a SolveService worker, say), and kernels do not
+//    recursively sample on the same thread (none do).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,5 @@
 #include "anneal/greedy.hpp"
 
-#include <omp.h>
-
 #include "anneal/context.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -61,25 +59,20 @@ SampleSet GreedyDescent::sample(const qubo::QuboModel& model) const {
 
 SampleSet GreedyDescent::sample(const qubo::QuboAdjacency& adjacency) const {
   const std::size_t n = adjacency.num_variables();
-  const std::size_t reads = params_.num_reads;
-  std::vector<Sample> results(reads);
-
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(reads); ++r) {
-    AnnealContext& ctx = thread_local_context();
-    ctx.prepare(n);
-    Xoshiro256 rng(params_.seed, static_cast<std::uint64_t>(r));
+  AnnealContext& ctx = thread_local_context();
+  ctx.prepare(n);
+  SampleSet set;
+  for (std::size_t r = 0; r < params_.num_reads; ++r) {
+    Xoshiro256 rng(params_.seed, r);
     for (auto& b : ctx.bits) b = rng.coin() ? 1 : 0;
     for (std::size_t i = 0; i < n; ++i)
       ctx.field[i] = adjacency.local_field(ctx.bits, i);
     detail::greedy_descend(adjacency, ctx.bits, ctx.field);
-    auto& out = results[static_cast<std::size_t>(r)];
+    Sample out;
     out.energy = adjacency.energy(ctx.bits);
     out.bits.assign(ctx.bits.begin(), ctx.bits.end());
+    set.add(std::move(out));
   }
-
-  SampleSet set;
-  for (auto& s : results) set.add(std::move(s));
   set.aggregate();
   return set;
 }

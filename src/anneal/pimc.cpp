@@ -1,7 +1,5 @@
 #include "anneal/pimc.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -117,8 +115,8 @@ struct ReadOutcome {
 //
 // The RNG consumption rate is fixed — n bulk uniforms per slice sweep and
 // n per global pass, independent of acceptance — which is what keeps reads
-// bit-for-bit deterministic across OpenMP thread counts and lets a drift
-// audit replay the identical stream.
+// bit-for-bit deterministic for a fixed seed and lets a drift audit replay
+// the identical stream.
 //
 // `audit_drift`, when non-null, accumulates the maximum absolute deviation
 // between every cached field/energy and a direct recompute after each
@@ -288,17 +286,14 @@ SampleSet PathIntegralAnnealer::sample(const qubo::QuboModel& model) const {
       make_schedule(params_.gamma_hot, params_.gamma_cold, params_.num_sweeps,
                     Interpolation::kGeometric);
 
-  const std::size_t reads = params_.num_reads;
-  std::vector<Sample> results(reads);
   const CancelToken* cancel =
       params_.cancel.cancellable() ? &params_.cancel : nullptr;
 
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(reads); ++r) {
-    Xoshiro256 rng(params_.seed ^ 0x51a5e13bULL,
-                   static_cast<std::uint64_t>(r));
-    AnnealContext& ctx = thread_local_context();
-    ctx.prepare_pimc(n, params_.num_slices);
+  AnnealContext& ctx = thread_local_context();
+  ctx.prepare_pimc(n, params_.num_slices);
+  SampleSet set;
+  for (std::size_t r = 0; r < params_.num_reads; ++r) {
+    Xoshiro256 rng(params_.seed ^ 0x51a5e13bULL, r);
 
     std::vector<std::int8_t> best_spins(n);
     double best_energy = 0.0;
@@ -311,13 +306,11 @@ SampleSet PathIntegralAnnealer::sample(const qubo::QuboModel& model) const {
     if (params_.polish_with_greedy && !(cancel && cancel->cancelled())) {
       detail::greedy_descend(qubo_adjacency, bits);
     }
-    auto& out = results[static_cast<std::size_t>(r)];
+    Sample out;
     out.energy = qubo_adjacency.energy(bits);
     out.bits = std::move(bits);
+    set.add(std::move(out));
   }
-
-  SampleSet set;
-  for (auto& s : results) set.add(std::move(s));
   set.aggregate();
   return set;
 }
@@ -364,15 +357,12 @@ SampleSet pimc_sample_reference(const qubo::QuboModel& model,
       make_schedule(params.gamma_hot, params.gamma_cold, params.num_sweeps,
                     Interpolation::kGeometric);
 
-  const std::size_t reads = params.num_reads;
-  std::vector<Sample> results(reads);
   const CancelToken* cancel =
       params.cancel.cancellable() ? &params.cancel : nullptr;
 
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(reads); ++r) {
-    Xoshiro256 rng(params.seed ^ 0x51a5e13bULL,
-                   static_cast<std::uint64_t>(r));
+  SampleSet set;
+  for (std::size_t r = 0; r < params.num_reads; ++r) {
+    Xoshiro256 rng(params.seed ^ 0x51a5e13bULL, r);
     // spins[k * n + i]: spin i in slice k.
     std::vector<std::int8_t> spins(slices * n);
     for (auto& s : spins) s = rng.coin() ? std::int8_t{1} : std::int8_t{-1};
@@ -427,13 +417,11 @@ SampleSet pimc_sample_reference(const qubo::QuboModel& model,
     if (params.polish_with_greedy && !(cancel && cancel->cancelled())) {
       detail::greedy_descend(qubo_adjacency, bits);
     }
-    auto& out = results[static_cast<std::size_t>(r)];
+    Sample out;
     out.energy = qubo_adjacency.energy(bits);
     out.bits = std::move(bits);
+    set.add(std::move(out));
   }
-
-  SampleSet set;
-  for (auto& s : results) set.add(std::move(s));
   set.aggregate();
   return set;
 }

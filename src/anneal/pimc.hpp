@@ -20,8 +20,8 @@
 // so a proposal is O(1) and an accepted flip O(degree); acceptance is the
 // screened exp-free Metropolis compare with bulk-generated uniforms.
 //
-// Reads are OpenMP-parallel with counter-seeded RNG streams like the
-// classical annealer, and bit-for-bit deterministic across thread counts.
+// Reads run in order on the calling thread with counter-seeded RNG streams
+// like the classical annealer, so a fixed seed gives bit-identical output.
 #pragma once
 
 #include <cstdint>

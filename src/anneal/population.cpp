@@ -1,7 +1,5 @@
 #include "anneal/population.hpp"
 
-#include <omp.h>
-
 #include <cmath>
 #include <vector>
 
@@ -88,15 +86,11 @@ SampleSet PopulationAnnealing::sample(
       params_.beta_cold.value_or(range.cold), params_.num_temperatures,
       Interpolation::kGeometric);
 
-  const std::size_t reads = params_.num_reads;
-  std::vector<Sample> results(reads);
-
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(reads); ++r) {
-    Xoshiro256 rng(params_.seed ^ 0x9090aaULL, static_cast<std::uint64_t>(r));
-
-    AnnealContext& ctx = thread_local_context();
-    ctx.prepare(n);
+  AnnealContext& ctx = thread_local_context();
+  ctx.prepare(n);
+  SampleSet set;
+  for (std::size_t r = 0; r < params_.num_reads; ++r) {
+    Xoshiro256 rng(params_.seed ^ 0x9090aaULL, r);
     std::vector<Walker> population(params_.population_size);
     for (Walker& walker : population) {
       walker.bits.resize(n);
@@ -171,13 +165,11 @@ SampleSet PopulationAnnealing::sample(
       detail::greedy_descend(adjacency, best_bits);
       best_energy = adjacency.energy(best_bits);
     }
-    auto& out = results[static_cast<std::size_t>(r)];
+    Sample out;
     out.energy = best_energy;
     out.bits = std::move(best_bits);
+    set.add(std::move(out));
   }
-
-  SampleSet set;
-  for (auto& s : results) set.add(std::move(s));
   set.aggregate();
   return set;
 }

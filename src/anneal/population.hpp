@@ -8,9 +8,10 @@
 // low-energy basins faster than independent restarts, making this the
 // strongest "many walkers" classical comparator in the suite.
 //
-// One read = one full population run (OpenMP-parallel across reads, same
-// counter-seeded determinism as the other samplers); the returned sample of
-// a read is its best replica, polished greedily if configured.
+// One read = one full population run (reads run in order on the calling
+// thread, same counter-seeded determinism as the other samplers); the
+// returned sample of a read is its best replica, polished greedily if
+// configured.
 #pragma once
 
 #include <cstdint>

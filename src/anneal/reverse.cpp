@@ -1,7 +1,5 @@
 #include "anneal/reverse.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 
 #include "anneal/context.hpp"
@@ -50,15 +48,11 @@ SampleSet ReverseAnnealer::sample(const qubo::QuboAdjacency& adjacency) const {
   const std::vector<double> betas = make_reverse_schedule(
       range.cold, range.cold * params_.reheat_fraction, params_.num_sweeps);
 
-  const std::size_t reads = params_.num_reads;
-  std::vector<Sample> results(reads);
-
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(reads); ++r) {
-    Xoshiro256 rng(params_.seed ^ 0x5e7e15edULL,
-                   static_cast<std::uint64_t>(r));
-    AnnealContext& ctx = thread_local_context();
-    ctx.prepare(n);
+  AnnealContext& ctx = thread_local_context();
+  ctx.prepare(n);
+  SampleSet set;
+  for (std::size_t r = 0; r < params_.num_reads; ++r) {
+    Xoshiro256 rng(params_.seed ^ 0x5e7e15edULL, r);
     std::copy(initial_state_.begin(), initial_state_.end(), ctx.bits.begin());
     // The kernel arms its zero-flip exit only on the schedule's
     // non-decreasing suffix, so the cold opening sweeps of this reverse
@@ -67,13 +61,11 @@ SampleSet ReverseAnnealer::sample(const qubo::QuboAdjacency& adjacency) const {
     detail::anneal_read(adjacency, betas, rng, ctx);
     if (params_.polish_with_greedy)
       detail::greedy_descend(adjacency, ctx.bits, ctx.field);
-    auto& out = results[static_cast<std::size_t>(r)];
+    Sample out;
     out.energy = adjacency.energy(ctx.bits);
     out.bits.assign(ctx.bits.begin(), ctx.bits.end());
+    set.add(std::move(out));
   }
-
-  SampleSet set;
-  for (auto& s : results) set.add(std::move(s));
   set.aggregate();
   return set;
 }

@@ -1,7 +1,5 @@
 #include "anneal/simulated_annealer.hpp"
 
-#include <omp.h>
-
 #include <cmath>
 #include <vector>
 
@@ -194,43 +192,33 @@ std::vector<SampleSet> sample_batched(const qubo::QuboAdjacency& adjacency,
   }
 
   // Per-lane greedy polish + energy off the kernel's final bits/fields —
-  // identical to the scalar path's per-read tail, and embarrassingly
-  // parallel for the same reason.
-  std::vector<Sample> results(lanes);
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t lane = 0; lane < static_cast<std::ptrdiff_t>(lanes);
-       ++lane) {
-    const std::size_t l = static_cast<std::size_t>(lane);
-    AnnealContext& ctx = thread_local_context();
-    ctx.prepare(n);
-    const auto bits = kernel.lane_bits(l);
-    const auto field = kernel.lane_field(l);
-    ctx.bits.assign(bits.begin(), bits.end());
-    ctx.field.assign(field.begin(), field.end());
-    const BatchedGroup& group = groups[kernel.lane_group(l)];
-    const bool cancelled =
-        group.cancel.cancellable() && group.cancel.cancelled();
-    if (kernel.lane_annealed(l)) record_read_stats(kernel.lane_stats(l));
-    if (params.polish_with_greedy && !cancelled) {
-      detail::greedy_descend(adjacency, ctx.bits, ctx.field);
-    }
-    auto& out = results[l];
-    out.energy = adjacency.energy(ctx.bits);
-    out.bits.assign(ctx.bits.begin(), ctx.bits.end());
-    out.num_occurrences = 1;
-    if (telemetry_on) read_energy.record(out.energy);
-  }
-
-  std::vector<SampleSet> sets;
-  sets.reserve(groups.size());
+  // identical to the scalar path's per-read tail. Each group's lanes are
+  // contiguous, so its set is filled in replica order.
+  AnnealContext& ctx = thread_local_context();
+  ctx.prepare(n);
+  std::vector<SampleSet> sets(groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    SampleSet set;
+    const BatchedGroup& group = groups[g];
     const std::size_t first = kernel.group_first_lane(g);
-    for (std::size_t r = 0; r < groups[g].num_replicas; ++r) {
-      set.add(std::move(results[first + r]));
+    for (std::size_t l = first; l < first + group.num_replicas; ++l) {
+      const auto bits = kernel.lane_bits(l);
+      const auto field = kernel.lane_field(l);
+      ctx.bits.assign(bits.begin(), bits.end());
+      ctx.field.assign(field.begin(), field.end());
+      const bool cancelled =
+          group.cancel.cancellable() && group.cancel.cancelled();
+      if (kernel.lane_annealed(l)) record_read_stats(kernel.lane_stats(l));
+      if (params.polish_with_greedy && !cancelled) {
+        detail::greedy_descend(adjacency, ctx.bits, ctx.field);
+      }
+      Sample out;
+      out.energy = adjacency.energy(ctx.bits);
+      out.bits.assign(ctx.bits.begin(), ctx.bits.end());
+      out.num_occurrences = 1;
+      if (telemetry_on) read_energy.record(out.energy);
+      sets[g].add(std::move(out));
     }
-    set.aggregate();
-    sets.push_back(std::move(set));
+    sets[g].aggregate();
   }
   return sets;
 }
@@ -282,17 +270,14 @@ SampleSet SimulatedAnnealer::sample(
     read_energy = telemetry::histogram("anneal.read.energy");
   }
 
-  const std::size_t reads = params_.num_reads;
-  std::vector<Sample> results(reads);
   const CancelToken* cancel =
       params_.cancel.cancellable() ? &params_.cancel : nullptr;
-
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(reads); ++r) {
+  AnnealContext& ctx = thread_local_context();
+  ctx.prepare(n);
+  SampleSet set;
+  for (std::size_t r = 0; r < params_.num_reads; ++r) {
     const double read_start_us = trace_on ? telemetry::trace_now_us() : 0.0;
-    AnnealContext& ctx = thread_local_context();
-    ctx.prepare(n);
-    Xoshiro256 rng(params_.seed, static_cast<std::uint64_t>(r));
+    Xoshiro256 rng(params_.seed, r);
     for (auto& b : ctx.bits) b = rng.coin() ? 1 : 0;
 
     // A cancelled run still fills every slot (SampleSet must stay
@@ -309,15 +294,15 @@ SampleSet SimulatedAnnealer::sample(
       detail::greedy_descend(adjacency, ctx.bits, ctx.field);
     }
 
-    auto& out = results[static_cast<std::size_t>(r)];
+    Sample out;
     out.energy = adjacency.energy(ctx.bits);
     out.bits.assign(ctx.bits.begin(), ctx.bits.end());
     out.num_occurrences = 1;
     if (telemetry_on) read_energy.record(out.energy);
     if (trace_on) {
       // Per-read trajectory: one trace slice per read with its final
-      // energy, so chrome://tracing shows how reads spread over threads
-      // and where the best energies landed.
+      // energy, on the calling thread's row, so chrome://tracing shows
+      // where in the sample() span the best energies landed.
       telemetry::TraceEvent event;
       event.name = "anneal.read";
       event.tid = telemetry::current_thread_id();
@@ -327,10 +312,8 @@ SampleSet SimulatedAnnealer::sample(
                     {"energy", out.energy}};
       telemetry::add_trace_event(std::move(event));
     }
+    set.add(std::move(out));
   }
-
-  SampleSet set;
-  for (auto& s : results) set.add(std::move(s));
   set.aggregate();
   return set;
 }

@@ -25,11 +25,12 @@
 // nominal sweep count. See docs/hotpath.md for the derivation and
 // measurements.
 //
-// Reads are independent, so they are distributed across OpenMP threads;
-// every read owns a counter-seeded RNG stream (see util/rng.hpp), making
-// the output deterministic for a fixed seed regardless of thread count.
-// Scratch buffers come from the thread-local AnnealContext, so steady-state
-// sampling allocates only the returned samples.
+// Reads run in index order on the calling thread; every read owns a
+// counter-seeded RNG stream (see util/rng.hpp), so the output for a fixed
+// seed does not depend on how many threads sample at once. Parallelism
+// comes from the caller (the SolveService pool). Scratch buffers come from
+// the thread-local AnnealContext, so steady-state sampling allocates only
+// the returned samples.
 #pragma once
 
 #include <cstdint>

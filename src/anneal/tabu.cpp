@@ -1,7 +1,5 @@
 #include "anneal/tabu.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <limits>
 #include <vector>
@@ -82,18 +80,11 @@ SampleSet TabuSampler::sample(const qubo::QuboModel& model) const {
   const std::size_t n = adjacency.num_variables();
   const std::size_t tenure =
       params_.tenure.value_or(std::min<std::size_t>(20, n / 4 + 1));
-  const std::size_t restarts = params_.num_restarts;
-  std::vector<Sample> results(restarts);
-
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(restarts); ++r) {
-    Xoshiro256 rng(params_.seed, static_cast<std::uint64_t>(r));
-    results[static_cast<std::size_t>(r)] =
-        tabu_walk(adjacency, tenure, params_.max_stale_iterations, rng);
-  }
-
   SampleSet set;
-  for (auto& s : results) set.add(std::move(s));
+  for (std::size_t r = 0; r < params_.num_restarts; ++r) {
+    Xoshiro256 rng(params_.seed, r);
+    set.add(tabu_walk(adjacency, tenure, params_.max_stale_iterations, rng));
+  }
   set.aggregate();
   return set;
 }

@@ -1,7 +1,5 @@
 #include "anneal/tempering.hpp"
 
-#include <omp.h>
-
 #include <cmath>
 #include <vector>
 
@@ -71,18 +69,14 @@ SampleSet ParallelTempering::sample(
       params_.beta_cold.value_or(range.cold), params_.num_replicas,
       Interpolation::kGeometric);
 
-  const std::size_t reads = params_.num_reads;
-  std::vector<Sample> results(reads);
   const CancelToken* cancel =
       params_.cancel.cancellable() ? &params_.cancel : nullptr;
 
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(reads); ++r) {
-    Xoshiro256 rng(params_.seed ^ 0x7e57ab1eULL,
-                   static_cast<std::uint64_t>(r));
-
-    AnnealContext& ctx = thread_local_context();
-    ctx.prepare(n);
+  AnnealContext& ctx = thread_local_context();
+  ctx.prepare(n);
+  SampleSet set;
+  for (std::size_t r = 0; r < params_.num_reads; ++r) {
+    Xoshiro256 rng(params_.seed ^ 0x7e57ab1eULL, r);
     // The O(n·deg) field build runs exactly once per replica, here. It never
     // needs repeating: sweep() maintains fields incrementally, and exchange
     // moves below swap whole Replica structs, so each field array travels
@@ -140,13 +134,11 @@ SampleSet ParallelTempering::sample(
     const std::size_t ladder_sweeps = params_.num_sweeps * ladder.size();
     record_read_stats(ReadStats{n, read_flips, ladder_sweeps, ladder_sweeps,
                                 false});
-    auto& out = results[static_cast<std::size_t>(r)];
+    Sample out;
     out.energy = best_energy;
     out.bits = std::move(best_bits);
+    set.add(std::move(out));
   }
-
-  SampleSet set;
-  for (auto& s : results) set.add(std::move(s));
   set.aggregate();
   return set;
 }

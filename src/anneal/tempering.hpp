@@ -8,8 +8,8 @@
 // heuristic than independent-restart SA on rugged instances, included here
 // as the strongest classical comparator for the sampler benches (E2).
 //
-// Reads (independent tempering runs) are OpenMP-parallel with the same
-// counter-seeded determinism guarantees as the other samplers.
+// Reads (independent tempering runs) run in order on the calling thread
+// with the same counter-seeded determinism guarantees as the other samplers.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "graph/embedding.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -281,43 +280,21 @@ std::optional<Embedding> find_embedding(const Graph& logical,
   require(logical.finalized() && target.finalized(),
           "find_embedding: graphs must be finalized");
   const std::size_t nl = logical.num_nodes();
-  std::vector<std::optional<Embedding>> results(num_attempts);
 
-  // Attempts are independent restarts (counter-seeded RNG per attempt), so
-  // they run in parallel. Early exit: once some attempt produces a *perfect*
-  // embedding (every chain a single qubit — the minimum possible total),
-  // attempts with a HIGHER index are skipped. A skipped attempt could at
-  // best tie that total and would lose the lowest-index tie-break below, so
-  // the exit never changes the selected winner and the result stays
-  // bit-identical across thread counts and schedules.
-  std::atomic<std::size_t> first_perfect{num_attempts};
-
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t a = 0; a < static_cast<std::ptrdiff_t>(num_attempts);
-       ++a) {
-    const auto attempt = static_cast<std::size_t>(a);
-    if (attempt > first_perfect.load(std::memory_order_relaxed)) continue;
+  // Attempts are independent restarts (counter-seeded RNG per attempt). A
+  // candidate replaces the incumbent only when it uses strictly fewer
+  // qubits, so ties go to the lowest attempt index. A perfect embedding
+  // (every chain a single qubit, the minimum possible total) cannot be
+  // beaten, so the search stops there.
+  std::optional<Embedding> best;
+  std::vector<BfsField> fields;
+  for (std::size_t attempt = 0; attempt < num_attempts; ++attempt) {
     Xoshiro256 rng(seed, attempt);
-    std::vector<BfsField> fields;
     auto candidate = embed_once(logical, target, rng, fields);
     if (!candidate || !candidate->is_valid(logical, target)) continue;
-    if (candidate->total_physical() == nl) {
-      std::size_t cur = first_perfect.load(std::memory_order_relaxed);
-      while (attempt < cur &&
-             !first_perfect.compare_exchange_weak(cur, attempt,
-                                                  std::memory_order_relaxed)) {
-      }
-    }
-    results[attempt] = std::move(candidate);
-  }
-
-  // Winner: fewest total qubits, lowest attempt index on ties — exactly the
-  // sequential keep-only-if-strictly-better rule this loop replaced.
-  std::optional<Embedding> best;
-  for (auto& candidate : results) {
-    if (!candidate) continue;
     if (!best || candidate->total_physical() < best->total_physical()) {
-      best = std::move(*candidate);
+      best = std::move(candidate);
+      if (best->total_physical() == nl) break;
     }
   }
   return best;

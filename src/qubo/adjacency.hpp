@@ -3,8 +3,8 @@
 // Samplers flip one bit at a time; the energy change of flipping x_i is
 //   Δ_i = (1 - 2 x_i) * (q_ii + Σ_{j ~ i} q_ij x_j)
 // which needs O(degree(i)) work given a neighbor list. Building the list is
-// O(n + m) once per model and is shared read-only across all OpenMP worker
-// threads (no mutation after construction).
+// O(n + m) once per model and is shared read-only by every thread that
+// samples it (no mutation after construction).
 #pragma once
 
 #include <cstdint>

@@ -26,7 +26,7 @@ void usage() {
   --stdio                serve one SMT-LIB session on stdin/stdout (default)
   --listen PORT          serve the framed socket protocol on 127.0.0.1:PORT
                          (0 picks an ephemeral port, printed on stderr)
-  --workers N            solve-service worker threads (0 = hardware)
+  --workers N            solve-service worker threads (0 = usable CPUs)
   --exact                single exhaustive-enumeration portfolio lane:
                          deterministic verdicts, <= 30 QUBO variables
   --deadline-ms N        per-check-sat deadline (0 = none)

@@ -1,5 +1,7 @@
 #include "service/service.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -30,6 +32,17 @@ namespace qsmt::service {
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
+
+// Default pool size: the CPUs this thread may run on, which honours
+// taskset and cpuset limits that hardware_concurrency() ignores.
+std::size_t default_worker_count() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0 && CPU_COUNT(&cpus) > 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&cpus));
+  }
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
 
 // Exact structural key for the prepared-model cache (now the shared
 // strqubo::structure_key, which the incremental fragment cache keys by
@@ -329,10 +342,7 @@ struct SolveService::Impl {
             "' has no sampler factory");
       }
     }
-    if (options.num_workers == 0) {
-      options.num_workers =
-          std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    }
+    if (options.num_workers == 0) options.num_workers = default_worker_count();
     if (options.model_cache_capacity == 0) options.model_cache_capacity = 1;
     if (options.max_fused_jobs == 0) options.max_fused_jobs = 1;
     workers.reserve(options.num_workers);
@@ -582,11 +592,15 @@ struct SolveService::Impl {
         if (stopping) return;
         task = std::move(queue.front());
         queue.pop_front();
-        // A batchable member leading a constraint job scans the queue for
-        // structure-sharing siblings and takes them along: one kernel
-        // invocation anneals every fused job's replicas in one pass.
+        // A batchable member leading a live constraint job scans the queue
+        // for structure-sharing siblings and takes them along: one kernel
+        // invocation anneals every fused job's replicas in one pass. A
+        // leader whose job is already decided or cancelled will not run, so
+        // it leaves its siblings where they are, behind the members their
+        // own races try first.
         if (options.portfolio[task.member].batched &&
-            !task.job->structure_key.empty()) {
+            !task.job->structure_key.empty() &&
+            !task.job->cancel.token().cancelled()) {
           const BatchAggregator aggregator(options.max_fused_jobs);
           siblings = aggregator.collect(queue, [&](const Task& other) {
             return other.member == task.member && other.job != task.job &&

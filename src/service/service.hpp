@@ -114,7 +114,11 @@ std::vector<PortfolioMember> default_portfolio();
 std::vector<PortfolioMember> quantum_portfolio(const graph::Graph& target);
 
 struct ServiceOptions {
-  /// Worker threads. 0 = hardware concurrency (at least 1).
+  /// Worker threads. 0 = one per CPU the constructing thread may run on
+  /// (its sched_getaffinity mask, so taskset and cpusets are honoured;
+  /// hardware concurrency where the mask is unavailable; at least 1).
+  /// The pool is the only parallelism: each sampler runs its reads on the
+  /// worker that calls it.
   std::size_t num_workers = 0;
   /// QUBO build options shared by every job.
   strqubo::BuildOptions build;

@@ -1,7 +1,7 @@
 // Metrics registry: counters, gauges, and histograms over lock-free
 // per-thread shards.
 //
-// The solve path records metrics from OpenMP worker threads at per-read /
+// The solve path records metrics from service pool workers at per-read /
 // per-build frequency, so the write path must not contend: every thread
 // gets its own shard (a flat slot array per metric kind) and writes it with
 // relaxed atomics — single writer per shard, so stores never need CAS.

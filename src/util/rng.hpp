@@ -1,8 +1,8 @@
-// Counter-seedable pseudo-random number generation for parallel sampling.
+// Counter-seedable pseudo-random number generation for multi-read sampling.
 //
-// Multi-read annealing runs are parallelised across OpenMP threads; to keep
-// results bit-for-bit deterministic regardless of the thread count, each
-// read owns an independent generator seeded as splitmix64(seed, read_index).
+// Each annealing read owns an independent generator seeded as
+// splitmix64(seed, read_index), so a read's result depends only on the seed
+// and its index, never on which thread runs it or what ran before.
 // xoshiro256** is the workhorse generator: fast, 2^256-1 period, passes
 // BigCrush, and trivially seedable from splitmix64 per its authors'
 // recommendation.

@@ -1,10 +1,8 @@
 // Tests for the batched multi-replica annealing substrate: bit-identity
-// against the scalar per-read oracle across replica counts, thread counts,
-// and sweep paths (AVX2 vs portable scalar), multi-group fusion vs solo
+// against the scalar per-read oracle across replica counts, concurrent
+// callers, and sweep paths (AVX2 vs portable scalar), multi-group fusion vs solo
 // runs, once-per-sweep group cancellation, and early-exit bookkeeping.
 #include <gtest/gtest.h>
-
-#include <omp.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -13,6 +11,7 @@
 #include "anneal/batched_kernel.hpp"
 #include "anneal/schedule.hpp"
 #include "anneal/simulated_annealer.hpp"
+#include "concurrent_callers.hpp"
 #include "qubo/adjacency.hpp"
 #include "qubo/qubo_model.hpp"
 #include "strqubo/builders.hpp"
@@ -113,7 +112,8 @@ TEST(BatchedKernel, BitIdenticalWithEarlyExitDisabled) {
       sample_with_mode(adjacency, params, SweepMode::kBatched));
 }
 
-// Blocks are independent, so OpenMP thread count must not change anything.
+// Blocks run in order on the calling thread out of its AnnealContext, so
+// four threads running the kernel at once must each match a lone run.
 TEST(BatchedKernel, ThreadCountDoesNotChangeResults) {
   Xoshiro256 model_rng(14, 0);
   const qubo::QuboModel model = random_model(36, 0.25, model_rng);
@@ -122,14 +122,13 @@ TEST(BatchedKernel, ThreadCountDoesNotChangeResults) {
   params.num_reads = 33;  // Three blocks, the last one partial.
   params.num_sweeps = 64;
   params.seed = 21;
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const SampleSet one = sample_with_mode(adjacency, params, SweepMode::kBatched);
-  omp_set_num_threads(4);
-  const SampleSet four =
+  const SampleSet lone =
       sample_with_mode(adjacency, params, SweepMode::kBatched);
-  omp_set_num_threads(saved);
-  expect_same_sample_sets(one, four);
+  for (const SampleSet& set : run_concurrently([&] {
+         return sample_with_mode(adjacency, params, SweepMode::kBatched);
+       })) {
+    expect_same_sample_sets(lone, set);
+  }
 }
 
 // The AVX2 sweep path and the portable scalar path must agree lane for

@@ -1,9 +1,7 @@
 // Tests for the annealing hot-path overhaul: the screened exp-free
-// Metropolis accept, the bulk-uniform sweep kernel, thread-count
-// determinism, and the adjacency sampling overloads.
+// Metropolis accept, the bulk-uniform sweep kernel, determinism under
+// concurrent callers, and the adjacency sampling overloads.
 #include <gtest/gtest.h>
-
-#include <omp.h>
 
 #include <cmath>
 #include <span>
@@ -15,6 +13,7 @@
 #include "anneal/reverse.hpp"
 #include "anneal/schedule.hpp"
 #include "anneal/simulated_annealer.hpp"
+#include "concurrent_callers.hpp"
 #include "qubo/adjacency.hpp"
 #include "qubo/qubo_model.hpp"
 #include "strqubo/builders.hpp"
@@ -220,9 +219,9 @@ TEST(SweepKernel, EarlyExitDisabledRunsFullSchedule) {
   }
 }
 
-// Fixed-seed sampling must be bit-identical regardless of the OpenMP
-// thread count: reads own counter-seeded streams, so the schedule of reads
-// onto threads must not leak into the output.
+// Fixed-seed sampling must be bit-identical no matter how many threads
+// sample at once: reads own counter-seeded streams, and each thread's
+// AnnealContext carries no state from one call into the next.
 TEST(SimulatedAnnealerDeterminism, IdenticalAcrossThreadCounts) {
   Xoshiro256 model_rng(13, 0);
   const qubo::QuboModel model = random_model(40, 0.2, model_rng);
@@ -233,14 +232,11 @@ TEST(SimulatedAnnealerDeterminism, IdenticalAcrossThreadCounts) {
   p.seed = 5;
   const SimulatedAnnealer annealer(p);
 
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const SampleSet serial = annealer.sample(model);
-  omp_set_num_threads(4);
-  const SampleSet parallel = annealer.sample(model);
-  omp_set_num_threads(saved);
-
-  EXPECT_TRUE(same_sample_sets(serial, parallel));
+  const SampleSet lone = annealer.sample(model);
+  for (const SampleSet& set :
+       run_concurrently([&] { return annealer.sample(model); })) {
+    EXPECT_TRUE(same_sample_sets(lone, set));
+  }
 }
 
 // The prebuilt-adjacency overload must produce exactly the samples the

@@ -1,12 +1,12 @@
 // Hot-path proofs for the quantum simulation path (docs/hotpath.md, "The
 // quantum path"): the PIMC incremental field cache never drifts from a
-// direct recompute, fixed-seed PIMC sampling is bit-identical across OpenMP
-// thread counts, and the structure-keyed embedding cache serves bit-identical
+// direct recompute, fixed-seed PIMC sampling and embedding search are
+// bit-identical under concurrent callers, and the structure-keyed embedding cache serves bit-identical
 // embeddings while skipping the embedding search entirely.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include "anneal/pimc.hpp"
+#include "concurrent_callers.hpp"
 #include "graph/chimera.hpp"
 #include "graph/embedded_sampler.hpp"
 #include "graph/embedding_cache.hpp"
@@ -60,13 +60,14 @@ TEST(PimcFieldCache, MatchesDirectRecomputeOnRandomModels) {
   }
 }
 
-// Fixed-seed PIMC sampling must be bit-identical regardless of the OpenMP
-// thread count: reads own counter-seeded streams with a fixed per-sweep
-// uniform consumption rate, so the schedule of reads onto threads must not
-// leak into the output.
+// Fixed-seed PIMC sampling must be bit-identical no matter how many threads
+// sample at once: reads own counter-seeded streams with a fixed per-sweep
+// uniform consumption rate, and each thread's slice-major AnnealContext
+// buffers carry nothing from one call into the next.
 TEST(PimcDeterminism, IdenticalAcrossThreadCounts) {
   Xoshiro256 rng(7, 3);
   const qubo::QuboModel model = random_model(20, rng);
+  const qubo::QuboModel warmup = random_model(28, rng);
   anneal::PathIntegralParams p;
   p.num_reads = 8;
   p.num_sweeps = 64;
@@ -74,34 +75,30 @@ TEST(PimcDeterminism, IdenticalAcrossThreadCounts) {
   p.seed = 11;
   const anneal::PathIntegralAnnealer annealer(p);
 
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const anneal::SampleSet serial = annealer.sample(model);
-  omp_set_num_threads(4);
-  const anneal::SampleSet parallel = annealer.sample(model);
-  omp_set_num_threads(saved);
-
-  EXPECT_TRUE(same_sample_sets(serial, parallel));
+  const anneal::SampleSet lone = annealer.sample(model);
+  for (const anneal::SampleSet& set : run_concurrently([&] {
+         annealer.sample(warmup);
+         return annealer.sample(model);
+       })) {
+    EXPECT_TRUE(same_sample_sets(lone, set));
+  }
 }
 
-// find_embedding's attempts run in parallel with an early exit; the winner
-// selection is by (total qubits, lowest attempt index), so the embedding for
-// a fixed seed must not depend on the thread count either.
+// find_embedding keeps the first attempt with the fewest qubits, so the
+// embedding for a fixed seed must not depend on other threads searching at
+// the same time.
 TEST(EmbeddingDeterminism, FindEmbeddingIdenticalAcrossThreadCounts) {
   const graph::Graph target = graph::make_chimera(4, 4, 4);
   const graph::Graph logical =
       graph::logical_graph(strqubo::build_palindrome(4));
 
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const auto serial = graph::find_embedding(logical, target, 7, 8);
-  omp_set_num_threads(4);
-  const auto parallel = graph::find_embedding(logical, target, 7, 8);
-  omp_set_num_threads(saved);
-
-  ASSERT_TRUE(serial.has_value());
-  ASSERT_TRUE(parallel.has_value());
-  EXPECT_EQ(serial->chains, parallel->chains);
+  const auto lone = graph::find_embedding(logical, target, 7, 8);
+  ASSERT_TRUE(lone.has_value());
+  for (const auto& embedding : run_concurrently(
+           [&] { return graph::find_embedding(logical, target, 7, 8); })) {
+    ASSERT_TRUE(embedding.has_value());
+    EXPECT_EQ(lone->chains, embedding->chains);
+  }
 }
 
 // A shared cache hands the second sampler the first sampler's embedding,

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string_view>
+
 #include "regex/nfa.hpp"
 #include "regex/pattern.hpp"
 
@@ -160,6 +163,31 @@ struct MatchCase {
   const char* input;
   bool expected;
 };
+
+// gtest prints a parameter into the test listing, and CMake's test
+// discovery builds the ctest name from that printout. Without this overload
+// gtest dumps the raw bytes of MatchCase, i.e. the load addresses of its
+// string literals, so every build would list the cases under new names.
+// Regex operators are spelled out to keep the names plain identifiers.
+void PrintTo(const MatchCase& c, std::ostream* os) {
+  const auto spell = [os](std::string_view text) {
+    if (text.empty()) *os << "empty";
+    for (const char ch : text) {
+      switch (ch) {
+        case '[': *os << "Set"; break;
+        case ']': *os << "End"; break;
+        case '+': *os << "Plus"; break;
+        case '*': *os << "Star"; break;
+        case '?': *os << "Opt"; break;
+        default: *os << ch;
+      }
+    }
+  };
+  spell(c.pattern);
+  *os << "_vs_";
+  spell(c.input);
+  *os << (c.expected ? "_match" : "_reject");
+}
 
 class NfaMatch : public ::testing::TestWithParam<MatchCase> {};
 

@@ -8,6 +8,7 @@
 // token. The suite is part of the sanitizer matrix (scripts/ci.sh), so the
 // same schedules run under ASan and UBSan.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -383,6 +384,31 @@ TEST(Service, DeadlineExpiringMidAttemptIsTimeout) {
   EXPECT_EQ(service.stats().jobs_timed_out, 1u);
 }
 
+// num_workers = 0 sizes the pool from the CPUs the constructing thread may
+// run on, so a thread pinned to one CPU (taskset, cpusets) gets one worker
+// even on a many-core host. The pinning happens on a helper thread so the
+// test runner's own affinity is never touched.
+TEST(Service, DefaultPoolSizeFollowsCpuAffinity) {
+  std::size_t workers = 0;
+  bool pinned = false;
+  std::thread([&] {
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &allowed)) ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) != 0) return;
+    pinned = true;
+    const service::SolveService service;
+    workers = service.num_workers();
+  }).join();
+  ASSERT_TRUE(pinned);
+  EXPECT_EQ(workers, 1u);
+}
+
 TEST(Service, ModelCacheSharesPreparedConstraints) {
   service::ServiceOptions options;
   options.num_workers = 1;
@@ -728,6 +754,49 @@ TEST(ServiceStress, ConcurrentSubmittersMixedDeadlines) {
   EXPECT_EQ(stats.jobs_submitted, kThreads * kJobsPerThread);
   EXPECT_EQ(stats.jobs_completed, kThreads * kJobsPerThread);
   EXPECT_EQ(stats.jobs_timed_out, timeouts);
+}
+
+// The worker pool is the only scheduler, so with a single portfolio member
+// (no race to decide the winner) verdicts and witnesses must not depend on
+// how many workers share the queue, on the constraint and script paths.
+TEST(ServiceStress, WorkerCountDoesNotChangeVerdictsOrWitnesses) {
+  const std::vector<strqubo::Constraint> constraints = {
+      strqubo::Palindrome{4},           strqubo::Palindrome{6},
+      strqubo::Palindrome{7},           strqubo::Equality{"abc"},
+      strqubo::RegexMatch{"a+b", 4},    strqubo::Includes{"abab", "ab"},
+      strqubo::Palindrome{5},           strqubo::RegexMatch{"[ac]b", 2}};
+  const std::vector<std::string> scripts = {
+      "(declare-const x String)(assert (= (str.len x) 5))"
+      "(assert (str.prefixof \"ab\" x))(check-sat)(get-model)",
+      "(declare-const x String)(assert (str.contains x \"b\"))"
+      "(assert (= (str.len x) 3))(check-sat)(get-model)",
+      "(declare-const x String)(assert (= x \"hi\"))(check-sat)(get-model)"};
+  auto run = [&](std::size_t workers) {
+    service::ServiceOptions options;
+    options.num_workers = workers;
+    options.portfolio.push_back(service::simulated_annealing_member("sa"));
+    service::SolveService service(options);
+    service::JobOptions job;
+    job.seed = 17;
+    std::vector<service::JobResult> results =
+        service.solve_constraints(constraints, job);
+    for (service::JobResult& result : service.solve_scripts(scripts, job)) {
+      results.push_back(std::move(result));
+    }
+    return results;
+  };
+  const std::vector<service::JobResult> one = run(1);
+  const std::vector<service::JobResult> four = run(4);
+  ASSERT_EQ(one.size(), four.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    EXPECT_EQ(one[i].status, four[i].status) << "job " << i;
+    EXPECT_EQ(one[i].text, four[i].text) << "job " << i;
+    EXPECT_EQ(one[i].position, four[i].position) << "job " << i;
+    EXPECT_EQ(one[i].variable, four[i].variable) << "job " << i;
+    EXPECT_EQ(one[i].model_value, four[i].model_value) << "job " << i;
+    EXPECT_EQ(one[i].winner, four[i].winner) << "job " << i;
+    EXPECT_EQ(one[i].status, smtlib::CheckSatStatus::kSat) << "job " << i;
+  }
 }
 
 // Batch API under load: input order is preserved even though completion
