@@ -1,26 +1,17 @@
 // Batched-substrate bench: reads/second of the bit-packed multi-replica
-// sweep kernel against the scalar per-read loop it replaced, plus the
-// cross-job fusion win of one sample_batched() invocation over per-job
-// kernel launches. Writes BENCH_batch.json (in the CWD; run from the repo
-// root to refresh the tracked baseline).
+// sweep kernel against the scalar per-read loop it replaced. Writes
+// BENCH_batch.json (in the CWD; run from the repo root to refresh the
+// tracked baseline).
 //
-// Two sweeps:
-//
-//   1. Replica sweep — SimulatedAnnealer::sample at num_reads in
-//      {1, 4, 8, 16, 32} with SweepMode::kScalar (the oracle, i.e. the
-//      pre-substrate single-read path run per read) vs SweepMode::kBatched
-//      on the string-QUBO workloads palindrome(8) and palindrome(16). Both
-//      sides run on the calling thread, as every sampler does, so this
-//      bench measures per-core substrate throughput. Thread scaling comes
-//      from the SolveService pool and is covered by the service bench.
-//      Every (workload, reads) cell asserts full bit-identity of the two
-//      sample sets before its timing is trusted.
-//
-//   2. Fusion sweep — B jobs x 16 replicas over the same adjacency,
-//      fused into ONE sample_batched() call with B groups vs B separate
-//      single-group calls (what the service would do without the
-//      BatchAggregator). Group outputs are asserted identical between the
-//      two shapes.
+// Replica sweep — SimulatedAnnealer::sample at num_reads in
+// {1, 4, 8, 16, 32} with SweepMode::kScalar (the oracle, i.e. the
+// pre-substrate single-read path run per read) vs SweepMode::kBatched on
+// the string-QUBO workloads palindrome(8) and palindrome(16). Both sides
+// run on the calling thread, as every sampler does, so this bench measures
+// per-core substrate throughput. Thread scaling comes from the SolveService
+// pool and is covered by the service bench. Every (workload, reads) cell
+// asserts full bit-identity of the two sample sets before its timing is
+// trusted.
 //
 // Timings are min-of-reps (see bench/hotpath_bench.cpp for the rationale).
 // The acceptance bar for the substrate is >= 3x reads/second over the
@@ -51,8 +42,6 @@ using namespace qsmt;
 constexpr std::size_t kNumSweeps = 256;
 constexpr std::uint64_t kSeed = 29;
 const std::vector<std::size_t> kReplicaCounts = {1, 4, 8, 16, 32};
-const std::vector<std::size_t> kFusionBatchSizes = {1, 2, 4, 8, 16};
-constexpr std::size_t kFusionReplicas = 16;
 
 struct Workload {
   std::string name;
@@ -69,16 +58,6 @@ struct ReplicaCell {
   double batched_reads_per_second = 0.0;
   double speedup = 0.0;
   double best_energy = 0.0;
-  bool bit_identical = false;
-};
-
-struct FusionCell {
-  std::size_t batch_size = 0;
-  double separate_seconds = 0.0;
-  double fused_seconds = 0.0;
-  double separate_reads_per_second = 0.0;
-  double fused_reads_per_second = 0.0;
-  double speedup = 0.0;
   bool bit_identical = false;
 };
 
@@ -149,57 +128,7 @@ ReplicaCell bench_replicas(const Workload& workload, std::size_t num_reads,
   return cell;
 }
 
-FusionCell bench_fusion(const Workload& workload, std::size_t batch_size,
-                        std::size_t reps) {
-  FusionCell cell;
-  cell.batch_size = batch_size;
-
-  const anneal::SimulatedAnnealerParams params = base_params(kFusionReplicas);
-  std::vector<anneal::BatchedGroup> groups(batch_size);
-  for (std::size_t j = 0; j < batch_size; ++j) {
-    groups[j].seed = kSeed + 100 * (j + 1);
-    groups[j].num_replicas = kFusionReplicas;
-  }
-
-  // Per-job shape: one kernel launch per group, the way the service runs
-  // jobs that the aggregator could not fuse.
-  std::vector<anneal::SampleSet> separate;
-  cell.separate_seconds = time_min(
-      reps,
-      [&] {
-        std::vector<anneal::SampleSet> sets;
-        sets.reserve(batch_size);
-        for (std::size_t j = 0; j < batch_size; ++j) {
-          auto one = anneal::sample_batched(workload.adjacency, params,
-                                            {&groups[j], 1});
-          sets.push_back(std::move(one.front()));
-        }
-        return sets;
-      },
-      separate);
-
-  // Fused shape: every group in one invocation (one packing pass, one
-  // sweep loop, shared CSR traversal).
-  std::vector<anneal::SampleSet> fused;
-  cell.fused_seconds = time_min(
-      reps,
-      [&] { return anneal::sample_batched(workload.adjacency, params, groups); },
-      fused);
-
-  const double total_reads =
-      static_cast<double>(batch_size) * static_cast<double>(kFusionReplicas);
-  cell.separate_reads_per_second = total_reads / cell.separate_seconds;
-  cell.fused_reads_per_second = total_reads / cell.fused_seconds;
-  cell.speedup = cell.separate_seconds / cell.fused_seconds;
-  cell.bit_identical = separate.size() == fused.size();
-  for (std::size_t j = 0; cell.bit_identical && j < fused.size(); ++j) {
-    cell.bit_identical = same_sample_sets(separate[j], fused[j]);
-  }
-  return cell;
-}
-
-void write_json(const std::vector<ReplicaCell>& replica_sweep,
-                const std::vector<FusionCell>& fusion_sweep, bool smoke,
+void write_json(const std::vector<ReplicaCell>& replica_sweep, bool smoke,
                 std::size_t reps, double gate_speedup) {
   std::ofstream out("BENCH_batch.json");
   out << std::fixed << std::setprecision(4);
@@ -222,20 +151,6 @@ void write_json(const std::vector<ReplicaCell>& replica_sweep,
         << ", \"best_energy\": " << c.best_energy << ", \"bit_identical\": "
         << (c.bit_identical ? "true" : "false") << "}"
         << (i + 1 < replica_sweep.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"fusion_sweep\": [\n";
-  for (std::size_t i = 0; i < fusion_sweep.size(); ++i) {
-    const FusionCell& c = fusion_sweep[i];
-    out << "    {\"batch_size\": " << c.batch_size
-        << ", \"group_replicas\": " << kFusionReplicas
-        << ",\n     \"separate_seconds\": " << c.separate_seconds
-        << ", \"fused_seconds\": " << c.fused_seconds
-        << ",\n     \"separate_reads_per_second\": "
-        << c.separate_reads_per_second
-        << ", \"fused_reads_per_second\": " << c.fused_reads_per_second
-        << ",\n     \"speedup\": " << c.speedup << ", \"bit_identical\": "
-        << (c.bit_identical ? "true" : "false") << "}"
-        << (i + 1 < fusion_sweep.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"gate_speedup_at_16_replicas\": " << gate_speedup
       << ",\n  \"gate_threshold\": 3.0\n}\n";
@@ -276,20 +191,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<FusionCell> fusion_sweep;
-  for (std::size_t batch_size : kFusionBatchSizes) {
-    FusionCell cell = bench_fusion(workloads.front(), batch_size, reps);
-    all_identical = all_identical && cell.bit_identical;
-    std::cout << "  fusion batch=" << cell.batch_size << "x"
-              << kFusionReplicas << ": separate "
-              << cell.separate_reads_per_second << " reads/s, fused "
-              << cell.fused_reads_per_second << " reads/s (" << cell.speedup
-              << "x, " << (cell.bit_identical ? "bit-identical" : "MISMATCH")
-              << ")\n";
-    fusion_sweep.push_back(std::move(cell));
-  }
-
-  write_json(replica_sweep, fusion_sweep, smoke, reps, gate_speedup);
+  write_json(replica_sweep, smoke, reps, gate_speedup);
 
   // Identity is non-negotiable in every mode: a fast-but-different kernel
   // would silently change solver verdicts.

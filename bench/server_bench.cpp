@@ -12,8 +12,7 @@
 //     cost with zero overlap;
 //   * server x8: the scripts partitioned round-robin across 8 concurrent
 //     connections — admission-gated fair sharing of the same pool, where
-//     sibling sessions overlap their solves and structure-identical jobs
-//     fuse.
+//     sibling sessions overlap their solves.
 //
 // Writes BENCH_server.json in the CWD (run from the repo root to refresh
 // the tracked baseline). The acceptance bar: 8 concurrent connections

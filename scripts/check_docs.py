@@ -47,6 +47,13 @@ docs/*.md, plus any root-level markdown they link to):
    SolveService worker pool is the only parallelism; samplers run their
    reads on the calling thread.
 
+10. Telemetry sources: every table row in docs/telemetry.md that names a
+    src/ file must have its metric name appear as a string literal in
+    each file it names. A `<placeholder>` name such as
+    `service.winner.<member>` is matched on its literal prefix
+    (`"service.winner.`). A counter deleted from the code, or moved to
+    another file, therefore fails the build until its doc row follows.
+
 Also prints the line count of src/, which the roadmap tracks next to the
 benchmarks.
 
@@ -73,6 +80,7 @@ SERVICE_FUNC_RE = re.compile(
 )
 
 OPENMP_RE = re.compile(r"#\s*pragma\s+omp\b|<omp\.h>|OpenMP::")
+TICKED_RE = re.compile(r"`([^`]+)`")
 CODE_DIRS = ("src", "tests", "bench", "examples")
 
 
@@ -217,6 +225,33 @@ def check_one_scheduler() -> list:
     return errors
 
 
+def check_telemetry_sources() -> list:
+    errors = []
+    lines = (REPO / "docs/telemetry.md").read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, 1):
+        if not line.startswith("|"):
+            continue
+        cells = line.strip().strip("|").split("|")
+        names = TICKED_RE.findall(cells[0])
+        sources = [
+            REPO / "src" / path
+            for cell in cells[1:]
+            for path in TICKED_RE.findall(cell)
+            if (REPO / "src" / path).is_file()
+        ]
+        if not names or not sources:
+            continue
+        name = names[0]
+        literal = '"' + name.split("<")[0] if "<" in name else f'"{name}"'
+        for source in sources:
+            if literal not in source.read_text(encoding="utf-8"):
+                errors.append(
+                    f"docs/telemetry.md:{number}: `{name}` is not emitted "
+                    f"in {source.relative_to(REPO)}"
+                )
+    return errors
+
+
 def src_line_count() -> int:
     return sum(
         len(path.read_text(encoding="utf-8", errors="replace").splitlines())
@@ -235,6 +270,7 @@ def main() -> int:
         + check_route_coverage()
         + check_caching_coverage()
         + check_one_scheduler()
+        + check_telemetry_sources()
     )
     for err in errors:
         print(f"check_docs: {err}", file=sys.stderr)

@@ -43,7 +43,7 @@ echo "=== quantum_bench --smoke ==="
 ./build/bench/quantum_bench --smoke
 
 # Same seconds-scale pass over the batched annealing substrate: every
-# replica-count/fusion configuration must stay bit-identical to the scalar
+# replica-count configuration must stay bit-identical to the scalar
 # single-read path (the throughput gate, like above, only fires in the
 # full run).
 echo "=== batch_bench --smoke ==="

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <utility>
 
 #include "anneal/metropolis.hpp"
 #include "util/require.hpp"
@@ -74,32 +75,21 @@ bool batched_avx2_enabled() {
 }
 
 BatchedSweepKernel::BatchedSweepKernel(const qubo::QuboAdjacency& adjacency,
-                                       std::vector<BatchedGroup> groups)
-    : adjacency_(&adjacency), groups_(std::move(groups)) {
-  require(!groups_.empty(), "BatchedSweepKernel: need at least one group");
-  std::size_t lanes = 0;
-  group_first_lane_.reserve(groups_.size());
-  for (const BatchedGroup& group : groups_) {
-    require(group.num_replicas >= 1,
-            "BatchedSweepKernel: every group needs >= 1 replica");
-    group_first_lane_.push_back(lanes);
-    lanes += group.num_replicas;
-  }
-  lane_group_.resize(lanes);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    const std::size_t first = group_first_lane_[g];
-    for (std::size_t r = 0; r < groups_[g].num_replicas; ++r) {
-      lane_group_[first + r] = static_cast<std::uint32_t>(g);
-    }
-  }
+                                       std::uint64_t seed,
+                                       std::size_t num_replicas,
+                                       CancelToken cancel)
+    : adjacency_(&adjacency),
+      seed_(seed),
+      num_lanes_(num_replicas),
+      cancel_(std::move(cancel)) {
+  require(num_replicas >= 1, "BatchedSweepKernel: need >= 1 replica");
   const std::size_t n = adjacency_->num_variables();
-  final_bits_.resize(lanes * n);
-  final_field_.resize(lanes * n);
-  lane_flips_.assign(lanes, 0);
-  lane_sweeps_.assign(lanes, 0);
-  lane_early_exit_.assign(lanes, 0);
-  lane_annealed_.assign(lanes, 0);
-  group_cancelled_.assign(groups_.size(), 0);
+  final_bits_.resize(num_lanes_ * n);
+  final_field_.resize(num_lanes_ * n);
+  lane_flips_.assign(num_lanes_, 0);
+  lane_sweeps_.assign(num_lanes_, 0);
+  lane_early_exit_.assign(num_lanes_, 0);
+  lane_annealed_.assign(num_lanes_, 0);
 }
 
 void BatchedSweepKernel::run(std::span<const double> betas,
@@ -146,48 +136,26 @@ void BatchedSweepKernel::run_block(std::size_t block,
   view.uniforms = scratch.uniforms.data();
   view.adjacency = adjacency_;
 
-  // The distinct groups present in this block, with their local lane masks
-  // (groups are contiguous lane ranges, so each appears once).
-  struct GroupLanes {
-    std::size_t group;
-    std::uint64_t mask;
-  };
-  std::vector<GroupLanes> block_groups;
-
   // Lane setup: counter-seeded stream and random initial bits, exactly the
   // scalar path's Xoshiro256(seed, read) followed by n coin() draws.
   std::fill_n(view.spins, n, 0);
-  std::uint64_t active = 0;
   for (std::size_t l = 0; l < lanes; ++l) {
-    const std::size_t lane = first + l;
-    const std::size_t g = lane_group_[lane];
-    const std::uint64_t replica = lane - group_first_lane_[g];
-    scratch.rngs[l] = Xoshiro256(groups_[g].seed, replica);
+    scratch.rngs[l] = Xoshiro256(seed_, first + l);
     Xoshiro256& rng = scratch.rngs[l];
     for (std::size_t i = 0; i < n; ++i) {
       if (rng.coin()) view.spins[i] |= 1ULL << l;
     }
-    active |= 1ULL << l;
-    if (block_groups.empty() || block_groups.back().group != g) {
-      block_groups.push_back(GroupLanes{g, 0});
-    }
-    block_groups.back().mask |= 1ULL << l;
   }
 
-  // A group cancelled before its first sweep matches the scalar path's
-  // "cancelled before read": the lanes keep their random initial bits and
-  // record no read stats.
-  std::uint64_t annealed = active;
-  for (const GroupLanes& gl : block_groups) {
-    const CancelToken& token = groups_[gl.group].cancel;
-    if (token.cancellable() && token.cancelled()) {
-      group_cancelled_[gl.group] = 1;
-      annealed &= ~gl.mask;
-      active &= ~gl.mask;
-    }
-  }
+  // A token cancelled before the block's first sweep matches the scalar
+  // path's "cancelled before read": the lanes keep their random initial
+  // bits and record no read stats.
+  const auto cancelled = [this] {
+    return cancel_.cancellable() && cancel_.cancelled();
+  };
+  std::uint64_t active = cancelled() ? 0 : (1ULL << lanes) - 1;
   for (std::size_t l = 0; l < lanes; ++l) {
-    lane_annealed_[first + l] = (annealed >> l) & 1u;
+    lane_annealed_[first + l] = (active >> l) & 1u;
   }
 
   // Replica-major field init off the shared CSR (bit-identical per lane to
@@ -202,19 +170,14 @@ void BatchedSweepKernel::run_block(std::size_t block,
   std::uint64_t early_exited = 0;
 
   for (std::size_t s = 0; s < betas.size(); ++s) {
-    // One cancel poll per group per batched sweep — never per replica. A
-    // cancelled group's lanes stop at this sweep boundary with consistent
-    // state (bits/fields), like the scalar kernel's per-sweep poll.
-    for (const GroupLanes& gl : block_groups) {
-      if ((active & gl.mask) == 0) continue;
-      const CancelToken& token = groups_[gl.group].cancel;
-      if (token.cancellable() && token.cancelled()) {
-        group_cancelled_[gl.group] = 1;
-        for (std::uint64_t m = active & gl.mask; m != 0; m &= m - 1) {
-          lane_sweeps[std::countr_zero(m)] = s;
-        }
-        active &= ~gl.mask;
+    // One cancel poll per batched sweep — never per replica. Cancelled
+    // lanes stop at this sweep boundary with consistent state
+    // (bits/fields), like the scalar kernel's per-sweep poll.
+    if (cancelled()) {
+      for (std::uint64_t m = active; m != 0; m &= m - 1) {
+        lane_sweeps[std::countr_zero(m)] = s;
       }
+      active = 0;
     }
     if (active == 0) break;
     view.active = active;
@@ -283,20 +246,6 @@ ReadStats BatchedSweepKernel::lane_stats(std::size_t lane) const {
 
 bool BatchedSweepKernel::lane_annealed(std::size_t lane) const {
   return lane_annealed_[lane] != 0;
-}
-
-BatchedGroupStats BatchedSweepKernel::group_stats(std::size_t group) const {
-  BatchedGroupStats stats;
-  stats.replicas = groups_[group].num_replicas;
-  stats.cancelled = group_cancelled_[group] != 0;
-  const std::size_t first = group_first_lane_[group];
-  for (std::size_t r = 0; r < stats.replicas; ++r) {
-    stats.sweeps_executed =
-        std::max(stats.sweeps_executed, lane_sweeps_[first + r]);
-    stats.total_flips += lane_flips_[first + r];
-    stats.replicas_early_exited += lane_early_exit_[first + r];
-  }
-  return stats;
 }
 
 }  // namespace qsmt::anneal

@@ -30,15 +30,12 @@
 // bits. docs/hotpath.md ("The batched substrate") has the layout diagram
 // and the measured speedups; bench/batch_bench.cpp tracks them.
 //
-// Lanes belong to *groups*: a group is one logical sample() call (its own
-// seed, replica count, and cancel token). SimulatedAnnealer::sample runs a
-// single group; the service's cross-job fusion (service::BatchAggregator)
-// packs many jobs' groups into one kernel invocation. Each group's cancel
-// token is polled ONCE per batched sweep — not per replica — and a
-// cancelled group's lanes drop out of the active mask at the next sweep
-// boundary while other groups keep annealing. Per-lane zero-flip early
-// exits use the same active mask, so a settled replica stops costing
-// anything while its siblings continue.
+// The lanes are the replicas of one sample() call: one seed, one replica
+// count, and one cancel token. The token is polled ONCE per batched sweep —
+// not per replica — and a cancel takes every live lane out of the active
+// mask at the next sweep boundary. Per-lane zero-flip early exits use the
+// same active mask, so a settled replica stops costing anything while its
+// siblings continue.
 #pragma once
 
 #include <cstdint>
@@ -51,26 +48,6 @@
 #include "util/rng.hpp"
 
 namespace qsmt::anneal {
-
-/// One logical sample() call inside a batched kernel invocation: a block of
-/// `num_replicas` contiguous lanes seeded as Xoshiro256(seed, replica) —
-/// exactly the streams the scalar path would use — sharing one cancel token.
-struct BatchedGroup {
-  std::uint64_t seed = 0;
-  std::size_t num_replicas = 0;
-  CancelToken cancel;
-};
-
-/// Post-run per-group aggregates (fed by the per-lane counters).
-struct BatchedGroupStats {
-  std::size_t replicas = 0;
-  std::size_t sweeps_executed = 0;  ///< Max executed sweeps over the lanes.
-  std::size_t total_flips = 0;
-  std::size_t replicas_early_exited = 0;
-  /// The group's token reported cancellation during the run; its lanes were
-  /// removed from the active mask at the following sweep boundary.
-  bool cancelled = false;
-};
 
 namespace detail {
 
@@ -117,19 +94,18 @@ bool batched_avx2_compiled() noexcept;
 /// and not disabled via the QSMT_NO_AVX2 environment variable.
 bool batched_avx2_enabled();
 
-/// The batched multi-replica sweep kernel. Construction captures the lane
-/// layout (groups get contiguous lane ranges in order); run() anneals every
-/// lane through a β schedule; afterwards the per-lane final bits and local
-/// fields are available for polish/energy, bit-identical to what the scalar
-/// kernel leaves in its AnnealContext.
+/// The batched multi-replica sweep kernel. Lane l is replica l, seeded as
+/// Xoshiro256(seed, l) — exactly the stream the scalar path's read l uses.
+/// run() anneals every lane through a β schedule; afterwards the per-lane
+/// final bits and local fields are available for polish/energy,
+/// bit-identical to what the scalar kernel leaves in its AnnealContext.
 class BatchedSweepKernel {
  public:
-  /// `adjacency` must outlive the kernel. Every group needs >= 1 replica.
-  BatchedSweepKernel(const qubo::QuboAdjacency& adjacency,
-                     std::vector<BatchedGroup> groups);
+  /// `adjacency` must outlive the kernel; `num_replicas` must be >= 1.
+  BatchedSweepKernel(const qubo::QuboAdjacency& adjacency, std::uint64_t seed,
+                     std::size_t num_replicas, CancelToken cancel = {});
 
-  std::size_t num_lanes() const noexcept { return lane_group_.size(); }
-  std::size_t num_groups() const noexcept { return groups_.size(); }
+  std::size_t num_lanes() const noexcept { return num_lanes_; }
 
   /// Anneals every lane through `betas` (initial bits drawn from the lane's
   /// own stream, exactly like the scalar path). `allow_early_exit` arms the
@@ -148,16 +124,9 @@ class BatchedSweepKernel {
 
   /// Per-lane read statistics in the scalar kernel's ReadStats shape.
   ReadStats lane_stats(std::size_t lane) const;
-  /// False when the lane's group was already cancelled before its first
+  /// False when the token was already cancelled before the lane's first
   /// sweep — the scalar path records no ReadStats for such reads.
   bool lane_annealed(std::size_t lane) const;
-
-  std::size_t lane_group(std::size_t lane) const { return lane_group_[lane]; }
-  /// First lane of `group`; its replicas occupy lanes [first, first + R).
-  std::size_t group_first_lane(std::size_t group) const {
-    return group_first_lane_[group];
-  }
-  BatchedGroupStats group_stats(std::size_t group) const;
 
   /// True when the last run() took the AVX2 sweep path.
   bool used_avx2() const noexcept { return used_avx2_; }
@@ -168,9 +137,9 @@ class BatchedSweepKernel {
                  bool use_avx2);
 
   const qubo::QuboAdjacency* adjacency_;
-  std::vector<BatchedGroup> groups_;
-  std::vector<std::uint32_t> lane_group_;
-  std::vector<std::size_t> group_first_lane_;
+  std::uint64_t seed_;
+  std::size_t num_lanes_;
+  CancelToken cancel_;
 
   // Per-lane outputs; each block writes its own lane range.
   std::vector<std::uint8_t> final_bits_;   // [lanes * n]
@@ -179,7 +148,6 @@ class BatchedSweepKernel {
   std::vector<std::size_t> lane_sweeps_;
   std::vector<std::uint8_t> lane_early_exit_;
   std::vector<std::uint8_t> lane_annealed_;
-  std::vector<std::uint8_t> group_cancelled_;
 
   std::size_t scheduled_sweeps_ = 0;
   bool used_avx2_ = false;

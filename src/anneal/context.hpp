@@ -42,8 +42,8 @@ struct AnnealContext {
   // Replica-major batched-kernel workspace (docs/hotpath.md, "The batched
   // substrate"): one bit-packed spin word per variable plus lane-strided
   // field/uniform rows, sized for one block of the BatchedSweepKernel. The
-  // block loop borrows these through the thread-local context, so fused
-  // service invocations reuse the same buffers sweep after sweep.
+  // block loop borrows these through the thread-local context, so
+  // successive sample() calls on one thread reuse the same buffers.
   struct BatchedScratch {
     std::vector<std::uint64_t> spins;     ///< [n] spin words, bit l = lane l.
     std::vector<double> field;            ///< [n * lanes] lane-strided.

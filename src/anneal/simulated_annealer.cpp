@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "anneal/batched_kernel.hpp"
 #include "anneal/greedy.hpp"
 #include "anneal/metropolis.hpp"
 #include "telemetry/telemetry.hpp"
@@ -141,23 +142,18 @@ std::vector<double> sample_schedule(const qubo::QuboAdjacency& adjacency,
                                    params.beta_interpolation);
 }
 
-}  // namespace
-
-std::vector<SampleSet> sample_batched(const qubo::QuboAdjacency& adjacency,
-                                      const SimulatedAnnealerParams& params,
-                                      std::span<const BatchedGroup> groups) {
-  require(!groups.empty(), "sample_batched: need at least one group");
-  require(params.num_sweeps >= 1, "sample_batched: num_sweeps must be >= 1");
-  for (const BatchedGroup& group : groups) {
-    require(group.num_replicas >= 1,
-            "sample_batched: every group needs >= 1 replica");
-  }
+/// The batched branch of SimulatedAnnealer::sample: every read is a lane of
+/// one BatchedSweepKernel, then each lane gets the scalar path's per-read
+/// tail (greedy polish + energy) off the kernel's final bits/fields.
+/// Bit-identical to the scalar loop. Emits the anneal.batch.* counters
+/// (docs/telemetry.md).
+SampleSet sample_on_kernel(const qubo::QuboAdjacency& adjacency,
+                           const SimulatedAnnealerParams& params) {
   const std::size_t n = adjacency.num_variables();
   const std::vector<double> betas = sample_schedule(adjacency, params);
 
-  BatchedSweepKernel kernel(adjacency,
-                            std::vector<BatchedGroup>(groups.begin(),
-                                                      groups.end()));
+  BatchedSweepKernel kernel(adjacency, params.seed, params.num_reads,
+                            params.cancel);
   const std::size_t lanes = kernel.num_lanes();
 
   telemetry::Span span("anneal.sample");
@@ -191,37 +187,32 @@ std::vector<SampleSet> sample_batched(const qubo::QuboAdjacency& adjacency,
     }
   }
 
-  // Per-lane greedy polish + energy off the kernel's final bits/fields —
-  // identical to the scalar path's per-read tail. Each group's lanes are
-  // contiguous, so its set is filled in replica order.
   AnnealContext& ctx = thread_local_context();
   ctx.prepare(n);
-  std::vector<SampleSet> sets(groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const BatchedGroup& group = groups[g];
-    const std::size_t first = kernel.group_first_lane(g);
-    for (std::size_t l = first; l < first + group.num_replicas; ++l) {
-      const auto bits = kernel.lane_bits(l);
-      const auto field = kernel.lane_field(l);
-      ctx.bits.assign(bits.begin(), bits.end());
-      ctx.field.assign(field.begin(), field.end());
-      const bool cancelled =
-          group.cancel.cancellable() && group.cancel.cancelled();
-      if (kernel.lane_annealed(l)) record_read_stats(kernel.lane_stats(l));
-      if (params.polish_with_greedy && !cancelled) {
-        detail::greedy_descend(adjacency, ctx.bits, ctx.field);
-      }
-      Sample out;
-      out.energy = adjacency.energy(ctx.bits);
-      out.bits.assign(ctx.bits.begin(), ctx.bits.end());
-      out.num_occurrences = 1;
-      if (telemetry_on) read_energy.record(out.energy);
-      sets[g].add(std::move(out));
+  SampleSet set;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const auto bits = kernel.lane_bits(l);
+    const auto field = kernel.lane_field(l);
+    ctx.bits.assign(bits.begin(), bits.end());
+    ctx.field.assign(field.begin(), field.end());
+    const bool cancelled =
+        params.cancel.cancellable() && params.cancel.cancelled();
+    if (kernel.lane_annealed(l)) record_read_stats(kernel.lane_stats(l));
+    if (params.polish_with_greedy && !cancelled) {
+      detail::greedy_descend(adjacency, ctx.bits, ctx.field);
     }
-    sets[g].aggregate();
+    Sample out;
+    out.energy = adjacency.energy(ctx.bits);
+    out.bits.assign(ctx.bits.begin(), ctx.bits.end());
+    out.num_occurrences = 1;
+    if (telemetry_on) read_energy.record(out.energy);
+    set.add(std::move(out));
   }
-  return sets;
+  set.aggregate();
+  return set;
 }
+
+}  // namespace
 
 SampleSet SimulatedAnnealer::sample(const qubo::QuboModel& model) const {
   return sample(qubo::QuboAdjacency(model));
@@ -239,15 +230,7 @@ SampleSet SimulatedAnnealer::sample(
       params_.sweep_mode == SweepMode::kBatched ||
       (params_.sweep_mode == SweepMode::kAuto && params_.num_reads >= 2 &&
        !telemetry::trace_enabled());
-  if (batched) {
-    BatchedGroup group;
-    group.seed = params_.seed;
-    group.num_replicas = params_.num_reads;
-    group.cancel = params_.cancel;
-    std::vector<SampleSet> sets =
-        sample_batched(adjacency, params_, std::span(&group, 1));
-    return std::move(sets.front());
-  }
+  if (batched) return sample_on_kernel(adjacency, params_);
 
   const std::vector<double> betas = sample_schedule(adjacency, params_);
   const double hot = betas.empty() ? 0.0 : betas.front();

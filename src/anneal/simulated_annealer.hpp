@@ -38,7 +38,6 @@
 #include <span>
 #include <vector>
 
-#include "anneal/batched_kernel.hpp"
 #include "anneal/context.hpp"
 #include "anneal/sampler.hpp"
 #include "anneal/schedule.hpp"
@@ -106,20 +105,6 @@ class SimulatedAnnealer final : public Sampler {
  private:
   SimulatedAnnealerParams params_;
 };
-
-/// Batched multi-group sampling: anneals every group's replicas through ONE
-/// BatchedSweepKernel invocation over the shared `adjacency`, polishes each
-/// replica, and returns one aggregated SampleSet per group (in group
-/// order). Each group's output is bit-identical to a solo
-/// SimulatedAnnealer::sample run whose params are `params` with seed and
-/// cancel replaced by the group's — this is how the service fuses many
-/// independent jobs into one kernel pass and de-multiplexes the results.
-/// `params.seed` and `params.cancel` are ignored; schedule, polish, and
-/// early-exit fields are honoured. Emits the anneal.batch.* counters
-/// (docs/telemetry.md).
-std::vector<SampleSet> sample_batched(const qubo::QuboAdjacency& adjacency,
-                                      const SimulatedAnnealerParams& params,
-                                      std::span<const BatchedGroup> groups);
 
 namespace detail {
 

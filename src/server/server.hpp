@@ -10,12 +10,10 @@
 //
 // Everything that makes the solver fast is shared across tenants because
 // it lives in the one service: the worker pool, the prepared-model cache,
-// any portfolio member's graph::EmbeddingCache, and the BatchAggregator
-// that fuses structure-sharing sibling jobs into single batched kernel
-// invocations — eight clients submitting similar small queries behave like
-// one in-process batch. The gate keeps them honest: admission is FIFO over
-// sessions (round-robin, since each session has at most one outstanding
-// check-sat) with immediate, polite rejection when the line is full.
+// and any portfolio member's graph::EmbeddingCache. The gate keeps them
+// honest: admission is FIFO over sessions (round-robin, since each session
+// has at most one outstanding check-sat) with immediate, polite rejection
+// when the line is full.
 //
 // Telemetry: server.sessions.opened/closed, server.sessions.active,
 // server.commands, server.checksat.seconds, server.queue.depth,
@@ -97,7 +95,7 @@ class Server {
   /// Port bound by listen() (0 before).
   std::uint16_t port() const noexcept { return port_; }
 
-  /// The shared pool (stats inspection: cache hits, fused jobs, ...).
+  /// The shared pool (stats inspection: cache hits, timeouts, ...).
   service::SolveService& service() noexcept { return service_; }
 
   /// The shared admission gate (stats inspection).

@@ -95,9 +95,9 @@ class Session::Driver final : public smtlib::SmtDriver {
     const auto& constraints = presolved.query.constraints;
     if (constraints.size() == 1 &&
         strqubo::produces_string(constraints.front())) {
-      // The fusable fast path: structurally identical single-constraint
-      // queries from *any* session share the service's prepared-model
-      // cache and batch into one kernel invocation.
+      // The constraint-job fast path: structurally identical
+      // single-constraint queries from *any* session share the service's
+      // prepared-model cache.
       future = session.service_->submit(constraints.front(), job);
     } else {
       future = session.service_->submit_script(render_script(), job);

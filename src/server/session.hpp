@@ -8,9 +8,8 @@
 // anything that genuinely needs a sampler is dispatched to the shared
 // service::SolveService worker pool. Single string-producing constraints
 // are submitted as *constraint* jobs, so sibling sessions' structurally
-// identical queries share the prepared-model cache and fuse into batched
-// kernel invocations (PortfolioMember::batched); everything else rides the
-// script-job path. Every other command (push/pop, get-model, get-value,
+// identical queries share the prepared-model cache; everything else rides
+// the script-job path. Every other command (push/pop, get-model, get-value,
 // echo, reset, ...) inherits the in-process driver's semantics verbatim —
 // that is what makes the server's replies bit-compatible with SmtDriver.
 //

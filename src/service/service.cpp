@@ -89,38 +89,6 @@ void split_notes(const std::string& joined, std::vector<std::string>& out) {
 
 }  // namespace
 
-/// Cross-job fusion scan (docs/ARCHITECTURE.md, "Cross-job batching"): after
-/// a worker pops a task whose portfolio member is batchable, the aggregator
-/// walks the rest of the queue and pulls out up to `max_fused - 1` sibling
-/// tasks the caller's predicate accepts (same member, same structure key,
-/// different job). Runs under the queue lock; the scan is O(queue) with no
-/// allocation beyond the returned vector, and queue order is preserved for
-/// everything it leaves behind.
-class BatchAggregator {
- public:
-  explicit BatchAggregator(std::size_t max_fused) : max_fused_(max_fused) {}
-
-  template <typename Task, typename Joinable>
-  std::vector<Task> collect(std::deque<Task>& queue,
-                            const Joinable& joinable) const {
-    std::vector<Task> fused;
-    if (max_fused_ < 2) return fused;
-    for (auto it = queue.begin();
-         it != queue.end() && fused.size() + 1 < max_fused_;) {
-      if (joinable(*it)) {
-        fused.push_back(std::move(*it));
-        it = queue.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    return fused;
-  }
-
- private:
-  std::size_t max_fused_;
-};
-
 PortfolioMember simulated_annealing_member(
     std::string name, anneal::SimulatedAnnealerParams base) {
   PortfolioMember member;
@@ -132,10 +100,6 @@ PortfolioMember simulated_annealing_member(
     params.cancel = std::move(cancel);
     return std::make_unique<anneal::SimulatedAnnealer>(params);
   };
-  // Simulated annealing is the one lane whose kernel can fuse jobs: expose
-  // the params so the pool can route structure-sharing siblings through
-  // anneal::sample_batched with per-job seeds and tokens.
-  member.batched = base;
   return member;
 }
 
@@ -246,9 +210,7 @@ struct SolveService::Impl {
   struct Job : std::enable_shared_from_this<Job> {
     std::variant<strqubo::Constraint, std::string> payload;
     /// cache_key() of a constraint payload, computed once at submission
-    /// (empty for script jobs). Doubles as the model-cache key and as the
-    /// fusion key: tasks whose jobs share it build the same QUBO, so a
-    /// batchable member can anneal them in one kernel invocation.
+    /// (empty for script jobs): the prepared-model cache key.
     std::string structure_key;
     /// Canonical answer-cache key (empty = not cacheable or no cache
     /// configured) and, for script jobs, the canonical form whose renaming
@@ -344,7 +306,6 @@ struct SolveService::Impl {
     }
     if (options.num_workers == 0) options.num_workers = default_worker_count();
     if (options.model_cache_capacity == 0) options.model_cache_capacity = 1;
-    if (options.max_fused_jobs == 0) options.max_fused_jobs = 1;
     workers.reserve(options.num_workers);
     for (std::size_t i = 0; i < options.num_workers; ++i) {
       workers.emplace_back([this] { worker_loop(); });
@@ -585,37 +546,15 @@ struct SolveService::Impl {
   void worker_loop() {
     for (;;) {
       Task task;
-      std::vector<Task> siblings;
       {
         std::unique_lock<std::mutex> lock(queue_mutex);
         queue_cv.wait(lock, [this] { return stopping || !queue.empty(); });
         if (stopping) return;
         task = std::move(queue.front());
         queue.pop_front();
-        // A batchable member leading a live constraint job scans the queue
-        // for structure-sharing siblings and takes them along: one kernel
-        // invocation anneals every fused job's replicas in one pass. A
-        // leader whose job is already decided or cancelled will not run, so
-        // it leaves its siblings where they are, behind the members their
-        // own races try first.
-        if (options.portfolio[task.member].batched &&
-            !task.job->structure_key.empty() &&
-            !task.job->cancel.token().cancelled()) {
-          const BatchAggregator aggregator(options.max_fused_jobs);
-          siblings = aggregator.collect(queue, [&](const Task& other) {
-            return other.member == task.member && other.job != task.job &&
-                   other.job->structure_key == task.job->structure_key;
-          });
-        }
         publish_queue_depth_locked();
       }
-      if (siblings.empty()) {
-        run_member(*task.job, task.member);
-      } else {
-        const std::size_t member_index = task.member;
-        siblings.insert(siblings.begin(), std::move(task));
-        run_fused(std::move(siblings), member_index);
-      }
+      run_member(*task.job, task.member);
     }
   }
 
@@ -632,42 +571,6 @@ struct SolveService::Impl {
             .record(waited);
       }
     }
-  }
-
-  /// A member whose token was already cancelled before it ran a single
-  /// sweep: either a sibling won (count the cancellation) or the deadline
-  /// expired while queued (this member may be the one that must emit the
-  /// timeout).
-  void finish_precancelled(Job& job) {
-    if (job.decided.load(std::memory_order_acquire)) {
-      record_member_cancelled(job);
-      release_member(job);
-    } else {
-      // The deadline fired before this member could run at all: the job
-      // was genuinely cut short, not merely exhausted.
-      job.deadline_cut_short.store(true, std::memory_order_relaxed);
-      finish_if_last(job);
-    }
-  }
-
-  /// Loser epilogue shared by the solo and fused paths: this member lost
-  /// because a sibling decided, the deadline expired mid-solve, or every
-  /// reseeded attempt came back unverified.
-  void finish_as_loser(Job& job, const CancelToken& token) {
-    if (token.cancelled() && job.decided.load(std::memory_order_acquire)) {
-      record_member_cancelled(job);
-    }
-    finish_if_last(job);
-  }
-
-  void run_member(Job& job, std::size_t member_index) {
-    const CancelToken token = job.cancel.token();
-    mark_started(job);
-    if (token.cancelled()) {
-      finish_precancelled(job);
-      return;
-    }
-    run_member_attempts(job, member_index, token, 0);
   }
 
   /// One cheap reverse-anneal refinement seeded from the caller's previous
@@ -732,13 +635,24 @@ struct SolveService::Impl {
     return false;
   }
 
-  /// The attempt loop of one (job, member) race lane, starting at
-  /// `first_attempt` (0 for a solo run; 1 when a fused kernel invocation
-  /// already consumed attempt 0 and the decoded model failed verification).
+  /// One (job, member) race lane: the member's reseeded attempt loop.
   /// Always settles this member's race bookkeeping before returning.
-  void run_member_attempts(Job& job, std::size_t member_index,
-                           const CancelToken& token,
-                           std::size_t first_attempt) {
+  void run_member(Job& job, std::size_t member_index) {
+    const CancelToken token = job.cancel.token();
+    mark_started(job);
+    if (token.cancelled()) {
+      // Cancelled before a single sweep: either a sibling won (count the
+      // cancellation) or the deadline expired while queued, which cut the
+      // job short (this member may be the one that must emit the timeout).
+      if (job.decided.load(std::memory_order_acquire)) {
+        record_member_cancelled(job);
+        release_member(job);
+      } else {
+        job.deadline_cut_short.store(true, std::memory_order_relaxed);
+        finish_if_last(job);
+      }
+      return;
+    }
     const PortfolioMember& member = options.portfolio[member_index];
 
     // True when this member must stop racing. A cancelled token on an
@@ -755,8 +669,8 @@ struct SolveService::Impl {
       return false;
     };
 
-    for (std::size_t attempt = first_attempt;
-         attempt <= options.max_verify_retries; ++attempt) {
+    for (std::size_t attempt = 0; attempt <= options.max_verify_retries;
+         ++attempt) {
       if (aborted()) break;
       if (attempt > 0) {
         stats_retries.fetch_add(1, std::memory_order_relaxed);
@@ -859,134 +773,12 @@ struct SolveService::Impl {
       }
     }
 
-    finish_as_loser(job, token);
-  }
-
-  /// Runs one fused batch: `tasks` all share the same batchable portfolio
-  /// member and structure key. Every job keeps its own counter-seeded RNG
-  /// stream and its own cancel token inside the shared kernel invocation, so
-  /// each result is bit-identical to the solo run — fusion only changes how
-  /// many jobs one pass over the CSR serves. Jobs whose decoded model fails
-  /// verification fall back to the ordinary reseeded attempt loop; every
-  /// task's race bookkeeping is settled exactly once no matter which path
-  /// (pre-cancelled, build failure, kernel throw, win, loss) it takes.
-  void run_fused(std::vector<Task> tasks, std::size_t member_index) {
-    const PortfolioMember& member = options.portfolio[member_index];
-    stats_batch_invocations.fetch_add(1, std::memory_order_relaxed);
-    stats_jobs_fused.fetch_add(tasks.size(), std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      telemetry::counter("service.batch.invocations").add();
-      telemetry::counter("service.batch.fused_jobs").add(tasks.size());
+    // Lost: a sibling decided, the deadline expired mid-solve, or every
+    // reseeded attempt came back unverified.
+    if (token.cancelled() && job.decided.load(std::memory_order_acquire)) {
+      record_member_cancelled(job);
     }
-
-    // Per-job admission: the same bookkeeping a solo member does before its
-    // first attempt. Jobs that drop out here (already cancelled, build
-    // failed) are settled immediately and leave the batch.
-    struct FusedJob {
-      std::shared_ptr<Job> job;
-      CancelToken token;
-      const strqubo::PreparedConstraint* prepared = nullptr;
-    };
-    std::vector<FusedJob> runnable;
-    runnable.reserve(tasks.size());
-    for (Task& task : tasks) {
-      Job& job = *task.job;
-      CancelToken token = job.cancel.token();
-      mark_started(job);
-      if (token.cancelled()) {
-        finish_precancelled(job);
-        continue;
-      }
-      job.attempts.fetch_add(1, std::memory_order_relaxed);
-      const strqubo::PreparedConstraint* prepared = prepare_job(job);
-      if (prepared == nullptr) {
-        if (!claim_and_finish(job, kNoWinner, [&](JobResult& result) {
-              result.notes.push_back("model build failed: " +
-                                     job.build_error);
-            })) {
-          release_member(job);
-        }
-        continue;
-      }
-      if (try_warm_start(job, member, *prepared)) continue;
-      if (job.decided.load(std::memory_order_acquire)) {
-        finish_as_loser(job, token);
-        continue;
-      }
-      runnable.push_back(FusedJob{task.job, std::move(token), prepared});
-    }
-    if (runnable.empty()) return;
-
-    // One kernel invocation over the shared adjacency. All runnable jobs
-    // share a structure key, so every prepared model is structurally
-    // identical; the first one's CSR stands in for all (each job pins its
-    // own shared_ptr, so lifetime is safe either way). Seeds replicate the
-    // solo path's attempt-0 stream exactly.
-    anneal::SimulatedAnnealerParams params = *member.batched;
-    std::vector<anneal::BatchedGroup> groups;
-    groups.reserve(runnable.size());
-    for (const FusedJob& fused : runnable) {
-      anneal::BatchedGroup group;
-      group.seed = mix_seed(
-          mix_seed(fused.job->options.seed, member_index + 1), 1);
-      group.num_replicas = params.num_reads;
-      group.cancel = fused.token;
-      groups.push_back(std::move(group));
-    }
-    std::vector<anneal::SampleSet> sets;
-    try {
-      sets = anneal::sample_batched(runnable.front().prepared->adjacency,
-                                    params, groups);
-    } catch (const std::exception& error) {
-      // The kernel serves every fused job, so its failure is every fused
-      // job's member failure — same drop-out path as a solo sampler throw.
-      for (const FusedJob& fused : runnable) {
-        fail_member(*fused.job, member, error.what());
-      }
-      return;
-    }
-
-    // De-multiplex: each job's group decodes and verifies independently,
-    // exactly as the solo path would after sampler->sample().
-    for (std::size_t g = 0; g < runnable.size(); ++g) {
-      Job& job = *runnable[g].job;
-      const CancelToken& token = runnable[g].token;
-      if (job.decided.load(std::memory_order_acquire)) {
-        finish_as_loser(job, token);
-        continue;
-      }
-      strqubo::SolveResult solved;
-      try {
-        solved = strqubo::decode_and_verify(
-            std::get<strqubo::Constraint>(job.payload), sets[g]);
-      } catch (const std::exception& error) {
-        fail_member(job, member, error.what());
-        continue;
-      }
-      if (solved.satisfied) {
-        if (!claim_and_finish(job, member_index, [&](JobResult& result) {
-              result.status = smtlib::CheckSatStatus::kSat;
-              result.text = solved.text;
-              result.position = solved.position;
-              result.winner = member.name;
-              record_winner(member.name);
-            })) {
-          finish_as_loser(job, token);
-        }
-        continue;
-      }
-      // Unverified with the token cancelled: the deadline interrupted the
-      // kernel mid-solve, exactly the solo path's aborted()-after-solve
-      // case. Must be marked here — with max_verify_retries == 0 the
-      // fallback loop below would never poll.
-      if (token.cancelled()) {
-        job.deadline_cut_short.store(true, std::memory_order_relaxed);
-        finish_as_loser(job, token);
-        continue;
-      }
-      // Unverified: fall back to the reseeded solo loop from attempt 1.
-      run_member_attempts(job, member_index, token, 1);
-    }
+    finish_if_last(job);
   }
 
   /// A member's sampler threw (e.g. no embedding onto the target topology):
@@ -1419,8 +1211,6 @@ struct SolveService::Impl {
   std::atomic<std::uint64_t> stats_retries{0};
   std::atomic<std::uint64_t> stats_cache_hits{0};
   std::atomic<std::uint64_t> stats_cache_misses{0};
-  std::atomic<std::uint64_t> stats_batch_invocations{0};
-  std::atomic<std::uint64_t> stats_jobs_fused{0};
   std::atomic<std::uint64_t> stats_warm_starts{0};
   std::atomic<std::uint64_t> stats_warm_hits{0};
   std::atomic<std::uint64_t> stats_routed{0};
@@ -1515,9 +1305,6 @@ SolveService::Stats SolveService::stats() const noexcept {
       impl_->stats_cache_hits.load(std::memory_order_relaxed);
   stats.model_cache_misses =
       impl_->stats_cache_misses.load(std::memory_order_relaxed);
-  stats.batch_invocations =
-      impl_->stats_batch_invocations.load(std::memory_order_relaxed);
-  stats.jobs_fused = impl_->stats_jobs_fused.load(std::memory_order_relaxed);
   stats.warm_starts = impl_->stats_warm_starts.load(std::memory_order_relaxed);
   stats.warm_hits = impl_->stats_warm_hits.load(std::memory_order_relaxed);
   stats.jobs_routed = impl_->stats_routed.load(std::memory_order_relaxed);

@@ -65,14 +65,6 @@ struct PortfolioMember {
   std::function<std::unique_ptr<anneal::Sampler>(std::uint64_t seed,
                                                  CancelToken cancel)>
       make;
-  /// When set, the worker pool may fuse many queued constraint jobs that
-  /// share a structure key into ONE batched kernel invocation for this
-  /// member (anneal::sample_batched; see docs/ARCHITECTURE.md, "Cross-job
-  /// batching"). The params' seed/cancel fields are ignored — every fused
-  /// job keeps its own counter-seeded stream and its own cancel token, so
-  /// fused results are bit-identical to solo runs. simulated_annealing_member
-  /// fills this automatically; leave empty to opt a custom member out.
-  std::optional<anneal::SimulatedAnnealerParams> batched;
 };
 
 /// Simulated-annealing lane. `base.seed` and `base.cancel` are overwritten
@@ -131,10 +123,6 @@ struct ServiceOptions {
   /// Upper bound on distinct prepared constraints kept in the model cache
   /// (an unbounded cache would grow with the stream of distinct jobs).
   std::size_t model_cache_capacity = 256;
-  /// Upper bound on queued jobs fused into one batched kernel invocation
-  /// when a batchable member finds structure-sharing siblings in the queue
-  /// (see PortfolioMember::batched). 1 (or 0) disables cross-job fusion.
-  std::size_t max_fused_jobs = 16;
   /// Adaptive portfolio router (docs/routing.md). When set, constraint jobs
   /// consult it before enqueueing: a confident decision dispatches ONLY the
   /// historically-best member (seeds preserved, so the routed run is
@@ -307,11 +295,8 @@ class SolveService {
     std::uint64_t verify_retries = 0;
     std::uint64_t model_cache_hits = 0;
     std::uint64_t model_cache_misses = 0;
-    /// Batched kernel invocations that fused >= 2 jobs.
-    std::uint64_t batch_invocations = 0;
-    /// Jobs that entered a fused invocation (counted at dispatch, so jobs
-    /// whose build or sampler then failed are still included; each is
-    /// completed exactly once through the normal race bookkeeping).
+    /// Always 0. Kept only because e2ebench reads it (service.fused_ratio);
+    /// the next benchmark change removes both.
     std::uint64_t jobs_fused = 0;
     /// Warm-start refinements attempted (JobOptions::warm_start present and
     /// the witness type-checked against the prepared model) / refinements

@@ -133,8 +133,8 @@ bool produces_string(const Constraint& constraint);
 /// Exact structural key: enumerates every field of every variant with
 /// unambiguous separators, so two constraints share a key iff they build
 /// the same QUBO under fixed build options. describe() is for humans and
-/// may collide (or change); this is the cache/fusion key used by the
-/// service's prepared-model cache and the incremental fragment cache.
+/// may collide (or change); this is the cache key used by the service's
+/// prepared-model cache and the incremental fragment cache.
 std::string structure_key(const Constraint& constraint);
 
 }  // namespace qsmt::strqubo

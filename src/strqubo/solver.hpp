@@ -99,9 +99,8 @@ std::optional<std::size_t> decode_includes_position(
 /// and classically verifies each decoding against `constraint`, under the
 /// strqubo.verify telemetry span. Returns a SolveResult with satisfied /
 /// text / position / energy filled in; model-size, timing, and samples
-/// fields are left for the caller. Exposed so the service's cross-job
-/// batching can de-multiplex one fused kernel invocation into per-job
-/// verdicts without re-entering the solver facade.
+/// fields are left for the caller. Exposed so the service's warm-start
+/// refinement can verify its samples without re-entering the solver facade.
 SolveResult decode_and_verify(const Constraint& constraint,
                               const anneal::SampleSet& samples);
 

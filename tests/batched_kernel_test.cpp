@@ -1,7 +1,7 @@
 // Tests for the batched multi-replica annealing substrate: bit-identity
 // against the scalar per-read oracle across replica counts, concurrent
-// callers, and sweep paths (AVX2 vs portable scalar), multi-group fusion vs solo
-// runs, once-per-sweep group cancellation, and early-exit bookkeeping.
+// callers, and sweep paths (AVX2 vs portable scalar), once-per-sweep
+// cancellation, and early-exit bookkeeping.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -143,15 +143,10 @@ TEST(BatchedKernel, Avx2AndScalarSweepPathsAgree) {
   const std::vector<double> betas =
       make_schedule(range.hot, range.cold, 80, Interpolation::kGeometric);
 
-  std::vector<BatchedGroup> groups(2);
-  groups[0].seed = 5;
-  groups[0].num_replicas = 9;
-  groups[1].seed = 6;
-  groups[1].num_replicas = 12;
-
-  BatchedSweepKernel dispatched(adjacency, groups);
+  // 21 replicas: one full 16-lane block plus a partial second block.
+  BatchedSweepKernel dispatched(adjacency, /*seed=*/5, /*num_replicas=*/21);
   dispatched.run(betas, /*allow_early_exit=*/true, /*force_scalar=*/false);
-  BatchedSweepKernel scalar(adjacency, groups);
+  BatchedSweepKernel scalar(adjacency, /*seed=*/5, /*num_replicas=*/21);
   scalar.run(betas, /*allow_early_exit=*/true, /*force_scalar=*/true);
 
   EXPECT_FALSE(scalar.used_avx2());
@@ -174,41 +169,9 @@ TEST(BatchedKernel, Avx2AndScalarSweepPathsAgree) {
   }
 }
 
-// Fusing many groups into one kernel invocation must be invisible per
-// group: each group's SampleSet equals a solo scalar sample() run with that
-// group's seed.
-TEST(BatchedKernel, FusedGroupsMatchSoloRuns) {
-  Xoshiro256 model_rng(16, 0);
-  const qubo::QuboModel model = random_model(30, 0.3, model_rng);
-  const qubo::QuboAdjacency adjacency(model);
-  SimulatedAnnealerParams params;
-  params.num_sweeps = 64;
-
-  const std::vector<std::uint64_t> seeds = {101, 202, 303};
-  const std::vector<std::size_t> replicas = {4, 8, 3};
-  std::vector<BatchedGroup> groups(seeds.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    groups[g].seed = seeds[g];
-    groups[g].num_replicas = replicas[g];
-  }
-  params.num_reads = 1;  // Overridden per group below.
-  const std::vector<SampleSet> fused =
-      sample_batched(adjacency, params, groups);
-  ASSERT_EQ(fused.size(), groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    SimulatedAnnealerParams solo = params;
-    solo.num_reads = replicas[g];
-    solo.seed = seeds[g];
-    SCOPED_TRACE("group " + std::to_string(g));
-    expect_same_sample_sets(
-        sample_with_mode(adjacency, solo, SweepMode::kScalar), fused[g]);
-  }
-}
-
-// Satellite: a cancel that lands mid-batch stops every fused group within
-// one sweep. All four groups fit one 16-lane block, so their once-per-sweep
-// polls happen in the same sweep loop; an expired deadline must take every
-// group out at (at most) adjacent sweep boundaries, far short of the
+// A cancel that lands mid-run stops every lane at the same sweep boundary:
+// all 16 replicas share one block and one token, which is polled once per
+// sweep, so an expired deadline takes them out together, far short of the
 // schedule.
 TEST(BatchedKernel, MidBatchCancelStopsAllGroupsWithinOneSweep) {
   Xoshiro256 model_rng(17, 0);
@@ -220,31 +183,25 @@ TEST(BatchedKernel, MidBatchCancelStopsAllGroupsWithinOneSweep) {
 
   CancelSource source;
   source.set_deadline_after(std::chrono::milliseconds(30));
-  std::vector<BatchedGroup> groups(4);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    groups[g].seed = g;
-    groups[g].num_replicas = 4;
-    groups[g].cancel = source.token();
-  }
-  BatchedSweepKernel kernel(adjacency, groups);
+  BatchedSweepKernel kernel(adjacency, /*seed=*/0, /*num_replicas=*/16,
+                            source.token());
   // Early exit off: nothing but the cancel may shorten the run.
   kernel.run(betas, /*allow_early_exit=*/false);
 
-  std::size_t lo = scheduled, hi = 0;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const BatchedGroupStats stats = kernel.group_stats(g);
-    EXPECT_TRUE(stats.cancelled) << "group " << g;
-    EXPECT_LT(stats.sweeps_executed, scheduled) << "group " << g;
-    lo = std::min(lo, stats.sweeps_executed);
-    hi = std::max(hi, stats.sweeps_executed);
+  const bool annealed = kernel.lane_annealed(0);
+  const std::size_t stopped_at = kernel.lane_stats(0).sweeps_executed;
+  EXPECT_LT(stopped_at, scheduled);
+  for (std::size_t lane = 0; lane < kernel.num_lanes(); ++lane) {
+    EXPECT_EQ(kernel.lane_annealed(lane), annealed) << "lane " << lane;
+    EXPECT_EQ(kernel.lane_stats(lane).sweeps_executed, stopped_at)
+        << "lane " << lane;
   }
-  EXPECT_LE(hi - lo, 1u);
 }
 
-// A group cancelled before the run starts executes zero sweeps and its
+// A token cancelled before the run starts executes zero sweeps and its
 // lanes keep their initial random states unannealed, exactly like the
-// scalar path's cancelled-before-read bookkeeping; sibling groups are
-// unaffected.
+// scalar path's cancelled-before-read bookkeeping; the same kernel with a
+// live token anneals.
 TEST(BatchedKernel, PreCancelledGroupRunsZeroSweeps) {
   Xoshiro256 model_rng(18, 0);
   const qubo::QuboModel model = random_model(24, 0.3, model_rng);
@@ -254,32 +211,24 @@ TEST(BatchedKernel, PreCancelledGroupRunsZeroSweeps) {
 
   CancelSource source;
   source.cancel();
-  std::vector<BatchedGroup> groups(2);
-  groups[0].seed = 1;
-  groups[0].num_replicas = 4;
-  groups[0].cancel = source.token();
-  groups[1].seed = 2;
-  groups[1].num_replicas = 4;
-  BatchedSweepKernel kernel(adjacency, groups);
-  kernel.run(betas);
+  BatchedSweepKernel cancelled(adjacency, /*seed=*/1, /*num_replicas=*/4,
+                               source.token());
+  cancelled.run(betas);
+  BatchedSweepKernel live(adjacency, /*seed=*/1, /*num_replicas=*/4);
+  live.run(betas);
 
-  const BatchedGroupStats cancelled = kernel.group_stats(0);
-  EXPECT_TRUE(cancelled.cancelled);
-  EXPECT_EQ(cancelled.sweeps_executed, 0u);
-  EXPECT_EQ(cancelled.total_flips, 0u);
   for (std::size_t lane = 0; lane < 4; ++lane) {
-    EXPECT_FALSE(kernel.lane_annealed(lane)) << "lane " << lane;
-  }
-  const BatchedGroupStats live = kernel.group_stats(1);
-  EXPECT_FALSE(live.cancelled);
-  EXPECT_GT(live.sweeps_executed, 0u);
-  for (std::size_t lane = 4; lane < 8; ++lane) {
-    EXPECT_TRUE(kernel.lane_annealed(lane)) << "lane " << lane;
+    SCOPED_TRACE("lane " + std::to_string(lane));
+    EXPECT_FALSE(cancelled.lane_annealed(lane));
+    EXPECT_EQ(cancelled.lane_stats(lane).sweeps_executed, 0u);
+    EXPECT_EQ(cancelled.lane_stats(lane).flips, 0u);
+    EXPECT_TRUE(live.lane_annealed(lane));
+    EXPECT_GT(live.lane_stats(lane).sweeps_executed, 0u);
   }
 }
 
-// The per-lane zero-flip exit must surface in the group aggregates the
-// same way the scalar kernel's ReadStats do.
+// The per-lane zero-flip exit must surface in the lane stats the same way
+// the scalar kernel's ReadStats do.
 TEST(BatchedKernel, EarlyExitIsRecordedInGroupStats) {
   // Strong uniform linear fields: every replica settles to all-zeros almost
   // immediately, so with a long monotone schedule every lane exits early.
@@ -293,20 +242,20 @@ TEST(BatchedKernel, EarlyExitIsRecordedInGroupStats) {
   params.seed = 4;
   params.beta_hot = 2.0;
   params.beta_cold = 10.0;
-  std::vector<BatchedGroup> groups(1);
-  groups[0].seed = params.seed;
-  groups[0].num_replicas = params.num_reads;
-  const BetaRange range{*params.beta_hot, *params.beta_cold};
-  const std::vector<double> betas = make_schedule(
-      range.hot, range.cold, params.num_sweeps, Interpolation::kGeometric);
-  BatchedSweepKernel kernel(adjacency, groups);
+  const std::vector<double> betas =
+      make_schedule(*params.beta_hot, *params.beta_cold, params.num_sweeps,
+                    Interpolation::kGeometric);
+  BatchedSweepKernel kernel(adjacency, params.seed, params.num_reads);
   kernel.run(betas);
 
-  const BatchedGroupStats stats = kernel.group_stats(0);
-  EXPECT_EQ(stats.replicas, 8u);
-  EXPECT_FALSE(stats.cancelled);
-  EXPECT_GT(stats.replicas_early_exited, 0u);
-  EXPECT_LT(stats.sweeps_executed, params.num_sweeps);
+  ASSERT_EQ(kernel.num_lanes(), 8u);
+  std::size_t early_exited = 0;
+  for (std::size_t lane = 0; lane < kernel.num_lanes(); ++lane) {
+    const ReadStats stats = kernel.lane_stats(lane);
+    early_exited += stats.early_exit ? 1 : 0;
+    EXPECT_LT(stats.sweeps_executed, params.num_sweeps) << "lane " << lane;
+  }
+  EXPECT_GT(early_exited, 0u);
   // And the scalar oracle agrees wholesale.
   expect_same_sample_sets(
       sample_with_mode(adjacency, params, SweepMode::kScalar),

@@ -440,12 +440,10 @@ TEST(Service, DestructorResolvesQueuedJobs) {
   }
 }
 
-// Cross-job fusion. A "gate" member (index 0) blocks the single worker
-// inside its sampler factory until released, then throws. While the worker
-// is parked on job 1's gate task, the test queues more jobs that share
-// job 1's structure key; on release the worker reaches job 1's batchable SA
-// task with every sibling SA task still queued behind it, so the fusion
-// scan deterministically sweeps them all into ONE kernel invocation.
+// A "gate" member (index 0) blocks the single worker inside its sampler
+// factory until released, then throws. While the worker is parked on job
+// 1's gate task, the test queues more jobs behind it, so on release they
+// are all waiting in the queue at once.
 struct GateState {
   std::atomic<int> calls{0};
   std::atomic<bool> released{false};
@@ -471,103 +469,11 @@ service::PortfolioMember gate_member(std::shared_ptr<GateState> state) {
   return member;
 }
 
-TEST(ServiceStress, FusedJobsAccountedAndCompletedExactlyOnce) {
-  constexpr std::size_t kJobs = 6;
-  auto gate = std::make_shared<GateState>();
-  service::ServiceOptions options;
-  options.num_workers = 1;
-  options.max_verify_retries = 0;
-  options.max_fused_jobs = 16;
-  options.portfolio.push_back(gate_member(gate));
-  options.portfolio.push_back(service::simulated_annealing_member("sa"));
-  service::SolveService service(options);
-
-  std::vector<std::future<service::JobResult>> futures;
-  service::JobOptions job;
-  job.seed = 1;
-  futures.push_back(service.submit(strqubo::Equality{"abc"}, job));
-  gate->wait_until_entered();
-  for (std::size_t j = 1; j < kJobs; ++j) {
-    job.seed = j + 1;
-    futures.push_back(service.submit(strqubo::Equality{"abc"}, job));
-  }
-  gate->release();
-
-  for (std::size_t j = 0; j < kJobs; ++j) {
-    const service::JobResult result = futures[j].get();
-    EXPECT_EQ(result.status, smtlib::CheckSatStatus::kSat) << "job " << j;
-    ASSERT_TRUE(result.text.has_value()) << "job " << j;
-    EXPECT_EQ(*result.text, "abc") << "job " << j;
-    EXPECT_EQ(result.winner, "sa") << "job " << j;
-  }
-  const service::SolveService::Stats stats = service.stats();
-  // Deterministic by construction: one fused invocation serving every job.
-  EXPECT_EQ(stats.batch_invocations, 1u);
-  EXPECT_EQ(stats.jobs_fused, kJobs);
-  EXPECT_EQ(stats.jobs_submitted, kJobs);
-  EXPECT_EQ(stats.jobs_completed, kJobs);
-  EXPECT_EQ(stats.jobs_timed_out, 0u);
-}
-
-// Fused results must be bit-identical to solo runs: the same (constraint,
-// seed, portfolio slot) solved sequentially (no fusion opportunity) and
-// inside a fused batch decodes the exact same string. Palindromes have many
-// satisfying answers, so agreement is a genuine stream-identity signal.
-TEST(ServiceStress, FusedResultsMatchSoloRuns) {
-  constexpr std::size_t kJobs = 4;
-  const strqubo::Constraint constraint = strqubo::Palindrome{4};
-
-  std::vector<service::JobResult> solo(kJobs);
-  {
-    // Same portfolio shape (gate at slot 0, SA at slot 1) so the SA lane's
-    // member-index-mixed seeds are identical across both services; the gate
-    // is pre-released and jobs run one at a time, so nothing fuses.
-    auto open_gate = std::make_shared<GateState>();
-    open_gate->release();
-    service::ServiceOptions options;
-    options.num_workers = 1;
-    options.portfolio.push_back(gate_member(open_gate));
-    options.portfolio.push_back(service::simulated_annealing_member("sa"));
-    service::SolveService service(options);
-    for (std::size_t j = 0; j < kJobs; ++j) {
-      service::JobOptions job;
-      job.seed = 40 + j;
-      solo[j] = service.submit(constraint, job).get();
-    }
-    EXPECT_EQ(service.stats().jobs_fused, 0u);
-  }
-
-  auto gate = std::make_shared<GateState>();
-  service::ServiceOptions options;
-  options.num_workers = 1;
-  options.portfolio.push_back(gate_member(gate));
-  options.portfolio.push_back(service::simulated_annealing_member("sa"));
-  service::SolveService service(options);
-  std::vector<std::future<service::JobResult>> futures;
-  service::JobOptions job;
-  job.seed = 40;
-  futures.push_back(service.submit(constraint, job));
-  gate->wait_until_entered();
-  for (std::size_t j = 1; j < kJobs; ++j) {
-    job.seed = 40 + j;
-    futures.push_back(service.submit(constraint, job));
-  }
-  gate->release();
-
-  for (std::size_t j = 0; j < kJobs; ++j) {
-    const service::JobResult fused = futures[j].get();
-    EXPECT_EQ(fused.status, smtlib::CheckSatStatus::kSat) << "job " << j;
-    ASSERT_TRUE(fused.text.has_value());
-    ASSERT_TRUE(solo[j].text.has_value());
-    EXPECT_EQ(*fused.text, *solo[j].text) << "job " << j;
-  }
-  EXPECT_GE(service.stats().jobs_fused, kJobs);
-}
-
-// Satellite: a deadline expiring while the fused kernel is mid-flight must
-// time out EVERY fused job — the per-group cancel poll stops all of them
-// within a sweep, and each job's race settles exactly once.
-TEST(ServiceStress, FusedDeadlineTimesOutAllJobs) {
+// A deadline expiring while job 1's SA lane is mid-sweep must time out that
+// job AND every job queued behind it: the running lane's cancel poll stops
+// it within a sweep, each queued lane finds its token already cancelled,
+// and each job's race settles exactly once.
+TEST(ServiceStress, QueuedJobsBehindDeadlinedSolveAllTimeOut) {
   constexpr std::size_t kJobs = 4;
   auto gate = std::make_shared<GateState>();
   anneal::SimulatedAnnealerParams heavy;
@@ -603,86 +509,12 @@ TEST(ServiceStress, FusedDeadlineTimesOutAllJobs) {
     EXPECT_EQ(result.status, smtlib::CheckSatStatus::kUnknown) << "job " << j;
     EXPECT_TRUE(result.timed_out) << "job " << j;
   }
-  // The cancel stopped the fused kernel within a sweep of the deadline —
+  // The cancel stopped the running lane within a sweep of the deadline —
   // nowhere near the hours the full budget would take.
   EXPECT_LT(timer.elapsed_seconds(), 30.0);
   const service::SolveService::Stats stats = service.stats();
-  EXPECT_EQ(stats.jobs_fused, kJobs);
   EXPECT_EQ(stats.jobs_completed, kJobs);
   EXPECT_EQ(stats.jobs_timed_out, kJobs);
-}
-
-// Satellite: a batchable member whose fused kernel invocation throws takes
-// the member failure path for EVERY fused job — each job still completes
-// exactly once (via its surviving siblings or the error verdict), and the
-// pool survives.
-TEST(ServiceStress, FusedKernelThrowFailsAllFusedJobsOnce) {
-  constexpr std::size_t kJobs = 4;
-  auto gate = std::make_shared<GateState>();
-  anneal::SimulatedAnnealerParams broken;
-  broken.num_reads = 0;  // Zero replicas: the batched kernel refuses to run.
-  service::ServiceOptions options;
-  options.num_workers = 1;
-  options.max_verify_retries = 0;
-  options.portfolio.push_back(gate_member(gate));
-  options.portfolio.push_back(
-      service::simulated_annealing_member("sa-broken", broken));
-  service::SolveService service(options);
-
-  std::vector<std::future<service::JobResult>> futures;
-  service::JobOptions job;
-  job.seed = 1;
-  futures.push_back(service.submit(strqubo::Equality{"ab"}, job));
-  gate->wait_until_entered();
-  for (std::size_t j = 1; j < kJobs; ++j) {
-    job.seed = j + 1;
-    futures.push_back(service.submit(strqubo::Equality{"ab"}, job));
-  }
-  gate->release();
-
-  for (std::size_t j = 0; j < kJobs; ++j) {
-    const service::JobResult result = futures[j].get();
-    EXPECT_EQ(result.status, smtlib::CheckSatStatus::kUnknown) << "job " << j;
-    EXPECT_FALSE(result.timed_out) << "job " << j;
-    const bool mentions_member = std::any_of(
-        result.notes.begin(), result.notes.end(), [](const std::string& note) {
-          return note.find("sa-broken") != std::string::npos;
-        });
-    EXPECT_TRUE(mentions_member) << "job " << j;
-  }
-  const service::SolveService::Stats stats = service.stats();
-  EXPECT_EQ(stats.jobs_fused, kJobs);
-  EXPECT_EQ(stats.jobs_completed, kJobs);
-  EXPECT_GE(stats.member_errors, kJobs);
-
-  // The pool keeps serving after the fused failure.
-  const service::JobResult again =
-      service.submit(strqubo::Equality{"cd"}).get();
-  EXPECT_EQ(again.status, smtlib::CheckSatStatus::kUnknown);
-}
-
-// max_fused_jobs == 1 (and 0) disables fusion outright.
-TEST(ServiceStress, FusionDisabledNeverBatches) {
-  auto gate = std::make_shared<GateState>();
-  service::ServiceOptions options;
-  options.num_workers = 1;
-  options.max_fused_jobs = 1;
-  options.portfolio.push_back(gate_member(gate));
-  options.portfolio.push_back(service::simulated_annealing_member("sa"));
-  service::SolveService service(options);
-
-  std::vector<std::future<service::JobResult>> futures;
-  futures.push_back(service.submit(strqubo::Equality{"ab"}));
-  gate->wait_until_entered();
-  futures.push_back(service.submit(strqubo::Equality{"ab"}));
-  futures.push_back(service.submit(strqubo::Equality{"ab"}));
-  gate->release();
-  for (auto& future : futures) {
-    EXPECT_EQ(future.get().status, smtlib::CheckSatStatus::kSat);
-  }
-  const service::SolveService::Stats stats = service.stats();
-  EXPECT_EQ(stats.batch_invocations, 0u);
-  EXPECT_EQ(stats.jobs_fused, 0u);
 }
 
 // The headline stress: N submitter threads x M jobs with mixed deadlines,
