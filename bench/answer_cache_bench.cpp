@@ -1,7 +1,7 @@
 // Answer-cache bench: what alpha-equivalent memoization is worth on a
 // duplicate-heavy stream (BENCH_answercache.json is the tracked baseline).
 //
-// Three passes over one seeded mixed-family workload:
+// Three passes over one seeded workload:
 //
 //   1. cold — a cache-less service solves the distinct set: the per-job
 //      cost every duplicate would otherwise pay;
@@ -12,6 +12,13 @@
 //      the warmed service: every job must be served from the cache, so the
 //      measured per-job cost IS the lookup + witness remap + one classical
 //      verification that replaces a full anneal.
+//
+// The gated workload is presolve-declined traffic
+// (bench/presolve_declined.hpp): a job the exact presolve decides costs
+// the cold pass microseconds, which leaves the cache nothing to save. The
+// bench fails if a gated cold job was presolved. The old mixed stream over
+// the op families, nearly all presolved now, runs the same passes as an
+// ungated row so what caching lost there stays visible.
 //
 // Headline metrics: warm-vs-cold mean-latency speedup (acceptance gate
 // >= 10x in the JSON-writing full run), hit rate (must be 1.0 on the warm
@@ -29,6 +36,7 @@
 #include <vector>
 
 #include "canon/answer_cache.hpp"
+#include "presolve_declined.hpp"
 #include "service/service.hpp"
 #include "strqubo/constraint.hpp"
 #include "util/rng.hpp"
@@ -42,22 +50,16 @@ constexpr std::size_t kNumWorkers = 4;
 constexpr std::uint64_t kSeed = 0xA25C;
 constexpr std::size_t kNumReads = 64;
 
-std::string random_word(Xoshiro256& rng, std::size_t min_len,
-                        std::size_t max_len) {
-  std::string word(min_len + rng.below(max_len - min_len + 1), 'a');
-  for (char& c : word) c = static_cast<char>('a' + rng.below(5));
-  return word;
-}
-
-/// One draw from op family `kind` (the differential-fuzz generator shapes).
+/// One draw from op family `kind` (the differential-fuzz generator shapes;
+/// the ungated mixed stream).
 strqubo::Constraint make_case(std::size_t kind, Xoshiro256& rng) {
   switch (kind) {
     case 0:
-      return strqubo::Equality{random_word(rng, 2, 6)};
+      return strqubo::Equality{bench::letters(rng, 2, 6)};
     case 1:
-      return strqubo::Concat{random_word(rng, 1, 3), random_word(rng, 1, 3)};
+      return strqubo::Concat{bench::letters(rng, 1, 3), bench::letters(rng, 1, 3)};
     case 2: {
-      const std::string text = random_word(rng, 3, 7);
+      const std::string text = bench::letters(rng, 3, 7);
       const std::size_t len =
           1 + rng.below(std::min<std::size_t>(3, text.size()));
       return strqubo::Includes{text,
@@ -69,22 +71,22 @@ strqubo::Constraint make_case(std::size_t kind, Xoshiro256& rng) {
       return strqubo::Length{string_length, rng.below(string_length + 1)};
     }
     case 4:
-      return strqubo::Replace{random_word(rng, 2, 6),
+      return strqubo::Replace{bench::letters(rng, 2, 6),
                               static_cast<char>('a' + rng.below(5)),
                               static_cast<char>('a' + rng.below(5))};
     case 5:
-      return strqubo::Reverse{random_word(rng, 2, 6)};
+      return strqubo::Reverse{bench::letters(rng, 2, 6)};
     case 6:
-      return strqubo::ReplaceAll{random_word(rng, 2, 6),
+      return strqubo::ReplaceAll{bench::letters(rng, 2, 6),
                                  static_cast<char>('a' + rng.below(5)),
                                  static_cast<char>('a' + rng.below(5))};
     case 7: {
       const std::size_t length = 3 + rng.below(3);
-      return strqubo::SubstringMatch{length, random_word(rng, 1, 2)};
+      return strqubo::SubstringMatch{length, bench::letters(rng, 1, 2)};
     }
     case 8: {
       const std::size_t length = 3 + rng.below(2);
-      const std::string substring = random_word(rng, 1, 2);
+      const std::string substring = bench::letters(rng, 1, 2);
       return strqubo::IndexOf{length, substring,
                               rng.below(length - substring.size() + 1)};
     }
@@ -113,29 +115,39 @@ service::ServiceOptions bench_service(
   return options;
 }
 
-}  // namespace
+/// The cold, warming and warm passes over `distinct`, each case repeated
+/// `repeats` times in the warm stream.
+struct Measurement {
+  std::size_t num_distinct = 0;
+  std::size_t num_jobs = 0;
+  double cold_seconds = 0.0;
+  double warm_seconds = 0.0;
+  std::size_t cold_attempts = 0;
+  std::size_t cold_presolved = 0;
+  std::size_t served = 0;
+  double hit_rate = 0.0;
+  std::uint64_t answer_fallbacks = 0;
+  std::size_t verdict_mismatches = 0;
 
-int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const std::size_t num_distinct = smoke ? 22 : 55;
-  const std::size_t repeats = smoke ? 3 : 4;
+  double cold_mean_ms() const { return cold_seconds * 1e3 / num_distinct; }
+  double warm_mean_ms() const { return warm_seconds * 1e3 / num_jobs; }
+  double speedup() const { return cold_mean_ms() / warm_mean_ms(); }
+};
 
-  Xoshiro256 rng(kSeed);
-  std::vector<strqubo::Constraint> distinct;
-  distinct.reserve(num_distinct);
-  for (std::size_t i = 0; i < num_distinct; ++i) {
-    distinct.push_back(make_case(i % 11, rng));
-  }
+Measurement measure(const std::vector<strqubo::Constraint>& distinct,
+                    std::size_t repeats) {
+  Measurement m;
+  m.num_distinct = distinct.size();
   // The duplicate stream: every distinct case, `repeats` times over —
   // the cross-job/cross-tenant duplication the cache exists for.
   std::vector<strqubo::Constraint> stream;
-  stream.reserve(num_distinct * repeats);
+  stream.reserve(distinct.size() * repeats);
   for (std::size_t r = 0; r < repeats; ++r) {
     for (const strqubo::Constraint& constraint : distinct) {
       stream.push_back(constraint);
     }
   }
-  const std::size_t num_jobs = stream.size();
+  m.num_jobs = stream.size();
 
   service::JobOptions batch;
   batch.seed = kSeed;
@@ -145,10 +157,10 @@ int main(int argc, char** argv) {
   Stopwatch cold_timer;
   const std::vector<service::JobResult> cold =
       cold_service.solve_constraints(distinct, batch);
-  const double cold_seconds = cold_timer.elapsed_seconds();
-  std::size_t cold_attempts = 0;
+  m.cold_seconds = cold_timer.elapsed_seconds();
   for (const service::JobResult& result : cold) {
-    cold_attempts += result.attempts;
+    m.cold_attempts += result.attempts;
+    if (bench::presolved(result)) ++m.cold_presolved;
   }
 
   // Pass 2: warming — same seeds through the cache-backed service.
@@ -157,15 +169,14 @@ int main(int argc, char** argv) {
   const std::vector<service::JobResult> warming =
       warm_service.solve_constraints(distinct, batch);
 
-  std::size_t verdict_mismatches = 0;
   for (std::size_t i = 0; i < distinct.size(); ++i) {
     // Generator collisions inside the distinct set legitimately hit; every
     // genuine miss must be byte-identical to the cache-less reference.
-    if (warming[i].status != cold[i].status) ++verdict_mismatches;
+    if (warming[i].status != cold[i].status) ++m.verdict_mismatches;
     if (!warming[i].answer_cache_hit &&
         (warming[i].text != cold[i].text ||
          warming[i].position != cold[i].position)) {
-      ++verdict_mismatches;
+      ++m.verdict_mismatches;
     }
   }
 
@@ -177,7 +188,7 @@ int main(int argc, char** argv) {
   Stopwatch warm_timer;
   const std::vector<service::JobResult> warm =
       warm_service.solve_constraints(stream, warm_batch);
-  const double warm_seconds = warm_timer.elapsed_seconds();
+  m.warm_seconds = warm_timer.elapsed_seconds();
 
   // Every repeat of a distinct case must be byte-identical to its first
   // warm serving (the cache can only ever hand out one retained witness),
@@ -185,50 +196,86 @@ int main(int argc, char** argv) {
   // NOT compared against the per-index warming result: generator collisions
   // inside the distinct set race their concurrent cold solves, and the
   // entry that survives is whichever verified insert landed last.
-  std::size_t served = 0;
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    const service::JobResult& first_serving = warm[i % num_distinct];
+    const service::JobResult& first_serving = warm[i % distinct.size()];
     const service::JobResult& result = warm[i];
-    if (result.answer_cache_hit) ++served;
-    if (result.status != cold[i % num_distinct].status) ++verdict_mismatches;
+    if (result.answer_cache_hit) ++m.served;
+    if (result.status != cold[i % distinct.size()].status) {
+      ++m.verdict_mismatches;
+    }
     if (result.status != first_serving.status ||
         result.text != first_serving.text ||
         result.position != first_serving.position) {
-      ++verdict_mismatches;
+      ++m.verdict_mismatches;
     }
   }
 
   const service::SolveService::Stats stats = warm_service.stats();
-  const double hit_rate =
-      static_cast<double>(stats.answer_hits - hits_before) /
-      static_cast<double>(num_jobs);
-  const double cold_mean_ms = cold_seconds * 1e3 / num_distinct;
-  const double warm_mean_ms = warm_seconds * 1e3 / num_jobs;
-  const double speedup = cold_mean_ms / warm_mean_ms;
+  m.hit_rate = static_cast<double>(stats.answer_hits - hits_before) /
+               static_cast<double>(m.num_jobs);
+  m.answer_fallbacks = stats.answer_fallbacks;
+  return m;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const std::size_t num_distinct = smoke ? 22 : 55;
+  const std::size_t repeats = smoke ? 3 : 4;
+
+  std::vector<strqubo::Constraint> declined;
+  std::vector<strqubo::Constraint> mixed;
+  declined.reserve(num_distinct);
+  mixed.reserve(num_distinct);
+  Xoshiro256 declined_rng(kSeed);
+  Xoshiro256 mixed_rng(kSeed);
+  for (std::size_t i = 0; i < num_distinct; ++i) {
+    declined.push_back(bench::declined_case(i, declined_rng));
+    mixed.push_back(make_case(i % 11, mixed_rng));
+  }
+  const Measurement gated = measure(declined, repeats);
+  const Measurement ungated = measure(mixed, repeats);
+  const double speedup = gated.speedup();
   // Every served hit skipped the sampling the cold pass paid for the same
   // constraint: attempts * reads per attempt.
-  const std::size_t reads_avoided = cold_attempts * repeats * kNumReads;
+  const std::size_t reads_avoided = gated.cold_attempts * repeats * kNumReads;
 
   std::cout << std::fixed << std::setprecision(3);
-  std::cout << "answer_cache_bench: " << num_distinct << " distinct cases x "
-            << repeats << " repeats = " << num_jobs << " warm jobs, "
+  std::cout << "answer_cache_bench: " << num_distinct
+            << " distinct presolve-declined cases x " << repeats
+            << " repeats = " << gated.num_jobs << " warm jobs, "
             << kNumWorkers << " workers" << (smoke ? " (smoke)" : "") << "\n";
-  std::cout << "  cold solve: " << cold_seconds << " s (" << cold_mean_ms
-            << " ms/job mean, " << cold_attempts << " attempts)\n";
-  std::cout << "  warm serve: " << warm_seconds << " s (" << warm_mean_ms
-            << " ms/job remap+verify, hit rate " << hit_rate << ")\n";
+  std::cout << "  cold solve: " << gated.cold_seconds << " s ("
+            << gated.cold_mean_ms() << " ms/job mean, " << gated.cold_attempts
+            << " attempts, " << gated.cold_presolved << " presolved)\n";
+  std::cout << "  warm serve: " << gated.warm_seconds << " s ("
+            << gated.warm_mean_ms() << " ms/job remap+verify, hit rate "
+            << gated.hit_rate << ")\n";
   std::cout << "  speedup: " << speedup << "x, reads avoided ~"
-            << reads_avoided << ", fallbacks " << stats.answer_fallbacks
-            << ", verdict mismatches " << verdict_mismatches << "\n";
+            << reads_avoided << ", fallbacks " << gated.answer_fallbacks
+            << ", verdict mismatches " << gated.verdict_mismatches << "\n";
+  std::cout << "  mixed stream (ungated, " << ungated.cold_presolved << "/"
+            << ungated.num_distinct << " presolved): cold "
+            << ungated.cold_mean_ms() << " ms/job, warm "
+            << ungated.warm_mean_ms() << " ms/job, speedup "
+            << ungated.speedup() << "x, hit rate " << ungated.hit_rate
+            << "\n";
 
-  if (verdict_mismatches != 0) {
-    std::cerr << "answer_cache_bench: FAIL " << verdict_mismatches
+  if (gated.verdict_mismatches != 0) {
+    std::cerr << "answer_cache_bench: FAIL " << gated.verdict_mismatches
               << " warmed verdicts differ from the cold reference\n";
     return 1;
   }
-  if (served != num_jobs || hit_rate < 1.0) {
-    std::cerr << "answer_cache_bench: FAIL warm stream hit rate " << hit_rate
-              << " < 1.0 (" << served << "/" << num_jobs << " served)\n";
+  if (gated.cold_presolved != 0) {
+    std::cerr << "answer_cache_bench: FAIL " << gated.cold_presolved
+              << " gated cold jobs were presolved, not sampled\n";
+    return 1;
+  }
+  if (gated.served != gated.num_jobs || gated.hit_rate < 1.0) {
+    std::cerr << "answer_cache_bench: FAIL warm stream hit rate "
+              << gated.hit_rate << " < 1.0 (" << gated.served << "/"
+              << gated.num_jobs << " served)\n";
     return 1;
   }
 
@@ -248,21 +295,26 @@ int main(int argc, char** argv) {
   std::ofstream out("BENCH_answercache.json");
   out << std::fixed << std::setprecision(4);
   out << "{\n"
+      << "  \"workload\": \"presolve-declined\",\n"
       << "  \"num_distinct\": " << num_distinct << ",\n"
       << "  \"repeats\": " << repeats << ",\n"
-      << "  \"num_warm_jobs\": " << num_jobs << ",\n"
+      << "  \"num_warm_jobs\": " << gated.num_jobs << ",\n"
       << "  \"num_workers\": " << kNumWorkers << ",\n"
       << "  \"gate\": \"" << gate << "\",\n"
-      << "  \"cold_seconds\": " << cold_seconds << ",\n"
-      << "  \"cold_mean_ms_per_job\": " << cold_mean_ms << ",\n"
-      << "  \"cold_attempts\": " << cold_attempts << ",\n"
-      << "  \"warm_seconds\": " << warm_seconds << ",\n"
-      << "  \"warm_mean_ms_per_job\": " << warm_mean_ms << ",\n"
+      << "  \"cold_seconds\": " << gated.cold_seconds << ",\n"
+      << "  \"cold_mean_ms_per_job\": " << gated.cold_mean_ms() << ",\n"
+      << "  \"cold_attempts\": " << gated.cold_attempts << ",\n"
+      << "  \"warm_seconds\": " << gated.warm_seconds << ",\n"
+      << "  \"warm_mean_ms_per_job\": " << gated.warm_mean_ms() << ",\n"
       << "  \"speedup\": " << speedup << ",\n"
-      << "  \"hit_rate\": " << hit_rate << ",\n"
+      << "  \"hit_rate\": " << gated.hit_rate << ",\n"
       << "  \"reads_avoided\": " << reads_avoided << ",\n"
-      << "  \"answer_fallbacks\": " << stats.answer_fallbacks << ",\n"
-      << "  \"verdict_mismatches\": " << verdict_mismatches << "\n"
+      << "  \"answer_fallbacks\": " << gated.answer_fallbacks << ",\n"
+      << "  \"verdict_mismatches\": " << gated.verdict_mismatches << ",\n"
+      << "  \"mixed_stream_ungated\": {\"cold_mean_ms_per_job\": "
+      << ungated.cold_mean_ms() << ", \"warm_mean_ms_per_job\": "
+      << ungated.warm_mean_ms() << ", \"speedup\": " << ungated.speedup()
+      << ", \"presolved\": " << ungated.cold_presolved << "}\n"
       << "}\n";
 
   if (speedup < gate_ratio) {

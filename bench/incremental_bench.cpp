@@ -2,11 +2,12 @@
 // same mutate-one-conjunct chain.
 //
 // The workload is the editing loop the incremental layer exists for: a
-// stable base formula (length pin + suffix conjunct) and a sequence of
-// rounds that each swap the prefix and middle-character conjuncts, then
-// check twice (editors re-check after no-op edits). Every round's witness
-// is fully forced by prefix + char-at + suffix, so the two configurations
-// must agree byte-for-byte on every verdict and model:
+// stable base formula (length pin, suffix conjunct and a not-contains
+// conjunct) and a sequence of rounds that each swap the prefix and
+// middle-character conjuncts, then check twice (editors re-check after
+// no-op edits). Every round's witness is fully forced by prefix + char-at
+// + suffix, so the two configurations must agree byte-for-byte on every
+// verdict and model:
 //
 //   * warm: one persistent SmtDriver carries its SolveContext across the
 //     whole chain — compiled fragments are reused, unchanged re-checks
@@ -16,6 +17,13 @@
 //   * cold: every check constructs a fresh driver and replays the current
 //     assertion set from scratch with the same full-budget simulated
 //     annealer — the non-incremental baseline.
+//
+// The not-contains conjunct's window gadget is one component over the
+// exact presolve's cap, so no check is presolved: every check must be a
+// witness reuse, a warm start or a cold start, or the bench fails. The
+// old chain without that conjunct, now presolved on every changed round,
+// runs as an ungated row so what the incremental layer lost there stays
+// visible.
 //
 // Writes BENCH_incremental.json in the CWD (run from the repo root to
 // refresh the tracked baseline). Acceptance bar: the warm chain must beat
@@ -48,11 +56,12 @@ anneal::SimulatedAnnealerParams full_budget() {
   return params;
 }
 
-std::string base_script() {
-  return "(set-logic QF_S)"
-         "(declare-const x String)"
-         "(assert (= (str.len x) 3))"
-         "(assert (str.suffixof \"a\" x))";
+std::string base_script(bool declined) {
+  return std::string("(set-logic QF_S)"
+                     "(declare-const x String)"
+                     "(assert (= (str.len x) 3))"
+                     "(assert (str.suffixof \"a\" x))") +
+         (declined ? "(assert (not (str.contains x \"zz\")))" : "");
 }
 
 struct Round {
@@ -86,6 +95,61 @@ std::string record_key(const smtlib::CheckSatRecord& record) {
   return std::string(verdict) + ":" + record.model_value;
 }
 
+/// The warm and cold chains over one base formula.
+struct Chain {
+  double warm_seconds = 0.0;
+  double cold_seconds = 0.0;
+  std::vector<smtlib::CheckSatRecord> warm_history;
+  std::vector<smtlib::CheckSatRecord> cold_history;
+  smtlib::IncrementalStats warm_stats;
+  smtlib::FragmentCache::Stats warm_fragments;
+  /// Checks that reached no sampler, witness reuse or warm start: the
+  /// exact presolve answered them.
+  std::size_t warm_presolved = 0;
+  std::size_t cold_presolved = 0;
+
+  double speedup() const { return cold_seconds / warm_seconds; }
+};
+
+Chain run_chain(const std::string& base, const std::vector<Round>& rounds,
+                const anneal::Sampler& sampler) {
+  Chain chain;
+  // Warm chain: one driver, one context, assumptions mutate the formula.
+  smtlib::SmtDriver warm_driver(sampler);
+  Stopwatch warm_timer;
+  warm_driver.run_script(base);
+  for (const Round& round : rounds) {
+    const std::string check =
+        "(check-sat-assuming (" + round.assumptions() + "))";
+    warm_driver.run_script(check);
+    warm_driver.run_script(check);  // Unchanged re-check: witness reuse.
+  }
+  chain.warm_seconds = warm_timer.elapsed_seconds();
+  chain.warm_history = warm_driver.history();
+  chain.warm_stats = warm_driver.solve_context().stats();
+  chain.warm_fragments = warm_driver.solve_context().fragments().stats();
+  chain.warm_presolved =
+      chain.warm_history.size() -
+      (chain.warm_stats.witness_reuses + chain.warm_stats.warm_starts +
+       chain.warm_stats.cold_starts);
+
+  // Cold chain: a fresh driver replays the mutated formula per check.
+  Stopwatch cold_timer;
+  for (const Round& round : rounds) {
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      smtlib::SmtDriver fresh(sampler);
+      fresh.run_script(base + "(check-sat-assuming (" + round.assumptions() +
+                       "))");
+      chain.cold_history.push_back(fresh.history().back());
+      if (fresh.solve_context().stats().cold_starts == 0) {
+        ++chain.cold_presolved;
+      }
+    }
+  }
+  chain.cold_seconds = cold_timer.elapsed_seconds();
+  return chain;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -94,47 +158,19 @@ int main(int argc, char** argv) {
   const std::vector<Round> rounds = make_rounds(num_rounds);
   const anneal::SimulatedAnnealer sampler(full_budget());
 
-  // Warm chain: one driver, one context, assumptions mutate the formula.
-  smtlib::SmtDriver warm_driver(sampler);
-  Stopwatch warm_timer;
-  warm_driver.run_script(base_script());
-  for (const Round& round : rounds) {
-    const std::string check =
-        "(check-sat-assuming (" + round.assumptions() + "))";
-    warm_driver.run_script(check);
-    warm_driver.run_script(check);  // Unchanged re-check: witness reuse.
-  }
-  const double warm_seconds = warm_timer.elapsed_seconds();
-  const std::vector<smtlib::CheckSatRecord> warm_history =
-      warm_driver.history();
-  const smtlib::IncrementalStats warm_stats =
-      warm_driver.solve_context().stats();
-  const smtlib::FragmentCache::Stats warm_fragments =
-      warm_driver.solve_context().fragments().stats();
-
-  // Cold chain: a fresh driver replays the mutated formula per check.
-  std::vector<smtlib::CheckSatRecord> cold_history;
-  Stopwatch cold_timer;
-  for (const Round& round : rounds) {
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      smtlib::SmtDriver fresh(sampler);
-      fresh.run_script(base_script() +
-                       "(check-sat-assuming (" + round.assumptions() + "))");
-      cold_history.push_back(fresh.history().back());
-    }
-  }
-  const double cold_seconds = cold_timer.elapsed_seconds();
+  const Chain gated = run_chain(base_script(true), rounds, sampler);
+  const Chain old_chain = run_chain(base_script(false), rounds, sampler);
 
   // Parity: every witness is forced, so verdicts AND models must match.
   std::size_t mismatches = 0;
-  if (warm_history.size() != cold_history.size()) {
+  if (gated.warm_history.size() != gated.cold_history.size()) {
     std::cerr << "incremental_bench: FAIL history size mismatch\n";
     return 1;
   }
-  for (std::size_t i = 0; i < warm_history.size(); ++i) {
+  for (std::size_t i = 0; i < gated.warm_history.size(); ++i) {
     const std::string expected = "sat:" + rounds[i / 2].expected();
-    const std::string warm_key = record_key(warm_history[i]);
-    const std::string cold_key = record_key(cold_history[i]);
+    const std::string warm_key = record_key(gated.warm_history[i]);
+    const std::string cold_key = record_key(gated.cold_history[i]);
     if (warm_key != expected || cold_key != expected) {
       std::cerr << "incremental_bench: check " << i << " expected '"
                 << expected << "' warm '" << warm_key << "' cold '"
@@ -148,22 +184,35 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const double speedup = cold_seconds / warm_seconds;
+  const double speedup = gated.speedup();
+  const smtlib::IncrementalStats& warm_stats = gated.warm_stats;
   std::cout << std::fixed << std::setprecision(4);
   std::cout << "incremental_bench: " << num_rounds << " rounds x 2 checks, "
             << "forced witnesses, full budget " << full_budget().num_reads
             << "x" << full_budget().num_sweeps << "\n";
-  std::cout << "  cold (fresh driver/check): " << cold_seconds << " s\n";
-  std::cout << "  warm (persistent context): " << warm_seconds << " s\n";
+  std::cout << "  cold (fresh driver/check): " << gated.cold_seconds << " s\n";
+  std::cout << "  warm (persistent context): " << gated.warm_seconds << " s\n";
   std::cout << "  speedup:                   " << speedup << "x\n";
   std::cout << "  warm path: " << warm_stats.witness_reuses << " reuses, "
             << warm_stats.warm_starts << " warm starts ("
             << warm_stats.warm_hits << " hits), " << warm_stats.cold_starts
-            << " cold; fragments " << warm_fragments.hits << " hits / "
-            << warm_fragments.misses << " misses\n";
+            << " cold; fragments " << gated.warm_fragments.hits << " hits / "
+            << gated.warm_fragments.misses << " misses\n";
+  std::cout << "  chain without not-contains (ungated): cold "
+            << old_chain.cold_seconds << " s, warm " << old_chain.warm_seconds
+            << " s, speedup " << old_chain.speedup() << "x, presolved "
+            << old_chain.warm_presolved << " warm / "
+            << old_chain.cold_presolved << " cold checks\n";
+
+  if (gated.warm_presolved != 0 || gated.cold_presolved != 0) {
+    std::cerr << "incremental_bench: FAIL " << gated.warm_presolved
+              << " warm and " << gated.cold_presolved
+              << " cold checks were presolved, not re-solved\n";
+    return 1;
+  }
 
   if (smoke) {
-    std::cout << "incremental_bench: SMOKE PASS (" << warm_history.size()
+    std::cout << "incremental_bench: SMOKE PASS (" << gated.warm_history.size()
               << " checks, byte parity, no timing gate)\n";
     return 0;
   }
@@ -172,20 +221,25 @@ int main(int argc, char** argv) {
   std::ofstream out("BENCH_incremental.json");
   out << std::fixed << std::setprecision(4);
   out << "{\n"
+      << "  \"workload\": \"presolve-declined\",\n"
       << "  \"num_rounds\": " << num_rounds << ",\n"
-      << "  \"checks_per_side\": " << warm_history.size() << ",\n"
+      << "  \"checks_per_side\": " << gated.warm_history.size() << ",\n"
       << "  \"full_budget_reads\": " << full_budget().num_reads << ",\n"
       << "  \"full_budget_sweeps\": " << full_budget().num_sweeps << ",\n"
       << "  \"gate\": \"" << gate << "\",\n"
-      << "  \"cold_seconds\": " << cold_seconds << ",\n"
-      << "  \"warm_seconds\": " << warm_seconds << ",\n"
+      << "  \"cold_seconds\": " << gated.cold_seconds << ",\n"
+      << "  \"warm_seconds\": " << gated.warm_seconds << ",\n"
       << "  \"speedup\": " << speedup << ",\n"
       << "  \"witness_reuses\": " << warm_stats.witness_reuses << ",\n"
       << "  \"warm_starts\": " << warm_stats.warm_starts << ",\n"
       << "  \"warm_hits\": " << warm_stats.warm_hits << ",\n"
       << "  \"cold_starts\": " << warm_stats.cold_starts << ",\n"
-      << "  \"fragment_hits\": " << warm_fragments.hits << ",\n"
-      << "  \"fragment_misses\": " << warm_fragments.misses << "\n"
+      << "  \"fragment_hits\": " << gated.warm_fragments.hits << ",\n"
+      << "  \"fragment_misses\": " << gated.warm_fragments.misses << ",\n"
+      << "  \"presolvable_chain_ungated\": {\"cold_seconds\": "
+      << old_chain.cold_seconds << ", \"warm_seconds\": "
+      << old_chain.warm_seconds << ", \"speedup\": " << old_chain.speedup()
+      << "}\n"
       << "}\n";
   std::cout << "incremental_bench: wrote BENCH_incremental.json (gate "
             << gate << ")\n";

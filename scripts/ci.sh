@@ -2,7 +2,8 @@
 # CI driver: build, then the labelled test-stage matrix (tier1 -> stress ->
 # fuzz -> conformance; see tests/CMakeLists.txt for what each label covers),
 # then sanitizer builds over the concurrency + anneal/qubo hot-path +
-# conformance subset.
+# conformance subset, and ThreadSanitizer over the service and server
+# stress suites.
 #
 # Usage: scripts/ci.sh [--skip-sanitizers]
 set -euo pipefail
@@ -118,6 +119,20 @@ for san in address undefined; do
     echo "--- ${san}: ${test}"
     "build-${san}/tests/${test}" --gtest_brief=1
   done
+done
+
+# ThreadSanitizer over the two suites whose threads share the most state:
+# the service pool (verdict claims, cancellation, deadlines, the presolve
+# and warm-start once-flags) and the socket server (accept loop against
+# shutdown, reader threads against disconnect cancellation). A report
+# fails the stage: TSan exits non-zero when it found a race.
+tsan_subset=(service_test server_stress_test)
+echo "=== thread sanitizer build (build-thread/) ==="
+cmake -B build-thread -S . -DQSMT_SANITIZE=thread >/dev/null
+cmake --build build-thread -j "${jobs}" --target "${tsan_subset[@]}"
+for test in "${tsan_subset[@]}"; do
+  echo "--- thread: ${test}"
+  "build-thread/tests/${test}" --gtest_brief=1
 done
 
 echo "=== ci.sh: all stages passed ==="

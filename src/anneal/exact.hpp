@@ -1,4 +1,5 @@
-// Exhaustive QUBO solver for small models.
+// Exhaustive QUBO solver for small models, and the exact component
+// presolve built on the same enumeration.
 //
 // Enumerates all 2^n assignments in Gray-code order so each step is a
 // single-bit flip evaluated in O(degree) — the ground truth oracle used by
@@ -8,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "anneal/sampler.hpp"
 
@@ -34,5 +37,25 @@ class ExactSolver final : public Sampler {
  private:
   ExactSolverParams params_;
 };
+
+/// Largest connected component presolve() decides by enumeration. Sized
+/// from the component histogram of the served families: every separable
+/// family is all singletons, palindromes pair mirrored bits (2), one-hot
+/// regex windows reach 9, and not-contains windows start at 14 — those
+/// stay with the samplers, where brute force would cost ~10 ms a model.
+inline constexpr std::size_t kMaxPresolveComponent = 12;
+
+/// Exact ground state of `adjacency` when every connected component has at
+/// most kMaxPresolveComponent variables; nullopt as soon as one is larger.
+/// Singletons take the sign of their field; larger components are
+/// enumerated in Gray-code order, independently, so the cost is the sum of
+/// 2^size over components rather than 2^n. Ties between ground states go
+/// to the bit pattern of 'a' (1100001, MSB first) on the first
+/// `string_bits` variables, 7 per character, and to 0 on the rest, so a
+/// free character decodes to a printable letter. Deterministic: the same
+/// adjacency always yields the same assignment. Emits the `presolve` span
+/// and, on a decline, the presolve.declined counter.
+std::optional<std::vector<std::uint8_t>> presolve(
+    const qubo::QuboAdjacency& adjacency, std::size_t string_bits);
 
 }  // namespace qsmt::anneal

@@ -147,14 +147,15 @@ std::uint16_t Server::listen(std::uint16_t port) {
     ::close(fd);
     throw std::runtime_error("qsmt-server: getsockname() failed");
   }
-  listen_fd_ = fd;
+  listen_fd_.store(fd, std::memory_order_release);
   port_.store(ntohs(addr.sin_port), std::memory_order_release);
   return port_.load(std::memory_order_acquire);
 }
 
 void Server::serve() {
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd =
+        ::accept(listen_fd_.load(std::memory_order_acquire), nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // Listener closed (shutdown) or fatal error.
@@ -259,12 +260,15 @@ void Server::shutdown() {
   if (stopping_.exchange(true)) {
     // Second call: threads may still be joining on the first; nothing to do.
   }
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // Wake a blocked accept() first and let the accept loop finish before the
+  // descriptor is closed and reset: the loop reads it until it exits.
+  const int listener = listen_fd_.load(std::memory_order_acquire);
+  if (listener >= 0) ::shutdown(listener, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (const int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
+      fd >= 0) {
+    ::close(fd);
+  }
   // Sever every live connection: recv unblocks, handlers disconnect their
   // sessions (cancelling in-flight jobs) and drain out.
   std::vector<std::shared_ptr<Connection>> live;

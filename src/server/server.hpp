@@ -128,7 +128,8 @@ class Server {
   AdmissionGate gate_;
 
   std::atomic<std::uint16_t> port_{0};
-  int listen_fd_ = -1;
+  /// Atomic: shutdown() may run on another thread while serve() reads it.
+  std::atomic<int> listen_fd_{-1};
   std::atomic<bool> stopping_{false};
 
   mutable std::mutex mutex_;

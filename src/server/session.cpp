@@ -144,6 +144,13 @@ class Session::Driver final : public smtlib::SmtDriver {
     return record;
   }
 
+  /// (reset) starts the session over: an earlier query's witness must not
+  /// seed the next, unrelated check-sat's warm start.
+  void reset() override {
+    smtlib::SmtDriver::reset();
+    last_model_.reset();
+  }
+
  private:
   /// Renders the current assertion context back to one conjunctive script
   /// for the service's script-job path (multi-constraint queries and

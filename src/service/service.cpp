@@ -247,8 +247,11 @@ struct SolveService::Impl {
     /// embedding failure); attached to the verdict when no member wins.
     std::mutex error_notes_mutex;
     std::vector<std::string> error_notes;
-    /// The warm-start refinement (JobOptions::warm_start) runs at most once
-    /// per job, from whichever member reaches the prepared model first.
+    /// The exact presolve runs once per constraint job, before any member
+    /// samples (siblings block on it); the warm-start refinement
+    /// (JobOptions::warm_start) runs at most once per job, from whichever
+    /// member reaches the prepared model first.
+    std::once_flag presolve_once;
     std::atomic<bool> warm_tried{false};
     /// Built once per job (all members share it) under build_once; on
     /// failure build_error carries the message instead.
@@ -273,10 +276,10 @@ struct SolveService::Impl {
     /// Member index that claimed the verdict (kNoWinner otherwise); feeds
     /// the router's win/loss ledger in complete().
     std::atomic<std::size_t> winner_member{kNoWinner};
-    /// The verdict came from the warm-start refinement, which is
-    /// member-independent — complete() must not credit the claiming member
-    /// with a routing win for it.
-    std::atomic<bool> warm_won{false};
+    /// The verdict came from the presolve or the warm-start refinement,
+    /// both member-independent — complete() must not credit the claiming
+    /// member with a routing win for it.
+    std::atomic<bool> member_independent{false};
     /// Every raced member genuinely ran out of attempts undecided (the
     /// finish_if_last kUnknown, not a build failure or shutdown) — the one
     /// no-winner outcome that legitimately debits the whole portfolio in
@@ -573,6 +576,45 @@ struct SolveService::Impl {
     }
   }
 
+  /// Exact component presolve (anneal::presolve), run once per constraint
+  /// job by whichever member reaches the prepared model first; siblings
+  /// block on the once-flag and then find the job decided. A presolved
+  /// ground state still goes through decode_and_verify, and a decline or
+  /// an unverified decoding falls through to the race unchanged (same
+  /// seeds). Never produces kUnsat. Returns true when this call claimed the
+  /// verdict (member bookkeeping fully settled via claim_and_finish).
+  bool try_presolve(Job& job, const strqubo::PreparedConstraint& prepared) {
+    bool claimed = false;
+    std::call_once(job.presolve_once, [&] {
+      const auto& constraint = std::get<strqubo::Constraint>(job.payload);
+      std::optional<std::vector<std::uint8_t>> bits = anneal::presolve(
+          prepared.adjacency, strqubo::produces_string(constraint)
+                                   ? strqubo::constraint_num_variables(constraint)
+                                   : 0);
+      if (!bits) return;
+      anneal::SampleSet ground;
+      const double energy = prepared.adjacency.energy(*bits);
+      ground.add(std::move(*bits), energy);
+      const strqubo::SolveResult solved =
+          strqubo::decode_and_verify(constraint, ground);
+      if (telemetry::enabled()) {
+        telemetry::counter(solved.satisfied ? "presolve.decided"
+                                            : "presolve.unverified")
+            .add();
+      }
+      if (!solved.satisfied) return;
+      claimed = claim_and_finish(job, kNoWinner, [&](JobResult& result) {
+        result.status = smtlib::CheckSatStatus::kSat;
+        result.text = solved.text;
+        result.position = solved.position;
+        result.winner = "presolve";
+        job.member_independent.store(true, std::memory_order_relaxed);
+        record_winner(result.winner);
+      });
+    });
+    return claimed;
+  }
+
   /// One cheap reverse-anneal refinement seeded from the caller's previous
   /// witness (JobOptions::warm_start), run at most once per job by
   /// whichever member reaches the prepared model first. A refined sample
@@ -617,7 +659,7 @@ struct SolveService::Impl {
             // The refinement is member-independent: whoever reached the
             // prepared model first ran it. Routing must not credit the
             // member, or warm sessions would train the table on luck.
-            job.warm_won.store(true, std::memory_order_relaxed);
+            job.member_independent.store(true, std::memory_order_relaxed);
             record_winner(member.name);
             // Inside the claim so the increment is sequenced before the
             // promise resolves (a caller snapshotting stats right after
@@ -702,8 +744,10 @@ struct SolveService::Impl {
           }
           return;
         }
+        if (try_presolve(job, *prepared)) return;
         if (try_warm_start(job, member, *prepared)) return;
-        if (aborted()) break;  // A sibling's warm start may have claimed.
+        // A sibling's presolve or warm start may have claimed.
+        if (aborted()) break;
         strqubo::SolveResult solved;
         try {
           const strqubo::StringConstraintSolver solver(*sampler,
@@ -985,14 +1029,14 @@ struct SolveService::Impl {
   }
 
   /// Feeds this job's outcome back into its router ledger. Only genuine
-  /// member-quality signals train the table: warm-start verdicts are
-  /// member-independent, timeouts and cancellations say nothing about who
-  /// would have won, and build/parse failures are deterministic for every
-  /// member. A failed routed dispatch recorded its own fallback loss in
+  /// member-quality signals train the table: presolve and warm-start
+  /// verdicts are member-independent, timeouts and cancellations say
+  /// nothing about who would have won, and build/parse failures are
+  /// deterministic for every member. A failed routed dispatch recorded its own fallback loss in
   /// maybe_fallback, so the no-winner branch here only debits full races.
   void record_route_outcome(Job& job) {
     if (!job.router) return;
-    if (job.warm_won.load(std::memory_order_relaxed)) return;
+    if (job.member_independent.load(std::memory_order_relaxed)) return;
     if (job.deadline_cut_short.load(std::memory_order_relaxed)) return;
     const std::size_t winner = job.winner_member.load(std::memory_order_relaxed);
     if (winner != kNoWinner) {

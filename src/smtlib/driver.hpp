@@ -97,7 +97,8 @@ class SmtDriver {
 
   /// Resets declarations, assertions, and the push/pop stack. The
   /// check-sat history survives; the (reset) command clears it too.
-  void reset();
+  /// Subclasses holding per-session solve state of their own extend this.
+  virtual void reset();
 
   /// Current push/pop nesting depth.
   std::size_t scope_depth() const noexcept { return frames_.size(); }

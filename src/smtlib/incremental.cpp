@@ -4,6 +4,7 @@
 #include <span>
 #include <sstream>
 
+#include "anneal/exact.hpp"
 #include "strenc/ascii7.hpp"
 #include "strqubo/verify.hpp"
 #include "telemetry/telemetry.hpp"
@@ -96,6 +97,38 @@ bool scan_samples(const anneal::SampleSet& samples, std::size_t string_bits,
     return true;
   }
   return false;
+}
+
+/// Exact component presolve of the merged model (anneal::presolve): a
+/// decided ground state goes through the same classical scan as a sample.
+/// Returns true when it verified and filled `result`; a decline or an
+/// unverified decoding leaves the caller's sampling path to run unchanged.
+bool try_presolve(const qubo::QuboAdjacency& adjacency, std::size_t string_bits,
+                  const std::vector<strqubo::Constraint>& constraints,
+                  const std::function<bool(const std::string&)>& accept,
+                  ConjunctionResult& result) {
+  std::optional<std::vector<std::uint8_t>> bits =
+      anneal::presolve(adjacency, string_bits);
+  if (!bits) return false;
+  anneal::SampleSet ground;
+  const double energy = adjacency.energy(*bits);
+  ground.add(std::move(*bits), energy);
+  const bool solved =
+      scan_samples(ground, string_bits, constraints, accept, result);
+  if (telemetry::enabled()) {
+    telemetry::counter(solved ? "presolve.decided" : "presolve.unverified")
+        .add();
+  }
+  return solved;
+}
+
+/// The caller's sampler on the merged model, through the adjacency the
+/// presolve already built when the sampler has a native CSR path.
+anneal::SampleSet sample_merged(const anneal::Sampler& sampler,
+                                const MergedConjunction& merged,
+                                const qubo::QuboAdjacency& adjacency) {
+  return sampler.supports_adjacency_sampling() ? sampler.sample(adjacency)
+                                               : sampler.sample(merged.model);
 }
 
 /// Shared admission checks; returns false (with result.note/solved set)
@@ -296,8 +329,12 @@ ConjunctionResult solve_conjunction(
   const MergedConjunction merged =
       merge_conjunction(constraints, options, nullptr, string_bits);
   publish_model_size(result, merged);
+  const qubo::QuboAdjacency adjacency(merged.model);
+  if (try_presolve(adjacency, string_bits, constraints, accept, result)) {
+    return result;
+  }
 
-  const anneal::SampleSet samples = sampler.sample(merged.model);
+  const anneal::SampleSet samples = sample_merged(sampler, merged, adjacency);
   if (samples.empty()) {
     result.note = "sampler returned no samples";
     return result;
@@ -354,6 +391,11 @@ ConjunctionResult solve_conjunction_incremental(
   const MergedConjunction merged = merge_conjunction(
       constraints, options, &context.fragments(), string_bits);
   publish_model_size(result, merged);
+  const qubo::QuboAdjacency adjacency(merged.model);
+  if (try_presolve(adjacency, string_bits, constraints, accept, result)) {
+    context.note_witness(result.value);
+    return result;
+  }
 
   // Fast path 1: warm start — seed a small reverse-anneal pass from the
   // previous witness when it still type-checks against the new variable
@@ -370,7 +412,7 @@ ConjunctionResult solve_conjunction_incremental(
     anneal::ReverseAnnealerParams warm = context.params().warm;
     warm.seed = mix_seed(warm.seed, context.stats().warm_starts);
     const anneal::ReverseAnnealer refiner(std::move(initial), warm);
-    const anneal::SampleSet refined = refiner.sample(merged.model);
+    const anneal::SampleSet refined = refiner.sample(adjacency);
     if (scan_samples(refined, string_bits, constraints, accept, result)) {
       ++context.stats().warm_hits;
       if (telemetry::enabled()) {
@@ -386,7 +428,7 @@ ConjunctionResult solve_conjunction_incremental(
   if (telemetry::enabled()) {
     telemetry::counter("incremental.cold.starts").add();
   }
-  const anneal::SampleSet samples = sampler.sample(merged.model);
+  const anneal::SampleSet samples = sample_merged(sampler, merged, adjacency);
   if (samples.empty()) {
     result.note = "sampler returned no samples";
     return result;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "anneal/exact.hpp"
+#include "presolve_declined.hpp"
 #include "smtlib/compiler.hpp"
 #include "smtlib/driver.hpp"
 #include "smtlib/incremental.hpp"
@@ -128,10 +129,16 @@ TEST(ClauseMemory, DropDeeperThanKeepsShallowLemmas) {
 TEST(SolveConjunctionIncremental, ReusesWarmStartsAndFallsBackCold) {
   const anneal::ExactSolver exact;
   SolveContext context;
-  const strqubo::BuildOptions options;
+  // One-hot class selectors: the six-letter class conjunct is one
+  // 13-variable component, so the presolve leaves every model to the
+  // sampler path under test.
+  strqubo::BuildOptions options;
+  options.regex_encoding = strqubo::RegexClassEncoding::kOneHotSelectors;
 
   // Cold first solve.
-  std::vector<strqubo::Constraint> constraints{strqubo::Equality{"ab"}};
+  std::vector<strqubo::Constraint> constraints{
+      strqubo::Equality{"ab"},
+      test::declined(strqubo::RegexMatch{"[abcdef]b", 2}, options)};
   const auto first = solve_conjunction_incremental(constraints, exact,
                                                    options, context);
   ASSERT_TRUE(first.solved);
@@ -156,7 +163,8 @@ TEST(SolveConjunctionIncremental, ReusesWarmStartsAndFallsBackCold) {
 
   // Mutation that refutes the witness: a warm refinement pass runs, and
   // either it or the cold fallback must land on the only model.
-  constraints = {strqubo::Equality{"cd"}};
+  constraints = {strqubo::Equality{"cd"},
+                 test::declined(strqubo::RegexMatch{"[abcdef]d", 2}, options)};
   const auto fourth = solve_conjunction_incremental(constraints, exact,
                                                     options, context);
   ASSERT_TRUE(fourth.solved);

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "presolve_declined.hpp"
 #include "route/features.hpp"
 #include "route/replay.hpp"
 #include "route/router.hpp"
@@ -416,7 +417,8 @@ TEST(RouterDifferential, FallbackReplaysRaceByteIdentically) {
     return portfolio;
   };
 
-  const strqubo::Constraint constraint = strqubo::Equality{"abc"};
+  const strqubo::Constraint constraint =
+      test::declined(strqubo::NotContains{3, "abc"});
 
   service::ServiceOptions race_options;
   race_options.num_workers = 1;
@@ -463,7 +465,8 @@ TEST(RouterDifferential, ServiceLearnsAndRoutesLive) {
       std::vector<std::string>{"sa-fast", "sa-deep"}, router_options);
   service::SolveService service(options);
 
-  const strqubo::Constraint constraint = strqubo::Equality{"ab"};
+  const strqubo::Constraint constraint =
+      test::declined(strqubo::NotContains{2, "ab"});
   service::JobOptions job;
   job.seed = 0x11;
 

@@ -19,6 +19,7 @@
 #include "canon/answer_cache.hpp"
 #include "graph/chimera.hpp"
 #include "graph/embedding_cache.hpp"
+#include "presolve_declined.hpp"
 #include "server/client.hpp"
 #include "smtlib/driver.hpp"
 #include "server/server.hpp"
@@ -184,6 +185,8 @@ TEST(ServerStress, SessionsShareTheEmbeddingCache) {
   const std::uint16_t port = node.listen(0);
   node.start();
 
+  const std::string shape =
+      test::declined_asserts(strqubo::NotContains{1, "o"});
   std::vector<std::thread> clients;
   std::atomic<std::size_t> decided{0};
   for (std::size_t c = 0; c < kNumClients; ++c) {
@@ -191,7 +194,7 @@ TEST(ServerStress, SessionsShareTheEmbeddingCache) {
       server::Client client;
       client.connect(port);
       const std::string reply = client.request(
-          "(declare-const x String)(assert (= x \"ab\"))(check-sat)");
+          "(declare-const x String)" + shape + "(check-sat)");
       if (reply == "sat\n") decided.fetch_add(1);
       client.request("(exit)");
     });
@@ -230,8 +233,8 @@ TEST(ServerStress, MidSessionDisconnectCancelsInFlightExactlyOnce) {
     client.connect(port);
     client.request("(declare-const x String)");
     // Fire the check-sat and vanish without reading the reply.
-    client.send("(assert (str.contains x \"abc\"))"
-                "(assert (= (str.len x) 6))(check-sat)");
+    client.send(test::declined_asserts(strqubo::NotContains{6, "abc"}) +
+                "(check-sat)");
     std::this_thread::sleep_for(50ms);
     client.close();
   }
@@ -385,24 +388,31 @@ TEST(ServerStress, DivergentTenantMixesLearnIsolatedRouterTables) {
   routing.min_win_rate = 0.5;
   routing.explore_period = 0;
   options.tenant_routing = routing;
+  // One-hot class selectors: a six-letter class is one 13-variable
+  // component, which the presolve leaves to the race.
+  options.service.build.regex_encoding =
+      strqubo::RegexClassEncoding::kOneHotSelectors;
   server::Server node(options);
   const std::uint16_t port = node.listen(0);
   node.start();
 
   // Two structurally disjoint workload mixes (single-constraint fast path:
-  // equality vs substring-match — different router buckets by op family).
-  const std::string equality_mix =
-      "(declare-const x String)(assert (= x \"router\"))(check-sat)";
-  const std::string substring_mix =
-      "(declare-const x String)(assert (str.contains x \"cd\"))"
-      "(assert (= (str.len x) 3))(check-sat)";
+  // regex-match vs not-contains — different router buckets by op family).
+  const std::string regex_mix =
+      "(declare-const x String)" +
+      test::declined_asserts(strqubo::RegexMatch{"[abcdef]x", 2},
+                             options.service.build) +
+      "(check-sat)";
+  const std::string not_contains_mix =
+      "(declare-const x String)" +
+      test::declined_asserts(strqubo::NotContains{3, "cd"}) + "(check-sat)";
 
   std::atomic<std::size_t> failures{0};
   std::vector<std::thread> clients;
   clients.reserve(kNumClients);
   for (std::size_t c = 0; c < kNumClients; ++c) {
     clients.emplace_back([&, c] {
-      const std::string& script = c % 2 == 0 ? equality_mix : substring_mix;
+      const std::string& script = c % 2 == 0 ? regex_mix : not_contains_mix;
       server::Client client;
       client.connect(port);
       for (std::size_t round = 0; round < kRounds; ++round) {
@@ -419,8 +429,8 @@ TEST(ServerStress, DivergentTenantMixesLearnIsolatedRouterTables) {
   // Tenant ids are assigned in accept order, so a client thread's mix
   // cannot be matched to a tenant id — but purity can: every tenant's
   // table must hold exactly one bucket, from exactly one mix.
-  std::size_t equality_tenants = 0;
-  std::size_t substring_tenants = 0;
+  std::size_t regex_tenants = 0;
+  std::size_t not_contains_tenants = 0;
   std::uint64_t routed_total = 0;
   for (std::uint64_t tenant = 0; tenant < kNumClients; ++tenant) {
     SCOPED_TRACE("tenant " + std::to_string(tenant));
@@ -429,10 +439,10 @@ TEST(ServerStress, DivergentTenantMixesLearnIsolatedRouterTables) {
     const std::vector<route::BucketRecord> table = router->table();
     ASSERT_EQ(table.size(), 1u);
     const std::string& bucket = table[0].bucket;
-    if (bucket.rfind("equality/", 0) == 0) {
-      ++equality_tenants;
-    } else if (bucket.rfind("substring-match/", 0) == 0) {
-      ++substring_tenants;
+    if (bucket.rfind("regex-match/", 0) == 0) {
+      ++regex_tenants;
+    } else if (bucket.rfind("not-contains/", 0) == 0) {
+      ++not_contains_tenants;
     } else {
       ADD_FAILURE() << "unexpected bucket: " << bucket;
     }
@@ -443,8 +453,8 @@ TEST(ServerStress, DivergentTenantMixesLearnIsolatedRouterTables) {
     EXPECT_GE(stats.routed, kRounds - 2);
     routed_total += stats.routed;
   }
-  EXPECT_EQ(equality_tenants, kNumClients / 2);
-  EXPECT_EQ(substring_tenants, kNumClients / 2);
+  EXPECT_EQ(regex_tenants, kNumClients / 2);
+  EXPECT_EQ(not_contains_tenants, kNumClients / 2);
   // Every routed dispatch in the pool is accounted to exactly one tenant
   // table — the shared service saw the same number it executed.
   EXPECT_EQ(node.service().stats().jobs_routed, routed_total);

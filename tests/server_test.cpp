@@ -17,6 +17,7 @@
 #include <string>
 #include <thread>
 
+#include "presolve_declined.hpp"
 #include "server/admission.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
@@ -329,6 +330,34 @@ TEST(SessionTest, IncrementalChainWarmStartsKeepVerdictsVerified) {
   EXPECT_EQ(session.consume("(get-model)"),
             "(model (define-fun x () String \"ac\"))\n");
   EXPECT_EQ(session.consume("(pop)(check-sat)"), "sat\n");
+}
+
+TEST(SessionTest, ResetClearsTheWarmStartWitness) {
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  options.portfolio = {service::simulated_annealing_member("sa")};
+  service::SolveService service(options);
+  // A length-2 follow-up query the presolve leaves to the samplers: the
+  // one place a remembered witness could seed a warm start.
+  const std::string follow_up =
+      test::declined_asserts(strqubo::NotContains{2, "zz"}) + "(check-sat)";
+
+  // Control: a popped scope keeps the session's witness, which seeds the
+  // next check-sat.
+  server::Session kept(service);
+  EXPECT_EQ(kept.consume("(declare-const x String)(push)"
+                         "(assert (= x \"ab\"))(check-sat)(pop)"),
+            "sat\n");
+  EXPECT_EQ(kept.consume(follow_up), "sat\n");
+  EXPECT_EQ(service.stats().warm_starts, 1u);
+
+  // (reset) starts over: the unrelated query runs cold.
+  server::Session reset(service);
+  EXPECT_EQ(reset.consume("(declare-const x String)(assert (= x \"ab\"))"
+                          "(check-sat)(reset)(declare-const x String)"),
+            "sat\n");
+  EXPECT_EQ(reset.consume(follow_up), "sat\n");
+  EXPECT_EQ(service.stats().warm_starts, 1u);
 }
 
 TEST(SessionTest, PresolvedVerdictsNeedNoPool) {

@@ -23,10 +23,12 @@
 #include <vector>
 
 #include "anneal/simulated_annealer.hpp"
+#include "presolve_declined.hpp"
 #include "qubo/qubo_model.hpp"
 #include "service/service.hpp"
 #include "smtlib/driver.hpp"
 #include "strqubo/constraint.hpp"
+#include "strqubo/verify.hpp"
 #include "util/cancel.hpp"
 #include "util/stopwatch.hpp"
 
@@ -128,15 +130,18 @@ TEST(Service, WarmStartFromExactWitnessDecidesJob) {
   options.portfolio = {service::simulated_annealing_member("sa")};
   service::SolveService service(options);
   service::JobOptions job;
-  // The warm-start seed IS the (unique) solution: the reverse-anneal
+  // A buffer whose content length must be 0 admits only all-NUL padding.
+  // The warm-start seed IS that (unique) solution: the reverse-anneal
   // refinement starts on it, verification passes, and the job is decided
   // warm — visible in the stats and in the result note.
-  job.warm_start = "warm";
+  const std::string padding(2, '\0');
+  job.warm_start = padding;
   const service::JobResult result =
-      service.submit(strqubo::Equality{"warm"}, job).get();
+      service.submit(test::declined(strqubo::BoundedLength{2, 0, 0}), job)
+          .get();
   EXPECT_EQ(result.status, smtlib::CheckSatStatus::kSat);
   ASSERT_TRUE(result.text.has_value());
-  EXPECT_EQ(*result.text, "warm");
+  EXPECT_EQ(*result.text, padding);
   const service::SolveService::Stats stats = service.stats();
   EXPECT_EQ(stats.warm_starts, 1u);
   EXPECT_EQ(stats.warm_hits, 1u);
@@ -150,13 +155,14 @@ TEST(Service, StaleWarmStartFallsBackCold) {
   service::JobOptions job;
   // Wrong length: the encoded witness no longer type-checks against the
   // model, so the refinement is skipped entirely and the cold race still
-  // solves the job.
+  // solves the job (all-NUL padding is its only solution).
   job.warm_start = "far-too-long-for-this-model";
   const service::JobResult result =
-      service.submit(strqubo::Equality{"ab"}, job).get();
+      service.submit(test::declined(strqubo::BoundedLength{2, 0, 0}), job)
+          .get();
   EXPECT_EQ(result.status, smtlib::CheckSatStatus::kSat);
   ASSERT_TRUE(result.text.has_value());
-  EXPECT_EQ(*result.text, "ab");
+  EXPECT_EQ(*result.text, std::string(2, '\0'));
   const service::SolveService::Stats stats = service.stats();
   EXPECT_EQ(stats.warm_starts, 0u);
   EXPECT_EQ(stats.warm_hits, 0u);
@@ -170,10 +176,11 @@ TEST(Service, WrongWarmStartStillVerifiesBeforeWinning) {
   // the verdict — worst case the cold path pays the full solve.
   job.warm_start = "xx";
   const service::JobResult result =
-      service.submit(strqubo::Equality{"ab"}, job).get();
+      service.submit(test::declined(strqubo::BoundedLength{2, 0, 0}), job)
+          .get();
   EXPECT_EQ(result.status, smtlib::CheckSatStatus::kSat);
   ASSERT_TRUE(result.text.has_value());
-  EXPECT_EQ(*result.text, "ab");
+  EXPECT_EQ(*result.text, std::string(2, '\0'));
   EXPECT_EQ(service.stats().warm_starts, 1u);
 }
 
@@ -304,14 +311,14 @@ TEST(Service, ThrowingMemberLosesRaceWithoutKillingService) {
   service::SolveService service(options);
 
   const service::JobResult result =
-      service.submit(strqubo::Equality{"ab"}).get();
+      service.submit(test::declined(strqubo::NotContains{2, "ab"})).get();
   EXPECT_EQ(result.status, smtlib::CheckSatStatus::kSat);
   EXPECT_EQ(result.winner, "sa");
   EXPECT_GE(service.stats().member_errors, 1u);
 
   // The pool survived the exception and keeps serving.
   const service::JobResult again =
-      service.submit(strqubo::Equality{"cd"}).get();
+      service.submit(test::declined(strqubo::NotContains{2, "cd"})).get();
   EXPECT_EQ(again.status, smtlib::CheckSatStatus::kSat);
 }
 
@@ -321,7 +328,7 @@ TEST(Service, AllMembersThrowingResolvesUnknownWithErrorNote) {
   service::SolveService service(options);
 
   const service::JobResult result =
-      service.submit(strqubo::Equality{"ab"}).get();
+      service.submit(test::declined(strqubo::NotContains{2, "ab"})).get();
   EXPECT_EQ(result.status, smtlib::CheckSatStatus::kUnknown);
   EXPECT_FALSE(result.timed_out);
   const auto mentions_failure = [&](const std::string& note) {
@@ -335,8 +342,8 @@ TEST(Service, AllMembersThrowingResolvesUnknownWithErrorNote) {
   const service::JobResult script_result =
       service
           .submit_script(
-              "(declare-const x String)"
-              "(assert (= x \"hi\"))"
+              "(declare-const x String)" +
+              test::declined_asserts(strqubo::NotContains{2, "hi"}) +
               "(check-sat)")
           .get();
   EXPECT_EQ(script_result.status, smtlib::CheckSatStatus::kUnknown);
@@ -356,8 +363,10 @@ TEST(Service, ExhaustedAttemptsWithPendingDeadlineIsNotTimeout) {
 
   service::JobOptions job;
   job.deadline = std::chrono::hours(1);
+  // An all-NUL buffer is too short for a content length of at least 1.
   const service::JobResult result =
-      service.submit(strqubo::Equality{"ab"}, job).get();
+      service.submit(test::declined(strqubo::BoundedLength{3, 1, 3}), job)
+          .get();
   EXPECT_EQ(result.status, smtlib::CheckSatStatus::kUnknown);
   EXPECT_FALSE(result.timed_out);
   ASSERT_FALSE(result.notes.empty());
@@ -378,7 +387,8 @@ TEST(Service, DeadlineExpiringMidAttemptIsTimeout) {
   service::JobOptions job;
   job.deadline = milliseconds(5);
   const service::JobResult result =
-      service.submit(strqubo::Equality{"ab"}, job).get();
+      service.submit(test::declined(strqubo::BoundedLength{3, 1, 3}), job)
+          .get();
   EXPECT_EQ(result.status, smtlib::CheckSatStatus::kUnknown);
   EXPECT_TRUE(result.timed_out);
   EXPECT_EQ(service.stats().jobs_timed_out, 1u);
@@ -407,6 +417,77 @@ TEST(Service, DefaultPoolSizeFollowsCpuAffinity) {
   }).join();
   ASSERT_TRUE(pinned);
   EXPECT_EQ(workers, 1u);
+}
+
+// Simulated annealing that counts its sample() calls, to show which jobs
+// reach the samplers at all.
+class CountingSampler : public anneal::Sampler {
+ public:
+  CountingSampler(std::shared_ptr<std::atomic<int>> calls, std::uint64_t seed)
+      : calls_(std::move(calls)), annealer_(params(seed)) {}
+  anneal::SampleSet sample(const qubo::QuboModel& model) const override {
+    calls_->fetch_add(1);
+    return annealer_.sample(model);
+  }
+  anneal::SampleSet sample(
+      const qubo::QuboAdjacency& adjacency) const override {
+    calls_->fetch_add(1);
+    return annealer_.sample(adjacency);
+  }
+  bool supports_adjacency_sampling() const noexcept override { return true; }
+  std::string name() const override { return "counting"; }
+
+ private:
+  static anneal::SimulatedAnnealerParams params(std::uint64_t seed) {
+    anneal::SimulatedAnnealerParams p;
+    p.seed = seed;
+    return p;
+  }
+  std::shared_ptr<std::atomic<int>> calls_;
+  anneal::SimulatedAnnealer annealer_;
+};
+
+service::PortfolioMember counting_member(
+    std::shared_ptr<std::atomic<int>> calls) {
+  service::PortfolioMember member;
+  member.name = "counting";
+  member.make = [calls](std::uint64_t seed, CancelToken) {
+    return std::make_unique<CountingSampler>(calls, seed);
+  };
+  return member;
+}
+
+TEST(Service, SeparableJobIsPresolvedWithoutSampling) {
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  service::ServiceOptions options;
+  options.portfolio = {counting_member(calls)};
+  service::SolveService service(options);
+  const service::JobResult result =
+      service.submit(strqubo::Equality{"abcd"}).get();
+  EXPECT_EQ(result.status, smtlib::CheckSatStatus::kSat);
+  ASSERT_TRUE(result.text.has_value());
+  EXPECT_EQ(*result.text, "abcd");
+  EXPECT_EQ(result.winner, "presolve");
+  EXPECT_EQ(calls->load(), 0);
+}
+
+TEST(Service, AveragedClassArtifactStillReachesTheRace) {
+  // The paper's averaged class encoding zeroes every bit on which 'c'
+  // (1100011) and 'd' (1100100) disagree, so the presolve's tie-break
+  // decodes the class position as 'a' — a ground state that fails
+  // verification. The miss must fall through to the samplers.
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  service::ServiceOptions options;
+  options.portfolio = {counting_member(calls)};
+  service::SolveService service(options);
+  const strqubo::Constraint constraint = strqubo::RegexMatch{"[cd]x", 2};
+  const service::JobResult result = service.submit(constraint).get();
+  EXPECT_NE(result.winner, "presolve");
+  EXPECT_GE(calls->load(), 1);
+  if (result.status == smtlib::CheckSatStatus::kSat) {
+    ASSERT_TRUE(result.text.has_value());
+    EXPECT_TRUE(strqubo::verify_string(constraint, *result.text));
+  }
 }
 
 TEST(Service, ModelCacheSharesPreparedConstraints) {
@@ -491,9 +572,10 @@ TEST(ServiceStress, QueuedJobsBehindDeadlinedSolveAllTimeOut) {
   std::vector<std::future<service::JobResult>> futures;
   service::JobOptions job;
   job.deadline = milliseconds(150);
-  // A long random palindrome is effectively never verified from the
+  // Six trailing NUL characters are effectively never verified from the
   // unpolished random states a cancelled read returns.
-  const strqubo::Constraint constraint = strqubo::Palindrome{12};
+  const strqubo::Constraint constraint =
+      test::declined(strqubo::BoundedLength{12, 6, 6});
   job.seed = 1;
   futures.push_back(service.submit(constraint, job));
   gate->wait_until_entered();

@@ -1,10 +1,32 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <type_traits>
+
 #include "anneal/exact.hpp"
 #include "anneal/simulated_annealer.hpp"
 #include "strqubo/solver.hpp"
 
 namespace qsmt::strqubo {
+
+// gtest prints each parameter into the test listing, and CMake's test
+// discovery builds the ctest name from that printout. A Constraint prints
+// as its alternative's type and index followed by the alternative itself;
+// without this overload gtest dumps the alternative's raw bytes, i.e. the
+// heap addresses inside its strings, so every run would list the cases
+// under new names. The structural key, reduced to identifier characters,
+// is stable. Declared in this namespace so argument-dependent lookup finds
+// it for every alternative.
+template <typename Alternative>
+  requires(!std::is_same_v<Alternative, Constraint> &&
+           std::is_constructible_v<Constraint, Alternative>)
+void PrintTo(const Alternative& alternative, std::ostream* os) {
+  for (const char ch : structure_key(Constraint{alternative})) {
+    *os << (std::isalnum(static_cast<unsigned char>(ch)) ? ch : '_');
+  }
+}
+
 namespace {
 
 anneal::SimulatedAnnealer fast_annealer(std::uint64_t seed) {

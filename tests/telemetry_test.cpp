@@ -17,6 +17,7 @@
 #include "anneal/exact.hpp"
 #include "anneal/simulated_annealer.hpp"
 #include "engine/engine.hpp"
+#include "presolve_declined.hpp"
 #include "qubo/qubo_model.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
@@ -207,8 +208,9 @@ TEST(EngineTelemetry, PalindromeSolveEmitsDocumentedMetrics) {
   const engine::ScriptResult result = engine::solve_script(
       "(declare-const x String)"
       "(assert (= (str.len x) 2))"
-      "(assert (qsmt.is_palindrome x))"
-      "(check-sat)",
+      "(assert (qsmt.is_palindrome x))" +
+          test::declined_asserts(strqubo::NotContains{2, "zz"}) +
+          "(check-sat)",
       annealer);
   EXPECT_EQ(result.status, smtlib::CheckSatStatus::kSat);
 
@@ -296,6 +298,38 @@ TEST(ServiceTelemetry, ConcurrentBatchEmitsDocumentedMetrics) {
   EXPECT_EQ(winner_total, 4u);
 }
 
+// Pins the exact-presolve names from docs/telemetry.md: one service job of
+// each disposition — a separable model the presolve decides, a not-contains
+// model it declines (its window gadget is one component over the cap), and
+// an averaged class artifact whose presolved ground state fails
+// verification — each counted exactly once, with one `presolve` span per
+// job.
+TEST(PresolveTelemetry, ServiceJobsEmitDocumentedMetrics) {
+  set_mode(Mode::kSummary);
+  reset();
+
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  service::SolveService service(options);
+  const service::JobResult decided =
+      service.submit(strqubo::Equality{"ab"}).get();
+  EXPECT_EQ(decided.winner, "presolve");
+  service.submit(strqubo::NotContains{2, "ab"}).get();
+  service.submit(strqubo::RegexMatch{"[cd]x", 2}).get();
+
+  const Snapshot snapshot = registry().snapshot();
+  for (const char* name :
+       {"presolve.decided", "presolve.declined", "presolve.unverified",
+        "service.winner.presolve"}) {
+    const CounterStat* c = snapshot.counter(name);
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->value, 1u) << name;
+  }
+  const HistogramStat* span = snapshot.histogram("presolve.seconds");
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->count, 3u);
+}
+
 // Pins the batched-substrate metric names from docs/telemetry.md: a
 // multi-read sample() routes onto the batched kernel and emits the
 // anneal.batch.* counters with workload-matched values.
@@ -342,12 +376,18 @@ TEST(IncrementalTelemetry, HotResolveCountersMirrorContextStats) {
   reset();
 
   const anneal::ExactSolver exact;
-  smtlib::SmtDriver driver(exact);
+  // One-hot class selectors: the six-letter class conjunct is one
+  // 13-variable component, so the presolve leaves every model to the
+  // sampler path under test.
+  strqubo::BuildOptions options;
+  options.regex_encoding = strqubo::RegexClassEncoding::kOneHotSelectors;
+  smtlib::SmtDriver driver(exact, options);
   driver.run_script(
       "(declare-const x String)"
       "(assert (= (str.len x) 2))"
-      "(assert (str.suffixof \"b\" x))"
-      "(check-sat-assuming ((str.prefixof \"a\" x)))"  // cold, two misses
+      "(assert (str.suffixof \"b\" x))" +
+      test::declined_asserts(strqubo::RegexMatch{"[abcdef]b", 2}, options) +
+      "(check-sat-assuming ((str.prefixof \"a\" x)))"  // cold, three misses
       "(check-sat-assuming ((str.prefixof \"a\" x)))"  // witness reuse
       "(check-sat-assuming ((str.prefixof \"c\" x)))"  // "ab" fails: warm
       "(push)"
