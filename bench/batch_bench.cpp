@@ -1,7 +1,7 @@
 // Batched-substrate bench: reads/second of the bit-packed multi-replica
-// sweep kernel against the scalar per-read loop it replaced. Writes
-// BENCH_batch.json (in the CWD; run from the repo root to refresh the
-// tracked baseline).
+// sweep kernel against the scalar per-read loop it replaced. A full run
+// writes BENCH_batch.json (in the CWD; run from the repo root to refresh
+// the tracked baseline); `--smoke` writes no JSON.
 //
 // Replica sweep — SimulatedAnnealer::sample at num_reads in
 // {1, 4, 8, 16, 32} with SweepMode::kScalar (the oracle, i.e. the
@@ -128,13 +128,13 @@ ReplicaCell bench_replicas(const Workload& workload, std::size_t num_reads,
   return cell;
 }
 
-void write_json(const std::vector<ReplicaCell>& replica_sweep, bool smoke,
+void write_json(const std::vector<ReplicaCell>& replica_sweep,
                 std::size_t reps, double gate_speedup) {
   std::ofstream out("BENCH_batch.json");
   out << std::fixed << std::setprecision(4);
   out << "{\n  \"config\": {\"num_sweeps\": " << kNumSweeps
       << ", \"reps\": " << reps << ", \"seed\": " << kSeed
-      << ", \"smoke\": " << (smoke ? "true" : "false")
+      << ", \"smoke\": false"
       << ", \"avx2\": " << (anneal::batched_avx2_enabled() ? "true" : "false")
       << ", \"threads\": 1},\n";
   out << "  \"replica_sweep\": [\n";
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  write_json(replica_sweep, smoke, reps, gate_speedup);
+  if (!smoke) write_json(replica_sweep, reps, gate_speedup);
 
   // Identity is non-negotiable in every mode: a fast-but-different kernel
   // would silently change solver verdicts.

@@ -54,6 +54,12 @@ docs/*.md, plus any root-level markdown they link to):
     (`"service.winner.`). A counter deleted from the code, or moved to
     another file, therefore fails the build until its doc row follows.
 
+11. One solve path: under src/ outside src/anneal/, the exact presolve
+    call `anneal::presolve(` and a `ReverseAnnealer` construction may each
+    appear in one file only: the shared solve stages in
+    src/strqubo/solver.cpp, which the driver, the service and the daemon
+    all call. Comment lines are skipped, so prose may still name them.
+
 Also prints the line count of src/, which the roadmap tracks next to the
 benchmarks.
 
@@ -80,6 +86,13 @@ SERVICE_FUNC_RE = re.compile(
 )
 
 OPENMP_RE = re.compile(r"#\s*pragma\s+omp\b|<omp\.h>|OpenMP::")
+ONE_PATH_RES = {
+    "anneal::presolve(": re.compile(r"anneal::presolve\("),
+    "ReverseAnnealer construction": re.compile(
+        r"\bReverseAnnealer\b(?:\s+\w+)?\s*[({]"
+        r"|<\s*(?:anneal::)?ReverseAnnealer\s*>"
+    ),
+}
 TICKED_RE = re.compile(r"`([^`]+)`")
 CODE_DIRS = ("src", "tests", "bench", "examples")
 
@@ -225,6 +238,27 @@ def check_one_scheduler() -> list:
     return errors
 
 
+def check_one_solve_path() -> list:
+    errors = []
+    for name, pattern in ONE_PATH_RES.items():
+        users = sorted(
+            str(path.relative_to(REPO))
+            for path in files_under("src")
+            if not path.is_relative_to(REPO / "src" / "anneal")
+            and any(
+                pattern.search(line)
+                for line in path.read_text(encoding="utf-8").splitlines()
+                if not line.lstrip().startswith("//")
+            )
+        )
+        if len(users) > 1:
+            errors.append(
+                f"{name} appears in {len(users)} files under src/ "
+                f"({', '.join(users)}); the solve stages belong in one file"
+            )
+    return errors
+
+
 def check_telemetry_sources() -> list:
     errors = []
     lines = (REPO / "docs/telemetry.md").read_text(encoding="utf-8").splitlines()
@@ -271,6 +305,7 @@ def main() -> int:
         + check_caching_coverage()
         + check_one_scheduler()
         + check_telemetry_sources()
+        + check_one_solve_path()
     )
     for err in errors:
         print(f"check_docs: {err}", file=sys.stderr)

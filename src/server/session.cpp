@@ -7,7 +7,6 @@
 
 #include "server/admission.hpp"
 #include "smtlib/parser.hpp"
-#include "strqubo/constraint.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/stopwatch.hpp"
 
@@ -91,17 +90,11 @@ class Session::Driver final : public smtlib::SmtDriver {
     // learn divergent dispatch instead of fighting over one shared table.
     job.router = session.options_.router;
 
-    std::future<service::JobResult> future;
-    const auto& constraints = presolved.query.constraints;
-    if (constraints.size() == 1 &&
-        strqubo::produces_string(constraints.front())) {
-      // The constraint-job fast path: structurally identical
-      // single-constraint queries from *any* session share the service's
-      // prepared-model cache.
-      future = session.service_->submit(constraints.front(), job);
-    } else {
-      future = session.service_->submit_script(render_script(), job);
-    }
+    // The compiled conjuncts go to the service as one job, so
+    // structurally identical queries from *any* session share its answer
+    // cache (and, for a single conjunct, its prepared-model cache).
+    std::future<service::JobResult> future = session.service_->submit(
+        std::move(presolved.query.constraints), job);
 
     // Poll-wait so a client that hangs up mid-solve is noticed: the
     // liveness probe failing cancels the job exactly once, the portfolio
@@ -117,11 +110,7 @@ class Session::Driver final : public smtlib::SmtDriver {
     session.clear_in_flight();
 
     record.status = result.status;
-    if (result.text) {
-      record.model_value = *result.text;
-    } else {
-      record.model_value = result.model_value;
-    }
+    if (result.text) record.model_value = *result.text;
     if (record.status == smtlib::CheckSatStatus::kSat) {
       last_model_ = record.model_value;
     }
@@ -152,22 +141,6 @@ class Session::Driver final : public smtlib::SmtDriver {
   }
 
  private:
-  /// Renders the current assertion context back to one conjunctive script
-  /// for the service's script-job path (multi-constraint queries and
-  /// non-string-producing atoms). to_string emits re-parseable SMT-LIB.
-  std::string render_script() const {
-    std::string script;
-    for (const auto& [name, sort] : declared()) {
-      script += "(declare-const " + name + " " + smtlib::sort_name(sort) +
-                ")\n";
-    }
-    for (const auto& term : assertions()) {
-      script += "(assert " + smtlib::to_string(term) + ")\n";
-    }
-    script += "(check-sat)\n";
-    return script;
-  }
-
   Session* session_;
   std::uint64_t check_sat_ordinal_ = 0;
   /// Last sat witness this session produced (warm-start seed for the next

@@ -6,10 +6,11 @@
 // the deterministic presolve tree (falsified ground fact, unsupported atom,
 // empty query, exact unsat certificate) answers locally and instantly, and
 // anything that genuinely needs a sampler is dispatched to the shared
-// service::SolveService worker pool. Single string-producing constraints
-// are submitted as *constraint* jobs, so sibling sessions' structurally
-// identical queries share the prepared-model cache; everything else rides
-// the script-job path. Every other command (push/pop, get-model, get-value,
+// service::SolveService worker pool. The compiled conjuncts are submitted
+// as one conjunction job, so sibling sessions' structurally identical
+// queries share the service's answer cache (and, for a single conjunct,
+// its prepared-model cache), and the session's last sat model seeds the
+// job's warm start. Every other command (push/pop, get-model, get-value,
 // echo, reset, ...) inherits the in-process driver's semantics verbatim —
 // that is what makes the server's replies bit-compatible with SmtDriver.
 //

@@ -8,19 +8,16 @@
 #include <deque>
 #include <list>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <variant>
 
-#include "anneal/reverse.hpp"
 #include "canon/canon.hpp"
 #include "engine/engine.hpp"
 #include "route/features.hpp"
 #include "smtlib/compiler.hpp"
-#include "strenc/ascii7.hpp"
 #include "strqubo/solver.hpp"
 #include "strqubo/verify.hpp"
 #include "telemetry/telemetry.hpp"
@@ -42,13 +39,6 @@ std::size_t default_worker_count() {
     return static_cast<std::size_t>(CPU_COUNT(&cpus));
   }
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
-// Exact structural key for the prepared-model cache (now the shared
-// strqubo::structure_key, which the incremental fragment cache keys by
-// too, so both layers agree on what "structurally identical" means).
-std::string cache_key(const strqubo::Constraint& constraint) {
-  return strqubo::structure_key(constraint);
 }
 
 // Retained-footprint estimate of one prepared-model cache entry (key +
@@ -208,9 +198,13 @@ struct SolveService::Impl {
   static constexpr std::size_t kNoWinner = static_cast<std::size_t>(-1);
 
   struct Job : std::enable_shared_from_this<Job> {
-    std::variant<strqubo::Constraint, std::string> payload;
-    /// cache_key() of a constraint payload, computed once at submission
-    /// (empty for script jobs): the prepared-model cache key.
+    /// A conjunction (one constraint for submit(Constraint)) or a script.
+    std::variant<std::vector<strqubo::Constraint>, std::string> payload;
+    /// The prepared-model cache key, computed once at submission: the
+    /// strqubo::structure_key of a one-conjunct payload (the key the
+    /// incremental fragment cache uses too, so both layers agree on what
+    /// "structurally identical" means). Empty for multi-conjunct and
+    /// script jobs, whose models are not cached (see build_job).
     std::string structure_key;
     /// Canonical answer-cache key (empty = not cacheable or no cache
     /// configured) and, for script jobs, the canonical form whose renaming
@@ -247,17 +241,16 @@ struct SolveService::Impl {
     /// embedding failure); attached to the verdict when no member wins.
     std::mutex error_notes_mutex;
     std::vector<std::string> error_notes;
-    /// The exact presolve runs once per constraint job, before any member
-    /// samples (siblings block on it); the warm-start refinement
-    /// (JobOptions::warm_start) runs at most once per job, from whichever
-    /// member reaches the prepared model first.
-    std::once_flag presolve_once;
-    std::atomic<bool> warm_tried{false};
-    /// Built once per job (all members share it) under build_once; on
-    /// failure build_error carries the message instead.
-    std::once_flag build_once;
+    /// Built, then presolved, once per job under prepare_once, before any
+    /// member samples (siblings block on it and share the model); on a
+    /// build failure build_error carries the message instead. The warm
+    /// refine (JobOptions::warm_start) runs at most once per job, from
+    /// whichever member reaches the prepared model first, without blocking
+    /// the others.
+    std::once_flag prepare_once;
     std::shared_ptr<const strqubo::PreparedConstraint> prepared;
     std::string build_error;
+    std::atomic<bool> warm_tried{false};
     /// Adaptive routing (docs/routing.md). `router` is the resolved table
     /// this job consults and trains (JobOptions::router, else
     /// ServiceOptions::router; null when gating rejected it or the decision
@@ -334,8 +327,10 @@ struct SolveService::Impl {
   /// router fields and returns how many member tasks to enqueue (the
   /// routed member alone, or the whole portfolio).
   void decide_route(Job& job) {
-    const auto* constraint = std::get_if<strqubo::Constraint>(&job.payload);
-    if (constraint == nullptr) return;  // Scripts have no features.
+    // Scripts and multi-conjunct jobs have no single constraint's features.
+    const auto* conjuncts =
+        std::get_if<std::vector<strqubo::Constraint>>(&job.payload);
+    if (conjuncts == nullptr || conjuncts->size() != 1) return;
     std::shared_ptr<route::Router> router =
         job.options.router ? job.options.router : options.router;
     // A router learned over a different portfolio (or a portfolio with no
@@ -345,7 +340,7 @@ struct SolveService::Impl {
       return;
     }
     const route::RouteDecision decision =
-        router->decide(route::extract_features(*constraint));
+        router->decide(route::extract_features(conjuncts->front()));
     job.router = std::move(router);
     job.route_bucket = decision.bucket;
     if (decision.action == route::RouteAction::kRoute) {
@@ -365,15 +360,16 @@ struct SolveService::Impl {
   }
 
   std::future<JobResult> enqueue(
-      std::variant<strqubo::Constraint, std::string> payload,
+      std::variant<std::vector<strqubo::Constraint>, std::string> payload,
       JobOptions job_options,
       std::function<void(const JobResult&)> on_complete = {}) {
     auto job = std::make_shared<Job>();
     job->on_complete = std::move(on_complete);
     job->payload = std::move(payload);
-    if (const auto* constraint =
-            std::get_if<strqubo::Constraint>(&job->payload)) {
-      job->structure_key = cache_key(*constraint);
+    const auto* conjuncts =
+        std::get_if<std::vector<strqubo::Constraint>>(&job->payload);
+    if (conjuncts != nullptr && conjuncts->size() == 1) {
+      job->structure_key = strqubo::structure_key(conjuncts->front());
     }
     job->options = std::move(job_options);
     job->enqueued = SteadyClock::now();
@@ -386,10 +382,9 @@ struct SolveService::Impl {
     // external cancel already fired skip the lookup so their cold
     // timeout/cancellation semantics are untouched.
     if (options.answer_cache) {
-      if (const auto* constraint =
-              std::get_if<strqubo::Constraint>(&job->payload)) {
+      if (conjuncts != nullptr) {
         job->answer_key =
-            canon::constraint_answer_key(*constraint, options.build);
+            canon::constraint_answer_key(*conjuncts, options.build);
       } else {
         auto canonical = std::make_shared<const canon::CanonicalScript>(
             canon::canonicalize_script(std::get<std::string>(job->payload)));
@@ -524,7 +519,7 @@ struct SolveService::Impl {
     // The stage's own future is intentionally dropped: its result arrives
     // through the on_complete hook below (exactly once, even when the
     // service is stopping — enqueue resolves rejected jobs inline).
-    enqueue(state->stages[index], std::move(stage_options),
+    enqueue(std::vector{state->stages[index]}, std::move(stage_options),
             [this, state, index](const JobResult& result) {
               state->result.stages.push_back(result);
               const std::size_t next = index + 1;
@@ -576,52 +571,31 @@ struct SolveService::Impl {
     }
   }
 
-  /// Exact component presolve (anneal::presolve), run once per constraint
-  /// job by whichever member reaches the prepared model first; siblings
-  /// block on the once-flag and then find the job decided. A presolved
-  /// ground state still goes through decode_and_verify, and a decline or
-  /// an unverified decoding falls through to the race unchanged (same
-  /// seeds). Never produces kUnsat. Returns true when this call claimed the
-  /// verdict (member bookkeeping fully settled via claim_and_finish).
+  /// The presolve stage for one job, run by prepare_job inside the job's
+  /// once-flag, so siblings wait and then find the job decided. A decline
+  /// or an unverified ground state falls through to the race unchanged
+  /// (same seeds). Returns true when this call claimed the verdict (member
+  /// bookkeeping fully settled via claim_and_finish).
   bool try_presolve(Job& job, const strqubo::PreparedConstraint& prepared) {
-    bool claimed = false;
-    std::call_once(job.presolve_once, [&] {
-      const auto& constraint = std::get<strqubo::Constraint>(job.payload);
-      std::optional<std::vector<std::uint8_t>> bits = anneal::presolve(
-          prepared.adjacency, strqubo::produces_string(constraint)
-                                   ? strqubo::constraint_num_variables(constraint)
-                                   : 0);
-      if (!bits) return;
-      anneal::SampleSet ground;
-      const double energy = prepared.adjacency.energy(*bits);
-      ground.add(std::move(*bits), energy);
-      const strqubo::SolveResult solved =
-          strqubo::decode_and_verify(constraint, ground);
-      if (telemetry::enabled()) {
-        telemetry::counter(solved.satisfied ? "presolve.decided"
-                                            : "presolve.unverified")
-            .add();
-      }
-      if (!solved.satisfied) return;
-      claimed = claim_and_finish(job, kNoWinner, [&](JobResult& result) {
-        result.status = smtlib::CheckSatStatus::kSat;
-        result.text = solved.text;
-        result.position = solved.position;
-        result.winner = "presolve";
-        job.member_independent.store(true, std::memory_order_relaxed);
-        record_winner(result.winner);
-      });
+    const std::optional<strqubo::SolveResult> solved =
+        strqubo::presolve(prepared);
+    if (!solved || !solved->satisfied) return false;
+    return claim_and_finish(job, kNoWinner, [&](JobResult& result) {
+      result.status = smtlib::CheckSatStatus::kSat;
+      result.text = solved->text;
+      result.position = solved->position;
+      result.winner = "presolve";
+      job.member_independent.store(true, std::memory_order_relaxed);
+      record_winner(result.winner);
     });
-    return claimed;
   }
 
-  /// One cheap reverse-anneal refinement seeded from the caller's previous
-  /// witness (JobOptions::warm_start), run at most once per job by
-  /// whichever member reaches the prepared model first. A refined sample
-  /// that passes classical verification decides the job before anyone pays
-  /// a full-budget solve; any miss (witness no longer type-checks against
-  /// the model, refinement unverified, refiner threw) silently falls back
-  /// to the cold path. Returns true when this call claimed the verdict
+  /// The warm refine stage from the caller's previous witness
+  /// (JobOptions::warm_start), run at most once per job by whichever
+  /// member reaches the prepared model first. A verified refinement
+  /// decides the job before anyone pays a full-budget solve; a witness
+  /// that does not fit the model is ignored, and any miss falls back to
+  /// the cold path. Returns true when this call claimed the verdict
   /// (member bookkeeping fully settled via claim_and_finish).
   bool try_warm_start(Job& job, const PortfolioMember& member,
                       const strqubo::PreparedConstraint& prepared) {
@@ -629,52 +603,27 @@ struct SolveService::Impl {
     if (job.warm_tried.exchange(true, std::memory_order_acq_rel)) {
       return false;
     }
-    const std::string& witness = *job.options.warm_start;
-    if (!strenc::is_ascii7(witness)) return false;
-    std::vector<std::uint8_t> initial = strenc::encode_string(witness);
-    if (initial.size() > prepared.model.num_variables()) return false;
-    initial.resize(prepared.model.num_variables(), 0);
-
+    const std::optional<strqubo::SolveResult> solved = strqubo::warm_refine(
+        prepared, *job.options.warm_start, mix_seed(job.options.seed, 0x77a7));
+    if (!solved) return false;
     stats_warm_starts.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      telemetry::counter("incremental.warm.starts").add();
-    }
-    try {
-      anneal::ReverseAnnealerParams params;
-      params.num_reads = 8;
-      params.num_sweeps = 64;
-      params.reheat_fraction = 0.35;
-      params.seed = mix_seed(job.options.seed, 0x77a7);
-      const anneal::ReverseAnnealer refiner(std::move(initial), params);
-      const anneal::SampleSet samples = refiner.sample(prepared.adjacency);
-      const strqubo::SolveResult solved = strqubo::decode_and_verify(
-          std::get<strqubo::Constraint>(job.payload), samples);
-      if (!solved.satisfied) return false;
-      if (claim_and_finish(job, kNoWinner, [&](JobResult& result) {
-            result.status = smtlib::CheckSatStatus::kSat;
-            result.text = solved.text;
-            result.position = solved.position;
-            result.winner = member.name;
-            result.notes.push_back("warm start");
-            // The refinement is member-independent: whoever reached the
-            // prepared model first ran it. Routing must not credit the
-            // member, or warm sessions would train the table on luck.
-            job.member_independent.store(true, std::memory_order_relaxed);
-            record_winner(member.name);
-            // Inside the claim so the increment is sequenced before the
-            // promise resolves (a caller snapshotting stats right after
-            // .get() must see this hit).
-            stats_warm_hits.fetch_add(1, std::memory_order_relaxed);
-            if (telemetry::enabled()) {
-              telemetry::counter("incremental.warm.hits").add();
-            }
-          })) {
-        return true;
-      }
-    } catch (const std::exception&) {
-      // The refinement is opportunistic; the cold attempt still runs.
-    }
-    return false;
+    if (!solved->satisfied) return false;
+    return claim_and_finish(job, kNoWinner, [&](JobResult& result) {
+      result.status = smtlib::CheckSatStatus::kSat;
+      result.text = solved->text;
+      result.position = solved->position;
+      result.winner = member.name;
+      result.notes.push_back("warm start");
+      // The refinement is member-independent: whoever reached the
+      // prepared model first ran it. Routing must not credit the member,
+      // or warm sessions would train the table on luck.
+      job.member_independent.store(true, std::memory_order_relaxed);
+      record_winner(member.name);
+      // Inside the claim so the increment is sequenced before the promise
+      // resolves (a caller snapshotting stats right after .get() must see
+      // this hit).
+      stats_warm_hits.fetch_add(1, std::memory_order_relaxed);
+    });
   }
 
   /// One (job, member) race lane: the member's reseeded attempt loop.
@@ -731,8 +680,12 @@ struct SolveService::Impl {
         return;
       }
 
-      if (std::holds_alternative<strqubo::Constraint>(job.payload)) {
-        const strqubo::PreparedConstraint* prepared = prepare_job(job);
+      if (std::holds_alternative<std::vector<strqubo::Constraint>>(
+              job.payload)) {
+        bool presolved = false;
+        const strqubo::PreparedConstraint* prepared =
+            prepare_job(job, presolved);
+        if (presolved) return;
         if (prepared == nullptr) {
           // Build failed; the error is deterministic, so retrying or
           // letting other members run the same build would only repeat it.
@@ -744,9 +697,10 @@ struct SolveService::Impl {
           }
           return;
         }
-        if (try_presolve(job, *prepared)) return;
+        // A sibling's presolve may have claimed.
+        if (aborted()) break;
         if (try_warm_start(job, member, *prepared)) return;
-        // A sibling's presolve or warm start may have claimed.
+        // ... or a sibling's warm start.
         if (aborted()) break;
         strqubo::SolveResult solved;
         try {
@@ -844,61 +798,73 @@ struct SolveService::Impl {
     finish_if_last(job);
   }
 
-  /// Builds (or fetches from the cache) the job's PreparedConstraint.
-  /// Returns nullptr when the build threw; job.build_error has the message.
-  const strqubo::PreparedConstraint* prepare_job(Job& job) {
-    std::call_once(job.build_once, [&] {
-      const auto& constraint = std::get<strqubo::Constraint>(job.payload);
-      const std::string& key = job.structure_key;
-      {
-        std::lock_guard<std::mutex> lock(cache_mutex);
-        auto it = cache.find(key);
-        if (it != cache.end()) {
-          job.prepared = it->second->prepared;
-          cache_lru.splice(cache_lru.begin(), cache_lru, it->second);
-          stats_cache_hits.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry::enabled()) {
-            telemetry::counter("service.model_cache.hits").add();
-          }
-          return;
-        }
-      }
-      stats_cache_misses.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        telemetry::counter("service.model_cache.misses").add();
-      }
-      try {
-        // Build outside the cache lock: builds dominate and would serialise
-        // every worker otherwise. Two threads may race the same key; the
-        // loser's insert is a no-op and its build is wasted once.
-        auto prepared = std::make_shared<const strqubo::PreparedConstraint>(
-            strqubo::prepare(constraint, options.build));
-        std::lock_guard<std::mutex> lock(cache_mutex);
-        auto it = cache.find(key);
-        if (it == cache.end()) {
-          const std::size_t entry_bytes = prepared_bytes(key, *prepared);
-          cache_bytes += entry_bytes;
-          cache_lru.push_front(CacheEntry{key, prepared, entry_bytes});
-          cache.emplace(key, cache_lru.begin());
-          while (cache.size() > options.model_cache_capacity) {
-            cache_bytes -= cache_lru.back().bytes;
-            cache.erase(cache_lru.back().key);
-            cache_lru.pop_back();
-          }
-          if (telemetry::enabled()) {
-            telemetry::gauge("service.model_cache.entries")
-                .set(static_cast<double>(cache_lru.size()));
-            telemetry::gauge("service.model_cache.bytes",
-                             telemetry::Unit::kBytes)
-                .set(static_cast<double>(cache_bytes));
-          }
-        }
-        job.prepared = std::move(prepared);
-      } catch (const std::exception& error) {
-        job.build_error = error.what();
-      }
+  /// Builds (or fetches from the cache) the job's PreparedConstraint and
+  /// runs the presolve on it, once per job. Returns nullptr when the build
+  /// threw (job.build_error has the message); sets `presolved` in the one
+  /// call whose presolve claimed the verdict.
+  const strqubo::PreparedConstraint* prepare_job(Job& job, bool& presolved) {
+    std::call_once(job.prepare_once, [&] {
+      build_job(job);
+      if (job.prepared) presolved = try_presolve(job, *job.prepared);
     });
     return job.prepared.get();
+  }
+
+  /// prepare_job's build half: the prepared-model cache lookup, or the
+  /// build and its insert. Only one-conjunct models are cached. A merged
+  /// multi-conjunct model is built once per job and shared by its members
+  /// only: server sessions rarely repeat a conjunction (a repeat is an
+  /// answer-cache hit), and holding up to the cache's 256 of them raised
+  /// the daemon's peak RSS by about 30% on incremental traffic.
+  void build_job(Job& job) {
+    const std::string& key = job.structure_key;
+    if (!key.empty()) {
+      std::lock_guard<std::mutex> lock(cache_mutex);
+      auto it = cache.find(key);
+      if (it != cache.end()) {
+        job.prepared = it->second->prepared;
+        cache_lru.splice(cache_lru.begin(), cache_lru, it->second);
+        stats_cache_hits.fetch_add(1, std::memory_order_relaxed);
+        if (telemetry::enabled()) {
+          telemetry::counter("service.model_cache.hits").add();
+        }
+        return;
+      }
+    }
+    stats_cache_misses.fetch_add(1, std::memory_order_relaxed);
+    if (telemetry::enabled()) {
+      telemetry::counter("service.model_cache.misses").add();
+    }
+    try {
+      // Build outside the cache lock: builds dominate and would serialise
+      // every worker otherwise. Two threads may race the same key; the
+      // loser's insert is a no-op and its build is wasted once.
+      job.prepared = std::make_shared<const strqubo::PreparedConstraint>(
+          strqubo::prepare(
+              std::get<std::vector<strqubo::Constraint>>(job.payload),
+              options.build));
+    } catch (const std::exception& error) {
+      job.build_error = error.what();
+      return;
+    }
+    if (key.empty()) return;
+    std::lock_guard<std::mutex> lock(cache_mutex);
+    if (cache.contains(key)) return;
+    const std::size_t entry_bytes = prepared_bytes(key, *job.prepared);
+    cache_bytes += entry_bytes;
+    cache_lru.push_front(CacheEntry{key, job.prepared, entry_bytes});
+    cache.emplace(key, cache_lru.begin());
+    while (cache.size() > options.model_cache_capacity) {
+      cache_bytes -= cache_lru.back().bytes;
+      cache.erase(cache_lru.back().key);
+      cache_lru.pop_back();
+    }
+    if (telemetry::enabled()) {
+      telemetry::gauge("service.model_cache.entries")
+          .set(static_cast<double>(cache_lru.size()));
+      telemetry::gauge("service.model_cache.bytes", telemetry::Unit::kBytes)
+          .set(static_cast<double>(cache_bytes));
+    }
   }
 
   /// Atomically claims the verdict for the calling member. On success runs
@@ -1056,7 +1022,8 @@ struct SolveService::Impl {
   /// queued, winner is "answer-cache", attempts stay zero, and the
   /// pipeline/on_complete plumbing fires through the ordinary complete()
   /// path. Exactly ONE classical verification guards every served witness:
-  /// verify_string / verify_position for constraint jobs, a compile of the
+  /// verify_conjunction (every conjunct) / verify_position (a lone
+  /// Includes) for conjunction jobs, a compile of the
   /// job's ORIGINAL assertions plus per-constraint verify_string for
   /// script-sat hits. Script-unsat hits are served on key identity alone —
   /// the full-string canonical key proves the hit is an alpha-variant of
@@ -1065,18 +1032,22 @@ struct SolveService::Impl {
   /// poisoned entry costs one cheap check, never a wrong verdict.
   bool serve_cached(Job& job, const canon::CachedAnswer& answer) {
     JobResult result;
-    if (const auto* constraint =
-            std::get_if<strqubo::Constraint>(&job.payload)) {
-      // Constraint jobs only ever resolve kSat on the cold path.
+    if (const auto* conjuncts =
+            std::get_if<std::vector<strqubo::Constraint>>(&job.payload)) {
+      // Conjunction jobs only ever resolve kSat on the cold path.
       if (answer.status != smtlib::CheckSatStatus::kSat) return false;
-      if (const auto* includes = std::get_if<strqubo::Includes>(constraint)) {
+      const auto* includes =
+          conjuncts->size() == 1
+              ? std::get_if<strqubo::Includes>(&conjuncts->front())
+              : nullptr;
+      if (includes != nullptr) {
         if (!strqubo::verify_position(*includes, answer.position)) {
           return false;
         }
         result.position = answer.position;
       } else {
         if (!answer.text.has_value() ||
-            !strqubo::verify_string(*constraint, *answer.text)) {
+            !strqubo::verify_conjunction(*conjuncts, *answer.text)) {
           return false;
         }
         result.text = answer.text;
@@ -1147,9 +1118,10 @@ struct SolveService::Impl {
     if (result.status == smtlib::CheckSatStatus::kUnknown) return;
     canon::CachedAnswer answer;
     answer.status = result.status;
-    if (std::holds_alternative<strqubo::Constraint>(job.payload)) {
+    if (std::holds_alternative<std::vector<strqubo::Constraint>>(
+            job.payload)) {
       // Already classically verified by the winning member (first-
-      // verified-SAT-wins); constraint jobs never resolve kUnsat.
+      // verified-SAT-wins); conjunction jobs never resolve kUnsat.
       answer.text = result.text;
       answer.position = result.position;
     } else if (result.status == smtlib::CheckSatStatus::kSat) {
@@ -1273,7 +1245,12 @@ SolveService::~SolveService() = default;
 
 std::future<JobResult> SolveService::submit(strqubo::Constraint constraint,
                                             JobOptions options) {
-  return impl_->enqueue(std::move(constraint), options);
+  return submit(std::vector{std::move(constraint)}, std::move(options));
+}
+
+std::future<JobResult> SolveService::submit(
+    std::vector<strqubo::Constraint> conjuncts, JobOptions options) {
+  return impl_->enqueue(std::move(conjuncts), std::move(options));
 }
 
 std::future<JobResult> SolveService::submit_script(std::string script,

@@ -1,8 +1,9 @@
 // qsmt::service — the serving layer: concurrent batch solving with
 // portfolio racing, cancellation, and deadlines.
 //
-// SolveService owns a fixed-size worker pool. Every submitted job (an
-// SMT-LIB script or a strqubo::Constraint) is raced by a configurable
+// SolveService owns a fixed-size worker pool. Every submitted job (a
+// conjunction of strqubo::Constraints over one string — a single constraint
+// is the one-element case — or an SMT-LIB script) is raced by a configurable
 // portfolio of samplers — simulated annealing, parallel tempering,
 // path-integral quantum simulation, minor-embedded annealing, or any
 // custom anneal::Sampler — with first-verified-SAT-wins semantics:
@@ -21,10 +22,13 @@
 //    reseeded sampler up to ServiceOptions::max_verify_retries times
 //    (annealing is stochastic; a fresh RNG stream is often all it takes).
 //
-// Constraint jobs run the prebuilt-adjacency hot path: the QUBO model and
-// its CSR adjacency are built once per distinct constraint (keyed cache,
-// shared across jobs and portfolio members) and re-sampled at every
-// attempt — see strqubo::PreparedConstraint.
+// Conjunction jobs run the shared solve stages of strqubo/solver.hpp: the
+// QUBO model and its CSR adjacency are built once per job (one-conjunct
+// models once per distinct constraint, through a keyed cache shared across
+// jobs), presolved once per job, warm-refined from JobOptions::warm_start,
+// and re-sampled at every attempt — see strqubo::PreparedConstraint. The server's sessions
+// submit every sampled check-sat this way. Script jobs reach the same
+// stages through engine::solve_script and the in-process driver.
 //
 // The unit of queued work is one (job, member) pair, so workers never
 // block waiting on other tasks and the pool cannot deadlock regardless of
@@ -123,15 +127,16 @@ struct ServiceOptions {
   /// Upper bound on distinct prepared constraints kept in the model cache
   /// (an unbounded cache would grow with the stream of distinct jobs).
   std::size_t model_cache_capacity = 256;
-  /// Adaptive portfolio router (docs/routing.md). When set, constraint jobs
-  /// consult it before enqueueing: a confident decision dispatches ONLY the
-  /// historically-best member (seeds preserved, so the routed run is
-  /// bit-identical to that member's leg of the full race); low-confidence
-  /// and periodic-explore decisions race the whole portfolio and train the
-  /// table. A routed member that fails to decide falls back to racing the
-  /// remaining members. Ignored when the router's member list does not
-  /// match this portfolio's size, when the portfolio has fewer than two
-  /// members, and for script jobs (no structural features). Shared: one
+  /// Adaptive portfolio router (docs/routing.md). When set, one-conjunct
+  /// jobs consult it before enqueueing: a confident decision dispatches
+  /// ONLY the historically-best member (seeds preserved, so the routed run
+  /// is bit-identical to that member's leg of the full race);
+  /// low-confidence and periodic-explore decisions race the whole
+  /// portfolio and train the table. A routed member that fails to decide
+  /// falls back to racing the remaining members. Ignored when the router's
+  /// member list does not match this portfolio's size, when the portfolio
+  /// has fewer than two members, and for multi-conjunct and script jobs
+  /// (no single constraint's structural features): those race. Shared: one
   /// router may serve many services, or many tenants may each pass their
   /// own per-job via JobOptions::router.
   std::shared_ptr<route::Router> router;
@@ -164,13 +169,14 @@ struct JobOptions {
   /// this to abort in-flight work when a client disconnects mid-check-sat).
   /// The job's deadline, when any, is armed on this same source.
   std::optional<CancelSource> cancel;
-  /// Warm-start seed for constraint jobs: a previously verified witness
+  /// Warm-start seed for conjunction jobs: a previously verified witness
   /// from the same logical session (the server's incremental sessions pass
   /// their last sat model). The first member to pick the job up runs one
   /// cheap reverse-anneal refinement from this string before its cold
   /// attempt; if the refined sample verifies, the job is decided without a
-  /// full-budget solve. A witness whose length no longer matches the job's
-  /// constraint is ignored (cold start). Script jobs ignore this field.
+  /// full-budget solve. A witness whose length differs from the job's
+  /// string length is ignored (cold start). Jobs from submit_script ignore
+  /// this field.
   std::optional<std::string> warm_start;
   /// Per-job router override (the server passes each tenant's own learned
   /// table here). Takes precedence over ServiceOptions::router; the same
@@ -180,9 +186,9 @@ struct JobOptions {
 
 struct JobResult {
   smtlib::CheckSatStatus status = smtlib::CheckSatStatus::kUnknown;
-  /// Constraint jobs: decoded string (string-producing ops).
+  /// Conjunction jobs: decoded string (string-producing ops).
   std::optional<std::string> text;
-  /// Constraint jobs: decoded first-occurrence position (Includes).
+  /// Conjunction jobs: decoded first-occurrence position (a lone Includes).
   std::optional<std::size_t> position;
   /// Script jobs: model variable and value when status == kSat.
   std::string variable;
@@ -255,6 +261,13 @@ class SolveService {
   std::future<JobResult> submit(strqubo::Constraint constraint,
                                 JobOptions options = {});
 
+  /// Enqueues one conjunction job: a model satisfying every conjunct, from
+  /// one merged QUBO (strqubo::prepare). Several conjuncts must produce
+  /// strings of one length; otherwise the job resolves kUnknown with a
+  /// "model build failed" note.
+  std::future<JobResult> submit(std::vector<strqubo::Constraint> conjuncts,
+                                JobOptions options = {});
+
   /// Enqueues one SMT-LIB script job (parse errors resolve the future with
   /// kUnknown and an explanatory note — they never throw across the pool).
   std::future<JobResult> submit_script(std::string script,
@@ -299,8 +312,8 @@ class SolveService {
     /// the next benchmark change removes both.
     std::uint64_t jobs_fused = 0;
     /// Warm-start refinements attempted (JobOptions::warm_start present and
-    /// the witness type-checked against the prepared model) / refinements
-    /// whose verified sample decided the job.
+    /// of the job's string length) / refinements whose verified sample
+    /// decided the job.
     std::uint64_t warm_starts = 0;
     std::uint64_t warm_hits = 0;
     /// Jobs dispatched to a single routed member (router said kRoute).

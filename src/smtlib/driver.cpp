@@ -2,9 +2,6 @@
 
 #include "baseline/unsat.hpp"
 #include "smtlib/parser.hpp"
-#include "strenc/ascii7.hpp"
-#include "strqubo/solver.hpp"
-#include "strqubo/verify.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/require.hpp"
 
@@ -172,8 +169,7 @@ SmtDriver::SmtDriver(const anneal::Sampler& sampler,
                      std::shared_ptr<FragmentCache> fragments)
     : sampler_(&sampler),
       options_(options),
-      context_(std::make_shared<SolveContext>(IncrementalParams{},
-                                              std::move(fragments))) {}
+      context_(std::make_shared<SolveContext>(std::move(fragments))) {}
 
 SmtDriver::SmtDriver(strqubo::BuildOptions options)
     : sampler_(nullptr),

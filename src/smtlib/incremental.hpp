@@ -5,11 +5,10 @@
 // benchmark is solved as a sequence of mutated instances), and the server
 // exposes push/pop sessions, so repeated check-sats should cost a delta:
 //
-//  * FragmentCache — a thread-safe LRU mapping each assertion's constraint
-//    (hash-consed by strqubo::structure_key + a build-options fingerprint)
-//    to its built QUBO block. An N-assertion re-solve with one mutated
-//    constraint rebuilds ONE block; the others are re-linked at their
-//    offsets during the merge.
+//  * FragmentCache (strqubo/solver.hpp) — a thread-safe LRU mapping each
+//    assertion's constraint to its built QUBO block. An N-assertion
+//    re-solve with one mutated constraint rebuilds ONE block; the others
+//    are re-linked at their offsets during the merge.
 //  * SolveContext — per-session state an SmtDriver keeps across check-sats,
 //    keyed to the push/pop stack: a (pop) invalidates only the witnesses
 //    and lemmas recorded in the frames it removes. Holds the last verified
@@ -17,81 +16,29 @@
 //    (ClauseMemory), and deterministic per-context counters mirroring the
 //    incremental.* telemetry.
 //  * solve_conjunction_incremental — the hot re-solve: try the remembered
-//    witness outright, then a cheap ReverseAnnealer refinement seeded from
-//    it, then fall back to the caller's cold sampler. Every answer is
-//    classically verified, so the shortcuts can never change a verdict,
-//    only reach it faster.
+//    witness outright, then the shared solve stages (strqubo/solver.hpp)
+//    with the warm refine seeded from it. Every answer is classically
+//    verified, so the shortcuts can never change a verdict, only reach it
+//    faster.
 //
 // Invalidation rules and warm-start semantics: docs/incremental.md.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "anneal/reverse.hpp"
 #include "anneal/sampler.hpp"
-#include "qubo/qubo_model.hpp"
 #include "strqubo/builders.hpp"
 #include "strqubo/constraint.hpp"
+#include "strqubo/solver.hpp"
 
 namespace qsmt::smtlib {
 
-/// Cache key of one compiled fragment: the constraint's structural key
-/// plus a fingerprint of every BuildOptions field that changes the QUBO.
-std::string fragment_key(const strqubo::Constraint& constraint,
-                         const strqubo::BuildOptions& options);
-
-/// Thread-safe LRU of built QUBO blocks, shareable across drivers and
-/// server sessions (blocks are immutable; per-session state never enters
-/// the cache, so sharing cannot leak anything between tenants).
-class FragmentCache {
- public:
-  explicit FragmentCache(std::size_t capacity = 256);
-
-  /// Returns the cached block for `constraint` under `options`, building
-  /// and inserting it on a miss. Emits incremental.fragment.{hits,misses}.
-  std::shared_ptr<const qubo::QuboModel> get_or_build(
-      const strqubo::Constraint& constraint,
-      const strqubo::BuildOptions& options);
-
-  std::size_t size() const;
-  /// Approximate retained footprint (keys + block coefficients), the value
-  /// mirrored into the incremental.fragment.bytes gauge.
-  std::size_t bytes() const;
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    /// Occupancy mirror of the incremental.fragment.{entries,bytes} gauges.
-    std::uint64_t entries = 0;
-    std::uint64_t bytes = 0;
-  };
-  Stats stats() const;
-
- private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const qubo::QuboModel> block;
-    std::size_t bytes = 0;
-  };
-
-  void publish_occupancy_locked();
-
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::list<Entry> lru_;  // Front = most recently used.
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  Stats stats_;
-  std::size_t bytes_ = 0;
-};
+using strqubo::FragmentCache;
+using strqubo::fragment_key;
 
 /// One retained theory lemma: a clause over (printed atom, polarity)
 /// pairs, valid in any solve whose atom set contains every one of them.
@@ -124,22 +71,6 @@ class ClauseMemory {
   std::vector<TheoryLemma> lemmas_;
 };
 
-struct IncrementalParams {
-  /// Budget of the warm-start refinement pass (ReverseAnnealer seeded from
-  /// the previous witness). Deliberately small: it either polishes the old
-  /// model into the new constraints in a few sweeps or the cold sampler
-  /// takes over.
-  anneal::ReverseAnnealerParams warm;
-  std::size_t fragment_capacity = 256;
-  bool enabled = true;
-
-  IncrementalParams() {
-    warm.num_reads = 8;
-    warm.num_sweeps = 64;
-    warm.reheat_fraction = 0.35;
-  }
-};
-
 /// Deterministic per-context mirror of the incremental.* counters, so
 /// tests and benches can assert cache behaviour without telemetry.
 struct IncrementalStats {
@@ -153,14 +84,14 @@ struct IncrementalStats {
 /// Per-session incremental state, keyed to the push/pop stack.
 class SolveContext {
  public:
-  explicit SolveContext(IncrementalParams params = {},
-                        std::shared_ptr<FragmentCache> fragments = nullptr);
+  /// `fragments` shares a compiled-fragment cache across contexts; by
+  /// default the context owns a private one.
+  explicit SolveContext(std::shared_ptr<FragmentCache> fragments = nullptr);
 
   FragmentCache& fragments() noexcept { return *fragments_; }
   const std::shared_ptr<FragmentCache>& shared_fragments() const noexcept {
     return fragments_;
   }
-  const IncrementalParams& params() const noexcept { return params_; }
 
   /// Push/pop bookkeeping (mirrors the driver's frame stack).
   void push(std::size_t levels) { depth_ += levels; }
@@ -182,7 +113,6 @@ class SolveContext {
   const IncrementalStats& stats() const noexcept { return stats_; }
 
  private:
-  IncrementalParams params_;
   std::shared_ptr<FragmentCache> fragments_;
   std::size_t depth_ = 0;
   /// (depth, witness), shallowest first; pops truncate from the back.
@@ -201,23 +131,24 @@ struct ConjunctionResult {
   std::size_t num_qubo_variables = 0;
 };
 
-/// Cold-path conjunction solve: merge per-constraint QUBO blocks, sample
-/// once with `sampler`, return the lowest-energy sample whose decoding
-/// classically verifies every conjunct (and `accept`, when given).
+/// Cold-path conjunction solve: the shared stages (prepare, presolve,
+/// sample with `sampler`, verify) over the merged conjunction, returning
+/// the lowest-energy sample whose decoding classically verifies every
+/// conjunct (and `accept`, when given).
 ConjunctionResult solve_conjunction(
     const std::vector<strqubo::Constraint>& constraints,
     const anneal::Sampler& sampler, const strqubo::BuildOptions& options,
-    const std::function<bool(const std::string&)>& accept = {});
+    const strqubo::WitnessFilter& accept = {});
 
-/// Incremental conjunction solve: per-assertion blocks come from the
-/// context's FragmentCache (rebuild one block on a single-constraint
-/// mutation), the previous witness is tried outright and then used to seed
-/// a small ReverseAnnealer pass, and only when both miss does the cold
-/// sampler run. Verified-sat witnesses are recorded back into the context.
+/// Incremental conjunction solve: the previous witness is tried outright;
+/// otherwise the same stages run with per-assertion blocks from the
+/// context's FragmentCache (one rebuilt block on a single-constraint
+/// mutation) and a warm refine seeded from the previous witness between
+/// the presolve and the cold sampler. Verified-sat witnesses are recorded
+/// back into the context.
 ConjunctionResult solve_conjunction_incremental(
     const std::vector<strqubo::Constraint>& constraints,
     const anneal::Sampler& sampler, const strqubo::BuildOptions& options,
-    SolveContext& context,
-    const std::function<bool(const std::string&)>& accept = {});
+    SolveContext& context, const strqubo::WitnessFilter& accept = {});
 
 }  // namespace qsmt::smtlib

@@ -156,7 +156,7 @@ double expected_ground_energy(const Constraint& constraint,
 
 /// Deterministic fingerprint of every BuildOptions field that changes a
 /// built QUBO ('\x1f'-separated). Shared by the incremental fragment cache
-/// (smtlib::fragment_key) and the canonical answer cache (src/canon), so
+/// (strqubo::fragment_key) and the canonical answer cache (src/canon), so
 /// both layers agree on when two solves were configured identically.
 std::string options_fingerprint(const BuildOptions& options);
 

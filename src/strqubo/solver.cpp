@@ -1,10 +1,14 @@
 #include "strqubo/solver.hpp"
 
 #include <algorithm>
+#include <sstream>
+#include <stdexcept>
 
+#include "anneal/exact.hpp"
+#include "anneal/reverse.hpp"
+#include "anneal/simulated_annealer.hpp"
 #include "strenc/ascii7.hpp"
 #include "strqubo/verify.hpp"
-#include "anneal/simulated_annealer.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -14,6 +18,12 @@ namespace qsmt::strqubo {
 
 namespace {
 
+/// Budget of the warm refine stage. Deliberately small: it either polishes
+/// the old witness into the new constraints in a few sweeps or the
+/// samplers take over.
+constexpr anneal::ReverseAnnealerParams kWarmRefine{
+    .num_reads = 8, .num_sweeps = 64, .reheat_fraction = 0.35};
+
 void record_solve_verdict(bool satisfied) {
   if (!telemetry::enabled()) return;
   telemetry::counter(satisfied ? "strqubo.solve.satisfied"
@@ -21,21 +31,184 @@ void record_solve_verdict(bool satisfied) {
       .add();
 }
 
+/// Approximate retained footprint of one cached block: its key plus the
+/// model's linear and quadratic coefficient storage.
+std::size_t block_bytes(const std::string& key, const qubo::QuboModel& block) {
+  return key.size() + block.num_variables() * sizeof(double) +
+         block.num_interactions() *
+             (sizeof(std::uint64_t) + sizeof(double)) +
+         64;  // list/map node overhead.
+}
+
+/// Sums per-conjunct blocks into one model: string bits share indices,
+/// auxiliary blocks are re-linked to fresh ranges past the string block.
+qubo::QuboModel merge_conjunction(const std::vector<Constraint>& conjuncts,
+                                  const BuildOptions& options,
+                                  FragmentCache* fragments,
+                                  std::size_t string_bits) {
+  qubo::QuboModel merged(string_bits);
+  std::size_t aux_base = string_bits;
+  telemetry::Span merge_span("smtlib.merge_qubo");
+  for (const Constraint& constraint : conjuncts) {
+    std::shared_ptr<const qubo::QuboModel> cached;
+    const qubo::QuboModel* part = nullptr;
+    qubo::QuboModel built{0};
+    if (fragments != nullptr) {
+      cached = fragments->get_or_build(constraint, options);
+      part = cached.get();
+    } else {
+      built = build(constraint, options);
+      part = &built;
+    }
+    const std::size_t part_aux = part->num_variables() > string_bits
+                                     ? part->num_variables() - string_bits
+                                     : 0;
+    auto remap = [&](std::size_t v) {
+      return v < string_bits ? v : aux_base + (v - string_bits);
+    };
+    merged.add_offset(part->offset());
+    for (std::size_t v = 0; v < part->num_variables(); ++v) {
+      const double lin = part->linear_terms()[v];
+      if (lin != 0.0) merged.add_linear(remap(v), lin);
+    }
+    for (const auto& [key, value] : part->quadratic_terms()) {
+      if (value == 0.0) continue;
+      merged.add_quadratic(remap(key >> 32), remap(key & 0xffffffffULL),
+                           value);
+    }
+    aux_base += part_aux;
+  }
+  return merged;
+}
+
 }  // namespace
+
+std::string fragment_key(const Constraint& constraint,
+                         const BuildOptions& options) {
+  std::ostringstream out;
+  out << structure_key(constraint) << '\x1e' << options_fingerprint(options);
+  return out.str();
+}
+
+FragmentCache::FragmentCache(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(1, capacity)) {}
+
+std::shared_ptr<const qubo::QuboModel> FragmentCache::get_or_build(
+    const Constraint& constraint, const BuildOptions& options) {
+  const std::string key = fragment_key(constraint, options);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      ++stats_.hits;
+      if (telemetry::enabled()) {
+        telemetry::counter("incremental.fragment.hits").add();
+      }
+      return it->second->block;
+    }
+  }
+  // Build outside the lock: builders dominate and would serialise every
+  // session otherwise. Two threads may race the same key; the loser's
+  // insert is a no-op and its build is wasted once.
+  auto block =
+      std::make_shared<const qubo::QuboModel>(build(constraint, options));
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.misses;
+  if (telemetry::enabled()) {
+    telemetry::counter("incremental.fragment.misses").add();
+  }
+  auto it = index_.find(key);
+  if (it != index_.end()) return it->second->block;
+  const std::size_t entry_bytes = block_bytes(key, *block);
+  lru_.push_front(Entry{key, block, entry_bytes});
+  index_.emplace(key, lru_.begin());
+  bytes_ += entry_bytes;
+  while (index_.size() > capacity_) {
+    bytes_ -= lru_.back().bytes;
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+  }
+  publish_occupancy_locked();
+  return block;
+}
+
+void FragmentCache::publish_occupancy_locked() {
+  if (telemetry::enabled()) {
+    telemetry::gauge("incremental.fragment.entries")
+        .set(static_cast<double>(index_.size()));
+    telemetry::gauge("incremental.fragment.bytes", telemetry::Unit::kBytes)
+        .set(static_cast<double>(bytes_));
+  }
+}
+
+std::size_t FragmentCache::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return index_.size();
+}
+
+std::size_t FragmentCache::bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return bytes_;
+}
+
+FragmentCache::Stats FragmentCache::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Stats stats = stats_;
+  stats.entries = index_.size();
+  stats.bytes = bytes_;
+  return stats;
+}
 
 StringConstraintSolver::StringConstraintSolver(const anneal::Sampler& sampler,
                                                BuildOptions options)
     : sampler_(&sampler), options_(options) {}
 
-PreparedConstraint prepare(const Constraint& constraint,
-                           const BuildOptions& options) {
+std::string conjunction_refusal(const std::vector<Constraint>& conjuncts) {
+  if (conjuncts.empty()) return "an empty conjunction has no model";
+  if (conjuncts.size() == 1) return "";
+  for (const Constraint& constraint : conjuncts) {
+    if (!produces_string(constraint)) {
+      return "includes-style atoms cannot join a generation conjunction";
+    }
+  }
+  const std::size_t string_bits = constraint_num_variables(conjuncts.front());
+  for (const Constraint& constraint : conjuncts) {
+    if (constraint_num_variables(constraint) != string_bits) {
+      return "conjuncts disagree on string length; cannot merge QUBO models";
+    }
+  }
+  return "";
+}
+
+PreparedConstraint prepare(std::vector<Constraint> conjuncts,
+                           const BuildOptions& options,
+                           FragmentCache* fragments) {
+  const std::string refusal = conjunction_refusal(conjuncts);
+  if (!refusal.empty()) throw std::invalid_argument(refusal);
   Stopwatch build_timer;
   telemetry::Span build_span("strqubo.build");
-  qubo::QuboModel model = build(constraint, options);
+  const Constraint& first = conjuncts.front();
+  const std::size_t string_bits =
+      produces_string(first) ? constraint_num_variables(first) : 0;
+  qubo::QuboModel model;
+  if (conjuncts.size() > 1) {
+    model = merge_conjunction(conjuncts, options, fragments, string_bits);
+  } else if (fragments != nullptr) {
+    model = *fragments->get_or_build(first, options);
+  } else {
+    model = build(first, options);
+  }
   qubo::QuboAdjacency adjacency(model);
   build_span.close();
-  return PreparedConstraint{constraint, std::move(model), std::move(adjacency),
+  return PreparedConstraint{std::move(conjuncts), string_bits,
+                            std::move(model), std::move(adjacency),
                             build_timer.elapsed_seconds()};
+}
+
+PreparedConstraint prepare(const Constraint& constraint,
+                           const BuildOptions& options) {
+  return prepare(std::vector<Constraint>{constraint}, options);
 }
 
 qubo::QuboModel StringConstraintSolver::build_model(
@@ -116,89 +289,129 @@ SolveResult StringConstraintSolver::solve(const Constraint& constraint) const {
 
 SolveResult StringConstraintSolver::solve(
     const PreparedConstraint& prepared) const {
-  SolveResult result =
-      solve(prepared.constraint, prepared.model, prepared.adjacency);
+  SolveResult result;
+  Stopwatch sample_timer;
+  result.samples = sample(*sampler_, prepared);
+  result.sample_seconds = sample_timer.elapsed_seconds();
+  require(!result.samples.empty(),
+          "StringConstraintSolver::solve: sampler returned no samples");
+
+  SolveResult verdict = decode_and_verify(prepared.conjuncts, result.samples);
+  result.text = std::move(verdict.text);
+  result.position = verdict.position;
+  result.satisfied = verdict.satisfied;
+  result.energy = verdict.energy;
+  result.num_variables = prepared.model.num_variables();
+  result.num_interactions = prepared.model.num_interactions();
   result.build_seconds = prepared.build_seconds;
   return result;
 }
 
-SolveResult decode_and_verify(const Constraint& constraint,
-                              const anneal::SampleSet& samples) {
+anneal::SampleSet sample(const anneal::Sampler& sampler,
+                         const PreparedConstraint& prepared) {
+  telemetry::Span sample_span("strqubo.sample");
+  sample_span.arg("num_variables",
+                  static_cast<double>(prepared.model.num_variables()));
+  return sampler.supports_adjacency_sampling()
+             ? sampler.sample(prepared.adjacency)
+             : sampler.sample(prepared.model);
+}
+
+bool verify_conjunction(const std::vector<Constraint>& conjuncts,
+                        const std::string& text, const WitnessFilter& accept) {
+  for (const Constraint& constraint : conjuncts) {
+    if (!verify_string(constraint, text)) return false;
+  }
+  return !accept || accept(text);
+}
+
+SolveResult decode_and_verify(const std::vector<Constraint>& conjuncts,
+                              const anneal::SampleSet& samples,
+                              const WitnessFilter& accept) {
   require(!samples.empty(), "decode_and_verify: sample set is empty");
+  require(!conjuncts.empty(), "decode_and_verify: empty conjunction");
   telemetry::Span verify_span("strqubo.verify");
   SolveResult result;
 
   // Decode the best-energy sample first; when several states tie at the
   // bottom of the landscape (common for class encodings), fall through the
   // sample set in energy order and keep the first decoding that passes the
-  // classical consistency check — the paper's "transformed back to the
-  // original theory, and checked for consistency" step applied per sample.
-  if (const auto* includes = std::get_if<Includes>(&constraint)) {
-    result.position = decode_includes_position(samples[0].bits);
-    result.energy = samples[0].energy;
-    result.satisfied = verify_position(*includes, result.position);
-    for (std::size_t s = 1; !result.satisfied && s < samples.size(); ++s) {
-      const auto position = decode_includes_position(samples[s].bits);
-      if (verify_position(*includes, position)) {
-        result.position = position;
-        result.energy = samples[s].energy;
-        result.satisfied = true;
-      }
+  // classical consistency check.
+  const auto* includes = conjuncts.size() == 1
+                             ? std::get_if<Includes>(&conjuncts.front())
+                             : nullptr;
+  // String-producing conjunctions: the first 7 * length bits are the
+  // string; auxiliary variables (one-hot regex selectors, not-contains
+  // ancillas) follow them and the decoder ignores them.
+  const std::size_t string_bits =
+      includes != nullptr ? 0 : constraint_num_variables(conjuncts.front());
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    const anneal::Sample& sample = samples[s];
+    bool satisfied = false;
+    if (includes != nullptr) {
+      const auto position = decode_includes_position(sample.bits);
+      satisfied = verify_position(*includes, position);
+      if (s == 0 || satisfied) result.position = position;
+    } else {
+      std::string text = strenc::decode_string(std::span(sample.bits).subspan(
+          0, std::min(string_bits, sample.bits.size())));
+      satisfied = verify_conjunction(conjuncts, text, accept);
+      if (s == 0 || satisfied) result.text = std::move(text);
     }
-    record_solve_verdict(result.satisfied);
-    return result;
-  }
-
-  // String-producing constraints: the first 7 * length bits are the string;
-  // one-hot regex models append selector variables after them, which the
-  // decoder must ignore.
-  const std::size_t string_bits = constraint_num_variables(constraint);
-  auto decode = [&](const anneal::Sample& sample) {
-    return strenc::decode_string(std::span(sample.bits)
-                                     .subspan(0, std::min(string_bits,
-                                                          sample.bits.size())));
-  };
-  result.text = decode(samples[0]);
-  result.energy = samples[0].energy;
-  result.satisfied = verify_string(constraint, *result.text);
-  for (std::size_t s = 1; !result.satisfied && s < samples.size(); ++s) {
-    const std::string candidate = decode(samples[s]);
-    if (verify_string(constraint, candidate)) {
-      result.text = candidate;
-      result.energy = samples[s].energy;
+    if (s == 0 || satisfied) result.energy = sample.energy;
+    if (satisfied) {
       result.satisfied = true;
+      break;
     }
   }
   record_solve_verdict(result.satisfied);
   return result;
 }
 
-SolveResult StringConstraintSolver::solve(
-    const Constraint& constraint, const qubo::QuboModel& model,
-    const qubo::QuboAdjacency& adjacency) const {
-  SolveResult result;
+SolveResult decode_and_verify(const Constraint& constraint,
+                              const anneal::SampleSet& samples) {
+  return decode_and_verify(std::vector<Constraint>{constraint}, samples);
+}
 
-  Stopwatch sample_timer;
-  {
-    telemetry::Span sample_span("strqubo.sample");
-    sample_span.arg("num_variables",
-                    static_cast<double>(model.num_variables()));
-    result.samples = sampler_->supports_adjacency_sampling()
-                         ? sampler_->sample(adjacency)
-                         : sampler_->sample(model);
+std::optional<SolveResult> presolve(const PreparedConstraint& prepared,
+                                    const WitnessFilter& accept) {
+  std::optional<std::vector<std::uint8_t>> bits =
+      anneal::presolve(prepared.adjacency, prepared.string_bits);
+  if (!bits) return std::nullopt;
+  anneal::SampleSet ground;
+  const double energy = prepared.adjacency.energy(*bits);
+  ground.add(std::move(*bits), energy);
+  SolveResult solved = decode_and_verify(prepared.conjuncts, ground, accept);
+  if (telemetry::enabled()) {
+    telemetry::counter(solved.satisfied ? "presolve.decided"
+                                        : "presolve.unverified")
+        .add();
   }
-  result.sample_seconds = sample_timer.elapsed_seconds();
-  require(!result.samples.empty(),
-          "StringConstraintSolver::solve: sampler returned no samples");
+  return solved;
+}
 
-  SolveResult verdict = decode_and_verify(constraint, result.samples);
-  result.text = std::move(verdict.text);
-  result.position = verdict.position;
-  result.satisfied = verdict.satisfied;
-  result.energy = verdict.energy;
-  result.num_variables = model.num_variables();
-  result.num_interactions = model.num_interactions();
-  return result;
+std::optional<SolveResult> warm_refine(const PreparedConstraint& prepared,
+                                       const std::string& witness,
+                                       std::uint64_t seed,
+                                       const WitnessFilter& accept) {
+  if (strenc::num_variables(witness.size()) != prepared.string_bits ||
+      !strenc::is_ascii7(witness)) {
+    return std::nullopt;
+  }
+  if (telemetry::enabled()) {
+    telemetry::counter("incremental.warm.starts").add();
+  }
+  std::vector<std::uint8_t> initial = strenc::encode_string(witness);
+  initial.resize(prepared.model.num_variables(), 0);
+  anneal::ReverseAnnealerParams params = kWarmRefine;
+  params.seed = seed;
+  const anneal::ReverseAnnealer refiner(std::move(initial), params);
+  SolveResult solved = decode_and_verify(
+      prepared.conjuncts, refiner.sample(prepared.adjacency), accept);
+  if (solved.satisfied && telemetry::enabled()) {
+    telemetry::counter("incremental.warm.hits").add();
+  }
+  return solved;
 }
 
 }  // namespace qsmt::strqubo

@@ -1,12 +1,32 @@
-// StringConstraintSolver: the public facade of the library.
+// StringConstraintSolver: the public facade of the library, and the solve
+// stages every front end shares.
 //
 // Implements the paper's Figure 1 pipeline end to end: constraint ->
 // binary variables -> QUBO matrix -> (simulated/quantum/embedded) annealer
-// -> decode -> classical consistency check.
+// -> decode -> classical consistency check. The stages are written once
+// here and called in one order by the in-process driver
+// (smtlib::solve_conjunction*), the SolveService and, through the service,
+// the qsmt-server daemon:
+//
+//   prepare -> presolve -> warm_refine -> sample -> decode_and_verify
+//
+// Each stage takes a conjunction (one string variable; a single constraint
+// is the one-element case). Every candidate a stage produces goes through
+// the verify stage before a caller may report it, so the presolve and the
+// warm refine can reach a verdict sooner but never change it. StringConstraintSolver::solve is the sample + verify pair
+// alone, with no presolve, which keeps the paper-faithful harnesses
+// (table1_repro, the E-studies) on the samplers.
 #pragma once
 
+#include <cstdint>
+#include <functional>
+#include <list>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "anneal/sampler.hpp"
 #include "qubo/adjacency.hpp"
@@ -37,21 +57,97 @@ struct SolveResult {
   anneal::SampleSet samples;
 };
 
-/// A constraint with its QUBO model and CSR adjacency prebuilt: the unit of
-/// reuse for re-solvers. Retry loops, sweep escalation, and the portfolio
-/// racing service (src/service) build one of these per distinct constraint
-/// and re-sample it across samplers, attempts, and jobs without paying the
-/// build again. Immutable after prepare(); safe to share across threads.
+/// Extra check a decoded witness must pass besides every conjunct (the
+/// DPLL(T) engine's false-atom filter). Empty accepts every witness.
+using WitnessFilter = std::function<bool(const std::string&)>;
+
+/// Cache key of one compiled fragment: the constraint's structural key
+/// plus a fingerprint of every BuildOptions field that changes the QUBO.
+std::string fragment_key(const Constraint& constraint,
+                         const BuildOptions& options);
+
+/// Thread-safe LRU of built QUBO blocks, shareable across drivers and
+/// server sessions (blocks are immutable; per-session state never enters
+/// the cache, so sharing cannot leak anything between tenants). prepare()
+/// takes its blocks from one when the caller has one, so a re-solve with
+/// one mutated conjunct rebuilds exactly one block.
+class FragmentCache {
+ public:
+  explicit FragmentCache(std::size_t capacity = 256);
+
+  /// Returns the cached block for `constraint` under `options`, building
+  /// and inserting it on a miss. Emits incremental.fragment.{hits,misses}.
+  std::shared_ptr<const qubo::QuboModel> get_or_build(
+      const Constraint& constraint, const BuildOptions& options);
+
+  std::size_t size() const;
+  /// Approximate retained footprint (keys + block coefficients), the value
+  /// mirrored into the incremental.fragment.bytes gauge.
+  std::size_t bytes() const;
+
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    /// Occupancy mirror of the incremental.fragment.{entries,bytes} gauges.
+    std::uint64_t entries = 0;
+    std::uint64_t bytes = 0;
+  };
+  Stats stats() const;
+
+ private:
+  struct Entry {
+    std::string key;
+    std::shared_ptr<const qubo::QuboModel> block;
+    std::size_t bytes = 0;
+  };
+
+  void publish_occupancy_locked();
+
+  mutable std::mutex mutex_;
+  std::size_t capacity_;
+  std::list<Entry> lru_;  // Front = most recently used.
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  Stats stats_;
+  std::size_t bytes_ = 0;
+};
+
+/// A conjunction with its QUBO model and CSR adjacency prebuilt: the unit
+/// of reuse for re-solvers. Retry loops, sweep escalation, and the
+/// portfolio racing service (src/service) build one of these per distinct
+/// conjunction and re-sample it across samplers, attempts, and jobs without
+/// paying the build again. Immutable after prepare(); safe to share across
+/// threads.
 struct PreparedConstraint {
-  Constraint constraint;
+  /// The conjuncts the model encodes, in merge order (one for a single
+  /// constraint).
+  std::vector<Constraint> conjuncts;
+  /// Leading string bits shared by every conjunct (0 for a lone Includes,
+  /// whose variables are positions); auxiliary variables follow them.
+  std::size_t string_bits = 0;
   qubo::QuboModel model;
   qubo::QuboAdjacency adjacency;
   /// Wall-clock seconds the one-time build took (steady clock).
   double build_seconds = 0.0;
 };
 
-/// Builds `constraint`'s model and adjacency once, under the `strqubo.build`
-/// telemetry span — the entry point of the prebuilt-adjacency hot path.
+/// Why `conjuncts` cannot be prepared as one model, or "" when they can: a
+/// conjunction must be non-empty, and several conjuncts must all produce
+/// strings of one common length so their matrices sum variable for
+/// variable. A lone conjunct of any kind is admitted.
+std::string conjunction_refusal(const std::vector<Constraint>& conjuncts);
+
+/// Build stage, under the `strqubo.build` telemetry span. One conjunct is
+/// built exactly as build() builds it (its block comes from `fragments`
+/// when given). Several are merged: string bits share indices, and each
+/// conjunct's auxiliary block (regex one-hot selectors, not-contains
+/// ancillas) is re-linked to a fresh range past the string block. Throws
+/// std::invalid_argument with conjunction_refusal()'s reason when the
+/// conjunction cannot be merged.
+PreparedConstraint prepare(std::vector<Constraint> conjuncts,
+                           const BuildOptions& options = {},
+                           FragmentCache* fragments = nullptr);
+
+/// Single-constraint build: prepare({constraint}, options).
 PreparedConstraint prepare(const Constraint& constraint,
                            const BuildOptions& options = {});
 
@@ -65,15 +161,8 @@ class StringConstraintSolver {
   /// best sample.
   SolveResult solve(const Constraint& constraint) const;
 
-  /// Hot path: same, but with the model and its CSR adjacency prebuilt by
-  /// the caller — re-solvers (retry loops, sweep escalation) build both once
-  /// and re-sample at different budgets. `model`/`adjacency` must correspond
-  /// to `constraint` under this solver's options; build_seconds is reported
-  /// as 0 (the caller already paid it).
-  SolveResult solve(const Constraint& constraint, const qubo::QuboModel& model,
-                    const qubo::QuboAdjacency& adjacency) const;
-
-  /// Hot path over a PreparedConstraint; build_seconds is copied from the
+  /// Sample stage plus verify stage over a PreparedConstraint (no
+  /// presolve, no warm refine); build_seconds is copied from the
   /// preparation (the one-time cost the caller already paid).
   SolveResult solve(const PreparedConstraint& prepared) const;
 
@@ -94,15 +183,53 @@ class StringConstraintSolver {
 std::optional<std::size_t> decode_includes_position(
     std::span<const std::uint8_t> bits);
 
-/// The post-sampling half of StringConstraintSolver::solve: decodes
-/// `samples` (best-energy first, falling through the set in energy order)
-/// and classically verifies each decoding against `constraint`, under the
-/// strqubo.verify telemetry span. Returns a SolveResult with satisfied /
-/// text / position / energy filled in; model-size, timing, and samples
-/// fields are left for the caller. Exposed so the service's warm-start
-/// refinement can verify its samples without re-entering the solver facade.
+/// True when `text` satisfies every conjunct and `accept`: one classical
+/// check of one string, the test the verify stage applies per sample.
+bool verify_conjunction(const std::vector<Constraint>& conjuncts,
+                        const std::string& text,
+                        const WitnessFilter& accept = {});
+
+/// Verify stage: decodes `samples` in energy order and keeps the first
+/// decoding that satisfies every conjunct and `accept` (under the
+/// strqubo.verify telemetry span) — the paper's "transformed back to the
+/// original theory, and checked for consistency" step applied per sample.
+/// When none verifies, the best sample's decoding is reported with
+/// satisfied = false. A one-element Includes conjunction decodes the
+/// selected position instead of a string. Returns a SolveResult with
+/// satisfied / text / position / energy filled in; model-size, timing, and
+/// samples fields are left for the caller.
+SolveResult decode_and_verify(const std::vector<Constraint>& conjuncts,
+                              const anneal::SampleSet& samples,
+                              const WitnessFilter& accept = {});
+
+/// Single-constraint verify stage: decode_and_verify({constraint}, samples).
 SolveResult decode_and_verify(const Constraint& constraint,
                               const anneal::SampleSet& samples);
+
+/// Sample stage: one call of `sampler` on the prepared model (through the
+/// CSR adjacency when the sampler has a native path), under the
+/// strqubo.sample telemetry span.
+anneal::SampleSet sample(const anneal::Sampler& sampler,
+                         const PreparedConstraint& prepared);
+
+/// Presolve stage: the exact component presolve (anneal::presolve) of the
+/// prepared model. Returns nullopt when it declines; otherwise its ground
+/// state run through the verify stage (counted presolve.decided, or
+/// presolve.unverified when the decoding fails verification and the
+/// caller samples as if nothing ran). Never evidence of unsatisfiability.
+std::optional<SolveResult> presolve(const PreparedConstraint& prepared,
+                                    const WitnessFilter& accept = {});
+
+/// Warm refine stage: one small reverse-anneal pass over the prepared
+/// model with every read seeded from a previously verified `witness`
+/// (auxiliary bits start at 0), then the verify stage. Returns nullopt
+/// without running when `witness` is not 7-bit ASCII or does not encode to
+/// exactly `prepared.string_bits` bits; otherwise the verdict (counted
+/// incremental.warm.starts, and incremental.warm.hits when it verified).
+std::optional<SolveResult> warm_refine(const PreparedConstraint& prepared,
+                                       const std::string& witness,
+                                       std::uint64_t seed,
+                                       const WitnessFilter& accept = {});
 
 /// Solves with escalating annealer effort: runs the simulated annealer at a
 /// doubling sweep budget (initial_sweeps, 2x, 4x, ...) until the decoded

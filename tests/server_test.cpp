@@ -17,6 +17,7 @@
 #include <string>
 #include <thread>
 
+#include "canon/answer_cache.hpp"
 #include "presolve_declined.hpp"
 #include "server/admission.hpp"
 #include "server/client.hpp"
@@ -357,6 +358,66 @@ TEST(SessionTest, ResetClearsTheWarmStartWitness) {
                           "(check-sat)(reset)(declare-const x String)"),
             "sat\n");
   EXPECT_EQ(reset.consume(follow_up), "sat\n");
+  EXPECT_EQ(service.stats().warm_starts, 1u);
+}
+
+TEST(SessionTest, MultiConjunctCheckSatIsOneConjunctionJob) {
+  service::SolveService service(exact_service());
+  server::Session session(service);
+  // Two compiled conjuncts (the length rides on both): the session hands
+  // them to the service as one job over one merged model, not as a
+  // re-rendered script, so the prepared-model cache sees exactly one miss.
+  EXPECT_EQ(session.consume("(declare-const x String)"
+                            "(assert (= (str.len x) 4))"
+                            "(assert (str.prefixof \"ab\" x))"
+                            "(assert (str.suffixof \"cd\" x))"
+                            "(check-sat)(get-model)"),
+            "sat\n(model (define-fun x () String \"abcd\"))\n");
+  const service::SolveService::Stats stats = service.stats();
+  EXPECT_EQ(stats.jobs_submitted, 1u);
+  EXPECT_EQ(stats.model_cache_misses, 1u);
+}
+
+TEST(SessionTest, ReorderedRenamedConjunctionHitsTheAnswerCache) {
+  service::ServiceOptions options = exact_service();
+  options.answer_cache = std::make_shared<canon::AnswerCache>();
+  service::SolveService service(options);
+  server::Session first(service);
+  EXPECT_EQ(first.consume("(declare-const x String)"
+                          "(assert (= (str.len x) 4))"
+                          "(assert (str.prefixof \"ab\" x))"
+                          "(assert (str.suffixof \"cd\" x))(check-sat)"),
+            "sat\n");
+  // Another tenant asserts the same two facts in the other order over
+  // another name: the conjunction's answer key is order- and name-free.
+  server::Session second(service);
+  EXPECT_EQ(second.consume("(declare-const y String)"
+                           "(assert (= (str.len y) 4))"
+                           "(assert (str.suffixof \"cd\" y))"
+                           "(assert (str.prefixof \"ab\" y))"
+                           "(check-sat)(get-model)"),
+            "sat\n(model (define-fun y () String \"abcd\"))\n");
+  EXPECT_EQ(second.stats().answer_hits, 1u);
+  EXPECT_EQ(service.stats().answer_hits, 1u);
+}
+
+TEST(SessionTest, MultiConjunctFollowUpWarmStartsFromTheLastModel) {
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  options.portfolio = {service::simulated_annealing_member("sa")};
+  service::SolveService service(options);
+  server::Session session(service);
+  EXPECT_EQ(session.consume("(declare-const x String)(push)"
+                            "(assert (= x \"ab\"))(check-sat)(pop)"),
+            "sat\n");
+  EXPECT_EQ(service.stats().warm_starts, 0u);
+  // A two-conjunct length-2 follow-up the presolve leaves to the samplers:
+  // the session's last model "ab" seeds the job's warm refine.
+  EXPECT_EQ(session.consume(
+                test::declined_asserts(strqubo::NotContains{2, "zz"}) +
+                "(assert (str.prefixof \"a\" x))(check-sat)"),
+            "sat\n");
+  EXPECT_EQ(service.stats().jobs_submitted, 2u);
   EXPECT_EQ(service.stats().warm_starts, 1u);
 }
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "anneal/simulated_annealer.hpp"
+#include "canon/answer_cache.hpp"
 #include "presolve_declined.hpp"
 #include "qubo/qubo_model.hpp"
 #include "service/service.hpp"
@@ -182,6 +183,76 @@ TEST(Service, WrongWarmStartStillVerifiesBeforeWinning) {
   ASSERT_TRUE(result.text.has_value());
   EXPECT_EQ(*result.text, std::string(2, '\0'));
   EXPECT_EQ(service.stats().warm_starts, 1u);
+}
+
+TEST(Service, ShorterWarmStartIsIgnored) {
+  service::SolveService service;
+  service::JobOptions job;
+  // Two characters against a length-4 job: the witness does not encode the
+  // job's string, so no refinement runs (JobOptions::warm_start promises a
+  // cold start) instead of refining a zero-padded guess.
+  job.warm_start = "ab";
+  const strqubo::Constraint constraint =
+      test::declined(strqubo::NotContains{4, "zz"});
+  const service::JobResult result = service.submit(constraint, job).get();
+  EXPECT_EQ(result.status, smtlib::CheckSatStatus::kSat);
+  ASSERT_TRUE(result.text.has_value());
+  EXPECT_TRUE(strqubo::verify_string(constraint, *result.text));
+  EXPECT_EQ(service.stats().warm_starts, 0u);
+}
+
+TEST(Service, ConjunctionIsOneJobOverOneMergedModel) {
+  // Two racing members, a conjunction the presolve declines: one job, one
+  // merged model built once and shared by both members.
+  service::ServiceOptions options;
+  options.num_workers = 2;
+  service::SolveService service(options);
+  const std::vector<strqubo::Constraint> conjuncts{
+      strqubo::IndexOf{4, "ab", 0},
+      test::declined(strqubo::NotContains{4, "zz"})};
+  const service::JobResult result = service.submit(conjuncts).get();
+  EXPECT_EQ(result.status, smtlib::CheckSatStatus::kSat);
+  ASSERT_TRUE(result.text.has_value());
+  EXPECT_TRUE(strqubo::verify_string(conjuncts[0], *result.text));
+  EXPECT_TRUE(strqubo::verify_string(conjuncts[1], *result.text));
+  service::SolveService::Stats stats = service.stats();
+  EXPECT_EQ(stats.jobs_submitted, 1u);
+  EXPECT_EQ(stats.model_cache_misses, 1u);
+
+  // Merged models are not kept across jobs; one-conjunct models are.
+  service.submit(conjuncts).get();
+  stats = service.stats();
+  EXPECT_EQ(stats.model_cache_misses, 2u);
+  EXPECT_EQ(stats.model_cache_entries, 0u);
+}
+
+TEST(Service, ConjunctionAnswerKeyIgnoresConjunctOrder) {
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  options.answer_cache = std::make_shared<canon::AnswerCache>();
+  service::SolveService service(options);
+  const strqubo::Constraint prefix = strqubo::IndexOf{4, "ab", 0};
+  const strqubo::Constraint absent =
+      test::declined(strqubo::NotContains{4, "zz"});
+  const service::JobResult cold = service.submit({prefix, absent}).get();
+  ASSERT_EQ(cold.status, smtlib::CheckSatStatus::kSat);
+  const service::JobResult warm = service.submit({absent, prefix}).get();
+  EXPECT_TRUE(warm.answer_cache_hit);
+  EXPECT_EQ(warm.text, cold.text);
+  EXPECT_EQ(service.stats().answer_hits, 1u);
+}
+
+TEST(Service, ConjunctionOfDifferentLengthsResolvesUnknown) {
+  service::SolveService service;
+  const service::JobResult result =
+      service
+          .submit(std::vector<strqubo::Constraint>{strqubo::Equality{"ab"},
+                                                   strqubo::Equality{"abc"}})
+          .get();
+  EXPECT_EQ(result.status, smtlib::CheckSatStatus::kUnknown);
+  ASSERT_FALSE(result.notes.empty());
+  EXPECT_NE(result.notes.front().find("model build failed"),
+            std::string::npos);
 }
 
 TEST(Service, ScriptJobsPropagateCertifiedUnsat) {

@@ -6,7 +6,9 @@
 
 #include "anneal/exact.hpp"
 #include "anneal/simulated_annealer.hpp"
+#include "strenc/ascii7.hpp"
 #include "strqubo/solver.hpp"
+#include "strqubo/verify.hpp"
 
 namespace qsmt::strqubo {
 
@@ -137,6 +139,66 @@ TEST(StringConstraintSolver, BuildModelMatchesFreeFunction) {
   const StringConstraintSolver solver(annealer, options);
   EXPECT_TRUE(solver.build_model(Equality{"ab"}) ==
               build(Equality{"ab"}, options));
+}
+
+TEST(DecodeAndVerify, ConjunctionAgreesWithPerConjunctVerifyString) {
+  // A short, hot anneal of a merged conjunction leaves a seeded mix of
+  // satisfying and failing samples. The conjunction verify stage must keep
+  // exactly the first sample, in energy order, that every conjunct's
+  // verify_string accepts — and fall through further when a filter
+  // rejects that one.
+  const std::vector<Constraint> conjuncts{
+      CharAt{4, 0, 'm'}, NotContains{4, "mm"}, Palindrome{4}};
+  const PreparedConstraint prepared = prepare(conjuncts);
+  anneal::SimulatedAnnealerParams p;
+  p.num_reads = 64;
+  p.num_sweeps = 8;
+  p.polish_with_greedy = false;
+  p.seed = 5;
+  const anneal::SampleSet samples =
+      anneal::SimulatedAnnealer(p).sample(prepared.adjacency);
+
+  std::vector<std::size_t> satisfying;
+  std::vector<std::string> texts;
+  for (const anneal::Sample& sample : samples) {
+    texts.push_back(strenc::decode_string(
+        std::span(sample.bits).subspan(0, prepared.string_bits)));
+    bool all = true;
+    for (const Constraint& constraint : conjuncts) {
+      all = all && verify_string(constraint, texts.back());
+    }
+    if (all) satisfying.push_back(texts.size() - 1);
+  }
+  ASSERT_GE(satisfying.size(), 2u);
+  ASSERT_LT(satisfying.size(), samples.size());
+
+  const SolveResult first = decode_and_verify(conjuncts, samples);
+  ASSERT_TRUE(first.satisfied);
+  EXPECT_EQ(first.text, texts[satisfying[0]]);
+  EXPECT_EQ(first.energy, samples[satisfying[0]].energy);
+
+  const std::string rejected = texts[satisfying[0]];
+  const SolveResult filtered = decode_and_verify(
+      conjuncts, samples,
+      [&](const std::string& text) { return text != rejected; });
+  std::size_t next = 0;
+  for (std::size_t s : satisfying) {
+    if (texts[s] != rejected) {
+      next = s;
+      break;
+    }
+  }
+  ASSERT_NE(next, 0u);
+  ASSERT_TRUE(filtered.satisfied);
+  EXPECT_EQ(filtered.text, texts[next]);
+  EXPECT_EQ(filtered.energy, samples[next].energy);
+
+  // Nothing verifies: the best sample's decoding is reported unsatisfied.
+  const SolveResult none = decode_and_verify(
+      conjuncts, samples, [](const std::string&) { return false; });
+  EXPECT_FALSE(none.satisfied);
+  EXPECT_EQ(none.text, texts[0]);
+  EXPECT_EQ(none.energy, samples[0].energy);
 }
 
 TEST(StringConstraintSolver, UnsatisfiableVerificationIsReported) {
