@@ -1,5 +1,6 @@
-// Presolve-declined traffic for the benches whose gates compare a
-// mechanism (routing, answer caching) against a cold solve.
+// Presolve-declined traffic for the benches whose gates need jobs that
+// reach the samplers: which ladder rung decides (quantum_bench) and answer
+// caching against a cold solve (answer_cache_bench).
 //
 // The exact component presolve (anneal::presolve) decides separable and
 // small-component models without sampling, so on such traffic a cold solve

@@ -9,15 +9,16 @@
 //      changed).
 //   2. Minor-embedding: cold find_embedding vs a warm structure-keyed
 //      EmbeddingCache hit for the same logical graph.
-//   3. Portfolio: win-rates of the default sa-only race vs quantum_portfolio
-//      (sa-fast / pimc-light / embedded with a shared embedding cache) on a
-//      quantum-friendly constraint batch — the quantum lanes must win at
-//      least one race, retiring BENCH_service.json's sa_fast_wins: 48/48.
+//   3. Portfolio: which rung decides each job on the default sa-only ladder
+//      vs quantum_portfolio (sa-fast, then pimc-light, then embedded with a
+//      shared embedding cache), over presolve-declined jobs
+//      (presolve_declined.hpp) so every gated job reaches the samplers. The
+//      quantum rungs must decide at least one job.
 //
 // Writes BENCH_quantum.json in the CWD (run from the repo root to refresh
 // the tracked baseline). `--smoke` runs a seconds-scale correctness pass
-// (identical energies, warm cache hit) without perf thresholds or JSON for
-// scripts/ci.sh.
+// (identical energies, warm cache hit, no gated job presolved) without perf
+// thresholds or JSON for scripts/ci.sh.
 #include <algorithm>
 #include <cstring>
 #include <fstream>
@@ -31,7 +32,8 @@
 #include "graph/chimera.hpp"
 #include "graph/embedded_sampler.hpp"
 #include "graph/embedding_cache.hpp"
-#include "service/service.hpp"
+#include "presolve_declined.hpp"
+#include "service/quantum_portfolio.hpp"
 #include "strqubo/builders.hpp"
 #include "strqubo/constraint.hpp"
 #include "util/rng.hpp"
@@ -110,6 +112,7 @@ struct WinTable {
   std::size_t sa_wins = 0;
   std::size_t pimc_wins = 0;
   std::size_t embedded_wins = 0;
+  std::size_t presolved = 0;
   std::size_t undecided = 0;
 };
 
@@ -124,7 +127,9 @@ WinTable race(std::vector<service::PortfolioMember> portfolio,
   WinTable table;
   table.jobs = constraints.size();
   for (const auto& result : service.solve_constraints(constraints, job)) {
-    if (result.winner.rfind("sa", 0) == 0) {
+    if (bench::presolved(result)) {
+      ++table.presolved;
+    } else if (result.winner.rfind("sa", 0) == 0) {
       ++table.sa_wins;
     } else if (result.winner.rfind("pimc", 0) == 0) {
       ++table.pimc_wins;
@@ -137,19 +142,20 @@ WinTable race(std::vector<service::PortfolioMember> portfolio,
   return table;
 }
 
-// Quantum-friendly batch: small, heavily degenerate ground-state manifolds
-// (palindromes, substring placements, regexes) with repeated graph shapes so
-// the embedded lane's shared cache warms up — the structure Abel et al.
-// exploit on hardware annealers.
+// Presolve-declined batch: two draws from each family of
+// presolve_declined.hpp (not-contains windows, bounded-length selectors,
+// includes over a long text), every copy drawn from the same stream so graph
+// shapes repeat and the embedded rung's shared cache warms up — the
+// structure Abel et al. exploit on hardware annealers. The exact presolve
+// decides small-component models without sampling, so a batch it could
+// decide would measure the presolve, not the rungs.
 std::vector<strqubo::Constraint> quantum_workloads(std::size_t copies) {
   std::vector<strqubo::Constraint> batch;
   for (std::size_t c = 0; c < copies; ++c) {
-    batch.push_back(strqubo::Palindrome{3});
-    batch.push_back(strqubo::Palindrome{4});
-    batch.push_back(strqubo::SubstringMatch{4, "ab"});
-    batch.push_back(strqubo::RegexMatch{"[ab]+", 4});
-    batch.push_back(strqubo::Reverse{"hi"});
-    batch.push_back(strqubo::Equality{"hey"});
+    Xoshiro256 rng(0x9a7e, 3);
+    for (std::size_t kind = 0; kind < 6; ++kind) {
+      batch.push_back(bench::declined_case(kind, rng));
+    }
   }
   return batch;
 }
@@ -239,14 +245,15 @@ int main(int argc, char** argv) {
   const WinTable before = race(service::default_portfolio(), batch);
   const WinTable after = race(service::quantum_portfolio(target), batch);
   const std::size_t non_sa_wins = after.pimc_wins + after.embedded_wins;
-  std::cout << "quantum_bench: portfolio win-rates over " << batch.size()
-            << " quantum-friendly jobs\n"
-            << "  before (sa-fast/sa-deep):          sa " << before.sa_wins
+  std::cout << "quantum_bench: deciding rung over " << batch.size()
+            << " presolve-declined jobs\n"
+            << "  before (sa-fast > sa-deep):             sa "
+            << before.sa_wins << ", presolve " << before.presolved
             << ", undecided " << before.undecided << "\n"
-            << "  after  (sa-fast/pimc-light/embedded): sa " << after.sa_wins
-            << ", pimc " << after.pimc_wins << ", embedded "
-            << after.embedded_wins << ", undecided " << after.undecided
-            << "\n";
+            << "  after  (sa-fast > pimc-light > embedded): sa "
+            << after.sa_wins << ", pimc " << after.pimc_wins << ", embedded "
+            << after.embedded_wins << ", presolve " << after.presolved
+            << ", undecided " << after.undecided << "\n";
 
   if (!smoke) {
     std::ofstream out("BENCH_quantum.json");
@@ -277,20 +284,25 @@ int main(int argc, char** argv) {
         << "\n  },\n";
     out << "  \"portfolio\": {\n    \"jobs\": " << batch.size() << ",\n"
         << "    \"before\": {\"sa_wins\": " << before.sa_wins
-        << ", \"non_sa_wins\": 0, \"undecided\": " << before.undecided
-        << "},\n"
+        << ", \"non_sa_wins\": 0, \"presolved\": " << before.presolved
+        << ", \"undecided\": " << before.undecided << "},\n"
         << "    \"after\": {\"sa_wins\": " << after.sa_wins
         << ", \"pimc_wins\": " << after.pimc_wins
         << ", \"embedded_wins\": " << after.embedded_wins
         << ", \"non_sa_wins\": " << non_sa_wins
+        << ", \"presolved\": " << after.presolved
         << ", \"undecided\": " << after.undecided << "}\n  }\n}\n";
   }
 
   // Correctness gates apply in every mode; perf gates only in full mode
   // (CI smoke machines are noisy and share cores).
-  bool ok = kernel_ok && warm_ok;
+  const bool declined_ok = before.presolved == 0 && after.presolved == 0;
+  bool ok = kernel_ok && warm_ok && declined_ok;
   if (!kernel_ok) std::cerr << "quantum_bench: FAIL best-energy mismatch\n";
   if (!warm_ok) std::cerr << "quantum_bench: FAIL warm cache mismatch\n";
+  if (!declined_ok) {
+    std::cerr << "quantum_bench: FAIL a gated job was presolved\n";
+  }
   if (!smoke) {
     if (aggregate_speedup < 3.0) {
       std::cerr << "quantum_bench: FAIL aggregate kernel speedup "

@@ -1,25 +1,22 @@
-// Service bench: batch throughput of the portfolio solve service against
+// Service bench: batch throughput of the escalating solve service against
 // sequential engine::solve_scripts over the same generated workload.
 //
 // The sequential baseline is what applications did before src/service: one
 // blocking solve_script per script with the default simulated annealer
 // (64 reads x 256 sweeps). The service runs the same scripts on 8 workers
-// with the default portfolio — a cheap sa-fast lane (16 reads x 64 sweeps)
-// racing a deep sa-deep lane (64 reads x 512 sweeps), first verified
-// verdict wins and cancels the loser. The speedup therefore has two
-// independent sources, and the bench reports both configurations so each
-// is visible:
+// with the default ladder — a cheap sa-fast rung (16 reads x 64 sweeps),
+// then a deep sa-deep rung (64 reads x 512 sweeps) only for jobs sa-fast
+// could not verify. The speedup therefore has two independent sources, and
+// the bench reports both configurations so each is visible:
 //
-//   * racing: sa-fast verifies the easy majority of jobs at a fraction of
-//     the baseline's anneal budget, and cancellation reclaims the deep
-//     lane's cycles — this pays even on a single-core host;
+//   * escalation: sa-fast verifies the easy majority of jobs at a fraction
+//     of the baseline's anneal budget, and sa-deep never runs for them —
+//     this pays even on a single-core host;
 //   * the worker pool overlaps jobs across cores when there are any.
 //
-// A third, single-member configuration (one sa lane at the baseline's
-// budget) isolates pure pool overlap: with nobody racing, the winner's
-// claim skips the per-job CancelSource broadcast entirely, so this is the
-// no-race-scaffolding number operators should expect from `--exact`-style
-// single-lane deployments.
+// A third, single-rung configuration (one sa rung at the baseline's budget)
+// isolates pure pool overlap, the number operators should expect from
+// `--exact`-style single-rung deployments.
 //
 // Writes BENCH_service.json in the CWD (run from the repo root to refresh
 // the tracked baseline). The acceptance bar for the serving layer is a
@@ -112,7 +109,7 @@ int main() {
   const std::uint64_t sequential_reads =
       total_anneal_reads() - reads_before_sequential;
 
-  // Portfolio service: 8 workers, default sa-fast/sa-deep race.
+  // Escalating service: 8 workers, default sa-fast > sa-deep ladder.
   service::ServiceOptions options;
   options.num_workers = kNumWorkers;
   service::SolveService service(options);
@@ -120,17 +117,15 @@ int main() {
   job.seed = kSeed;
   const std::uint64_t reads_before_service = total_anneal_reads();
   Stopwatch service_timer;
-  const std::vector<service::JobResult> raced =
+  const std::vector<service::JobResult> laddered =
       service.solve_scripts(scripts, job);
   const double service_seconds = service_timer.elapsed_seconds();
   const std::uint64_t service_reads =
       total_anneal_reads() - reads_before_service;
 
-  // Single-member configuration: the same pool with a one-lane portfolio
-  // (the sequential baseline's annealer budget). There is no race here, so
-  // the service must not pay race scaffolding per job — the winner's
-  // claim skips the CancelSource broadcast when nobody else is listening —
-  // and the ratio over sequential isolates pure pool overlap.
+  // Single-rung configuration: the same pool with a one-rung ladder (the
+  // sequential baseline's annealer budget), so the ratio over sequential
+  // isolates pure pool overlap.
   service::ServiceOptions solo_options;
   solo_options.num_workers = kNumWorkers;
   solo_options.portfolio = {service::simulated_annealing_member("sa-solo")};
@@ -156,23 +151,23 @@ int main() {
 
   std::size_t fast_wins = 0;
   std::size_t cancelled = service.stats().members_cancelled;
-  for (const service::JobResult& result : raced) {
+  for (const service::JobResult& result : laddered) {
     if (result.winner == "sa-fast") ++fast_wins;
   }
 
   std::cout << std::fixed << std::setprecision(2);
   std::cout << "service_bench: " << scripts.size() << " scripts, "
-            << kNumWorkers << " workers, portfolio sa-fast/sa-deep\n";
+            << kNumWorkers << " workers, ladder sa-fast > sa-deep\n";
   std::cout << "  sequential solve_scripts: " << sequential_seconds << " s ("
             << sequential_jps << " jobs/s, " << sequential_rps
             << " reads/s, " << count_decided(sequential) << " decided)\n";
-  std::cout << "  portfolio service:        " << service_seconds << " s ("
+  std::cout << "  escalating service:       " << service_seconds << " s ("
             << service_jps << " jobs/s, " << service_rps << " reads/s, "
-            << count_decided(raced) << " decided, " << fast_wins
-            << " sa-fast wins, " << cancelled << " members cancelled)\n";
-  std::cout << "  single-member service:    " << solo_seconds << " s ("
+            << count_decided(laddered) << " decided, " << fast_wins
+            << " sa-fast wins, " << cancelled << " cancelled)\n";
+  std::cout << "  single-rung service:      " << solo_seconds << " s ("
             << solo_jps << " jobs/s, " << solo_rps << " reads/s, "
-            << count_decided(solo) << " decided, no race scaffolding)\n";
+            << count_decided(solo) << " decided)\n";
   std::cout << "  throughput ratio:         " << ratio << "x\n";
 
   const unsigned hw = std::thread::hardware_concurrency();
@@ -203,10 +198,10 @@ int main() {
       << "}\n";
 
   // The serving layer exists to beat one-at-a-time solving; fail loudly
-  // when the racing + pooling win disappears. The gate measures
+  // when the escalation + pooling win disappears. The gate measures
   // parallelism, so it only binds on hosts that have some: on a
-  // single-core box the 8-worker pool can only interleave the
-  // portfolio's redundant members and the ratio is noise, not signal.
+  // single-core box the 8-worker pool can only interleave jobs and the
+  // ratio is noise, not signal.
   if (hw < 2) {
     std::cout << "service_bench: gate skipped (single-core host; ratio "
               << ratio << "x not meaningful)\n";

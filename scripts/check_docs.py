@@ -32,33 +32,34 @@ docs/*.md, plus any root-level markdown they link to):
    docs/incremental.md, so the hot re-solve contract (invalidation rules,
    warm-start semantics) cannot silently fall behind the API.
 
-7. Route coverage: every public class/struct and free function declared
-   in src/route/*.hpp must appear by name in docs/routing.md, so the
-   adaptive router's docs (decision lanes, confidence gates, replay
-   harness) cannot silently fall behind the API.
-
-8. Caching coverage: every public class/struct and free function declared
+7. Caching coverage: every public class/struct and free function declared
    in src/canon/*.hpp must appear by name in docs/caching.md, so the
    cache-layer catalog (keys, scopes, invalidation, tenant sharing)
    cannot silently fall behind the canonicalizer/answer-cache API.
 
-9. One scheduler: no file under src/, tests/, bench/ or examples/ may
+8. One scheduler: no file under src/, tests/, bench/ or examples/ may
    use `#pragma omp`, include `<omp.h>` or link `OpenMP::`. The
    SolveService worker pool is the only parallelism; samplers run their
    reads on the calling thread.
 
-10. Telemetry sources: every table row in docs/telemetry.md that names a
+9. Telemetry sources: every table row in docs/telemetry.md that names a
     src/ file must have its metric name appear as a string literal in
     each file it names. A `<placeholder>` name such as
     `service.winner.<member>` is matched on its literal prefix
     (`"service.winner.`). A counter deleted from the code, or moved to
     another file, therefore fails the build until its doc row follows.
 
-11. One solve path: under src/ outside src/anneal/, the exact presolve
+10. One solve path: under src/ outside src/anneal/, the exact presolve
     call `anneal::presolve(` and a `ReverseAnnealer` construction may each
     appear in one file only: the shared solve stages in
     src/strqubo/solver.cpp, which the driver, the service and the daemon
     all call. Comment lines are skipped, so prose may still name them.
+
+11. No router: no file under src/, tests/, bench/ or examples/, and no
+    documentation file, may mention `route::`, `tenant_routing` or
+    `docs/routing.md`. The escalation ladder tries one rung at a time, so
+    a job holds one worker by construction and the adaptive router it
+    replaced is gone.
 
 Also prints the line count of src/, which the roadmap tracks next to the
 benchmarks.
@@ -86,6 +87,7 @@ SERVICE_FUNC_RE = re.compile(
 )
 
 OPENMP_RE = re.compile(r"#\s*pragma\s+omp\b|<omp\.h>|OpenMP::")
+ROUTER_RE = re.compile(r"route::|tenant_routing|docs/routing\.md")
 ONE_PATH_RES = {
     "anneal::presolve(": re.compile(r"anneal::presolve\("),
     "ReverseAnnealer construction": re.compile(
@@ -196,20 +198,6 @@ def check_incremental_coverage() -> list:
     ]
 
 
-def check_route_coverage() -> list:
-    doc = (REPO / "docs/routing.md").read_text(encoding="utf-8")
-    names = set()
-    for header in sorted((REPO / "src/route").glob("*.hpp")):
-        body = header.read_text(encoding="utf-8")
-        names.update(SERVICE_TYPE_RE.findall(body))
-        names.update(SERVICE_FUNC_RE.findall(body))
-    return [
-        f"docs/routing.md: route API `{name}` is undocumented"
-        for name in sorted(names)
-        if name not in doc
-    ]
-
-
 def check_caching_coverage() -> list:
     doc = (REPO / "docs/caching.md").read_text(encoding="utf-8")
     names = set()
@@ -235,6 +223,20 @@ def check_one_scheduler() -> list:
                         f"{path.relative_to(REPO)}:{number}: OpenMP is not "
                         "allowed; the SolveService pool is the only scheduler"
                     )
+    return errors
+
+
+def check_no_router() -> list:
+    errors = []
+    paths = [p for top in CODE_DIRS for p in files_under(top)] + DOC_FILES
+    for path in paths:
+        text = path.read_text(encoding="utf-8", errors="replace")
+        for number, line in enumerate(text.splitlines(), 1):
+            if ROUTER_RE.search(line):
+                errors.append(
+                    f"{path.relative_to(REPO)}:{number}: the adaptive router "
+                    "is gone; the escalation ladder replaced it"
+                )
     return errors
 
 
@@ -301,11 +303,11 @@ def main() -> int:
         + check_conformance_coverage()
         + check_server_coverage()
         + check_incremental_coverage()
-        + check_route_coverage()
         + check_caching_coverage()
         + check_one_scheduler()
         + check_telemetry_sources()
         + check_one_solve_path()
+        + check_no_router()
     )
     for err in errors:
         print(f"check_docs: {err}", file=sys.stderr)

@@ -37,9 +37,10 @@ echo "=== docs consistency (links, API coverage, no OpenMP, src/ size) ==="
 python3 scripts/check_docs.py
 
 # Seconds-scale correctness pass over the quantum hot path: kernel
-# best-energy parity vs the retained reference and a bit-identical warm
-# embedding-cache hit. Perf gates stay in the full (JSON-writing) run —
-# CI machines are too noisy to threshold throughput.
+# best-energy parity vs the retained reference, a bit-identical warm
+# embedding-cache hit, and no presolved job in the rung win tables. Perf
+# gates stay in the full (JSON-writing) run — CI machines are too noisy to
+# threshold throughput.
 echo "=== quantum_bench --smoke ==="
 ./build/bench/quantum_bench --smoke
 
@@ -66,14 +67,6 @@ echo "=== server_bench --smoke ==="
 echo "=== incremental_bench --smoke ==="
 ./build/bench/incremental_bench --smoke
 
-# Routing stage: a trained router against the full race over a seeded
-# mixed workload — byte-equal verdicts are a hard failure, and routed
-# mean latency must stay at or under the full race's. The >= 1.5x
-# cores-per-job reduction gate, as above, only fires in the full
-# (JSON-writing) run.
-echo "=== route_bench --smoke ==="
-./build/bench/route_bench --smoke
-
 # Answer-cache stage: a warmed canonical answer cache serves a duplicate
 # stream at hit rate 1.0 with byte-identical verdicts; warm-vs-cold mean
 # latency must clear 3x here (the >= 10x gate fires in the full,
@@ -94,10 +87,7 @@ fi
 # transport's reader threads, admission gate, and disconnect-cancellation
 # races), plus the incremental differential chains (fragment-cache LRU
 # mutation under reuse, context-carried clause memory, and the shared-cache
-# concurrency schedules), plus the router suites (the shared win/loss
-# table is mutated from every worker thread at enqueue and completion,
-# and the fuzz differential drives it through full 216-job streams), plus
-# the answer-cache suites (one shared LRU mutated from every submitting
+# concurrency schedules), plus the answer-cache suites (one shared LRU mutated from every submitting
 # thread and tenant session, with hit-serving racing inserts and
 # evictions). The binaries run directly (rather than via ctest) so the
 # subset is exact regardless of which gtest case names discovery
@@ -108,7 +98,6 @@ subset=(annealer_test hotpath_test batched_kernel_test qubo_builder_test
         quantum_hotpath_test quantum_conformance_test
         service_test conformance_test corpus_test
         server_test server_stress_test incremental_test
-        router_test router_fuzz_test
         canon_test answer_cache_test answer_fuzz_test)
 
 for san in address undefined; do
@@ -122,8 +111,8 @@ for san in address undefined; do
 done
 
 # ThreadSanitizer over the two suites whose threads share the most state:
-# the service pool (verdict claims, cancellation, deadlines, the presolve
-# and warm-start once-flags) and the socket server (accept loop against
+# the service pool (verdict claims, cancellation, deadlines, the escalation
+# ladder's per-job task) and the socket server (accept loop against
 # shutdown, reader threads against disconnect cancellation). A report
 # fails the stage: TSan exits non-zero when it found a race.
 tsan_subset=(service_test server_stress_test)

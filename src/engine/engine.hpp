@@ -61,7 +61,7 @@ ScriptResult solve_script(const std::string& script,
 /// options, one blocking solve at a time. This is the sequential baseline
 /// the concurrent batching layer (qsmt::service::SolveService, and the
 /// bench/service_bench throughput comparison) is measured against; callers
-/// that want worker-pool parallelism, portfolio racing, deadlines, or
+/// that want worker-pool parallelism, sampler escalation, deadlines, or
 /// cancellation use the service instead.
 std::vector<ScriptResult> solve_scripts(const std::vector<std::string>& scripts,
                                         const anneal::Sampler& sampler,

@@ -73,27 +73,11 @@ Server::Server(ServerOptions options)
 
 Server::~Server() { shutdown(); }
 
-std::shared_ptr<route::Router> Server::tenant_router(
-    std::uint64_t tenant) const {
-  if (!options_.tenant_routing) return nullptr;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = tenant_routers_.find(tenant);
-  if (it == tenant_routers_.end()) {
-    it = tenant_routers_
-             .emplace(tenant, std::make_shared<route::Router>(
-                                  service_.portfolio_names(),
-                                  *options_.tenant_routing))
-             .first;
-  }
-  return it->second;
-}
-
 SessionOptions Server::session_options(std::uint64_t tenant) const {
   SessionOptions session;
   session.deadline = options_.check_sat_deadline;
   session.seed = options_.seed + tenant;
   session.tenant = tenant;
-  session.router = tenant_router(tenant);
   return session;
 }
 

@@ -25,14 +25,11 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
-#include "route/router.hpp"
 #include "server/admission.hpp"
 #include "server/session.hpp"
 #include "service/service.hpp"
@@ -54,13 +51,6 @@ struct ServerOptions {
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Base seed; sessions derive per-tenant streams from it.
   std::uint64_t seed = 0;
-  /// When set, every tenant gets its OWN lazily-created adaptive router
-  /// (route::Router over the shared portfolio, with these options) that
-  /// its sessions consult and train — divergent workload mixes learn
-  /// divergent dispatch without cross-tenant leakage, while the model and
-  /// embedding caches stay shared. Unset (default) leaves routing to
-  /// ServiceOptions::router (shared table) or off entirely.
-  std::optional<route::RouterOptions> tenant_routing;
 };
 
 class Server {
@@ -101,12 +91,6 @@ class Server {
   /// The shared admission gate (stats inspection).
   AdmissionGate& gate() noexcept { return gate_; }
 
-  /// The tenant's adaptive router, created on first use when
-  /// ServerOptions::tenant_routing is set (null otherwise). Exposed so
-  /// tests and operators can inspect — or snapshot/restore — each
-  /// tenant's learned dispatch table.
-  std::shared_ptr<route::Router> tenant_router(std::uint64_t tenant) const;
-
   /// Whole-server counters.
   struct Stats {
     std::uint64_t sessions_opened = 0;
@@ -133,10 +117,6 @@ class Server {
   std::atomic<bool> stopping_{false};
 
   mutable std::mutex mutex_;
-  /// Per-tenant router tables (guarded by mutex_; values are shared_ptr so
-  /// sessions keep theirs alive across map growth).
-  mutable std::map<std::uint64_t, std::shared_ptr<route::Router>>
-      tenant_routers_;
   std::vector<std::shared_ptr<Connection>> connections_;
   std::vector<std::thread> threads_;
   std::thread accept_thread_;

@@ -85,10 +85,6 @@ class Session::Driver final : public smtlib::SmtDriver {
     // classically verified, so a stale witness can only cost time, never
     // change a verdict.
     job.warm_start = last_model_;
-    // Per-tenant adaptive routing: this session's jobs consult and train
-    // its own win/loss table, so tenants with divergent workload mixes
-    // learn divergent dispatch instead of fighting over one shared table.
-    job.router = session.options_.router;
 
     // The compiled conjuncts go to the service as one job, so
     // structurally identical queries from *any* session share its answer
@@ -97,8 +93,8 @@ class Session::Driver final : public smtlib::SmtDriver {
         std::move(presolved.query.constraints), job);
 
     // Poll-wait so a client that hangs up mid-solve is noticed: the
-    // liveness probe failing cancels the job exactly once, the portfolio
-    // aborts within a sweep, and the future resolves promptly.
+    // liveness probe failing cancels the job exactly once, the running
+    // sampler aborts within a sweep, and the future resolves promptly.
     for (;;) {
       const std::future_status status =
           future.wait_for(std::chrono::milliseconds(5));

@@ -48,12 +48,6 @@ struct SessionOptions {
   /// transport peeks the connection). Returning false triggers the same
   /// exactly-once cancellation as disconnect().
   std::function<bool()> alive;
-  /// This tenant's adaptive portfolio router (docs/routing.md): every
-  /// constraint job the session dispatches consults and trains it via
-  /// JobOptions::router. Per-tenant tables keep one tenant's workload mix
-  /// from steering another's dispatch; null leaves jobs on the service's
-  /// shared router (or full races when that is unset too).
-  std::shared_ptr<route::Router> router;
 };
 
 class Session {

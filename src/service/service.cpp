@@ -16,13 +16,11 @@
 
 #include "canon/canon.hpp"
 #include "engine/engine.hpp"
-#include "route/features.hpp"
 #include "smtlib/compiler.hpp"
 #include "strqubo/solver.hpp"
 #include "strqubo/verify.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
-#include "util/stopwatch.hpp"
 
 namespace qsmt::service {
 
@@ -93,56 +91,6 @@ PortfolioMember simulated_annealing_member(
   return member;
 }
 
-PortfolioMember parallel_tempering_member(std::string name,
-                                          anneal::ParallelTemperingParams base) {
-  PortfolioMember member;
-  member.name = std::move(name);
-  member.make = [base](std::uint64_t seed,
-                       CancelToken cancel) -> std::unique_ptr<anneal::Sampler> {
-    anneal::ParallelTemperingParams params = base;
-    params.seed = seed;
-    params.cancel = std::move(cancel);
-    return std::make_unique<anneal::ParallelTempering>(params);
-  };
-  return member;
-}
-
-PortfolioMember path_integral_member(std::string name,
-                                     anneal::PathIntegralParams base) {
-  PortfolioMember member;
-  member.name = std::move(name);
-  member.make = [base](std::uint64_t seed,
-                       CancelToken cancel) -> std::unique_ptr<anneal::Sampler> {
-    anneal::PathIntegralParams params = base;
-    params.seed = seed;
-    params.cancel = std::move(cancel);
-    return std::make_unique<anneal::PathIntegralAnnealer>(params);
-  };
-  return member;
-}
-
-PortfolioMember embedded_member(std::string name, const graph::Graph& target,
-                                graph::EmbeddedSamplerParams base) {
-  // One embedding cache for every sampler this lane ever constructs:
-  // attempts get fresh samplers (independent RNG streams), but the first
-  // solve of each graph shape pays for the embedding search exactly once —
-  // warm solves of structurally-identical QUBOs skip find_embedding.
-  if (!base.embedding_cache) {
-    base.embedding_cache = std::make_shared<graph::EmbeddingCache>();
-  }
-  PortfolioMember member;
-  member.name = std::move(name);
-  member.make = [base, &target](
-                    std::uint64_t seed,
-                    CancelToken cancel) -> std::unique_ptr<anneal::Sampler> {
-    graph::EmbeddedSamplerParams params = base;
-    params.anneal.seed = seed;
-    params.anneal.cancel = std::move(cancel);
-    return std::make_unique<graph::EmbeddedSampler>(target, params);
-  };
-  return member;
-}
-
 PortfolioMember exact_member(std::string name,
                              anneal::ExactSolverParams base) {
   PortfolioMember member;
@@ -169,42 +117,15 @@ std::vector<PortfolioMember> default_portfolio() {
   return portfolio;
 }
 
-std::vector<PortfolioMember> quantum_portfolio(const graph::Graph& target) {
-  anneal::SimulatedAnnealerParams fast;
-  fast.num_reads = 16;
-  fast.num_sweeps = 64;
-  // Light PIMC lane: with the incremental-field kernel a low-budget
-  // transverse-field schedule is competitive with sa-fast on quantum-friendly
-  // (frustrated / degenerate) workloads instead of losing every race.
-  anneal::PathIntegralParams pimc;
-  pimc.num_reads = 4;
-  pimc.num_sweeps = 48;
-  pimc.num_slices = 8;
-  // Embedded lane: the shared embedding cache inside embedded_member means
-  // only the first job of each graph shape pays the minor-embedding search.
-  graph::EmbeddedSamplerParams embedded;
-  embedded.anneal.num_reads = 16;
-  embedded.anneal.num_sweeps = 96;
-  std::vector<PortfolioMember> portfolio;
-  portfolio.push_back(simulated_annealing_member("sa-fast", fast));
-  portfolio.push_back(path_integral_member("pimc-light", pimc));
-  portfolio.push_back(embedded_member("embedded", target, embedded));
-  return portfolio;
-}
-
 struct SolveService::Impl {
-  // Sentinel for "no member won" in Job::winner_member (build failures,
-  // parse errors, exhausted races, shutdown resolutions).
-  static constexpr std::size_t kNoWinner = static_cast<std::size_t>(-1);
-
-  struct Job : std::enable_shared_from_this<Job> {
+  struct Job {
     /// A conjunction (one constraint for submit(Constraint)) or a script.
     std::variant<std::vector<strqubo::Constraint>, std::string> payload;
     /// The prepared-model cache key, computed once at submission: the
     /// strqubo::structure_key of a one-conjunct payload (the key the
     /// incremental fragment cache uses too, so both layers agree on what
     /// "structurally identical" means). Empty for multi-conjunct and
-    /// script jobs, whose models are not cached (see build_job).
+    /// script jobs, whose models are not cached (see prepare_job).
     std::string structure_key;
     /// Canonical answer-cache key (empty = not cacheable or no cache
     /// configured) and, for script jobs, the canonical form whose renaming
@@ -219,76 +140,26 @@ struct SolveService::Impl {
     bool has_deadline = false;
     CancelSource cancel;
     std::promise<JobResult> promise;
-    /// Owner election: the member (or shutdown path) that flips this from
+    /// Owner election: the task (or the shutdown path) that flips this from
     /// false fills the result and fulfils the promise — nobody else touches
     /// either afterwards.
     std::atomic<bool> decided{false};
-    /// First member to pick the job up records the queue latency. Atomic:
-    /// a sibling that wins fast reads it in complete() concurrently.
-    std::atomic<bool> started{false};
-    std::atomic<double> queue_seconds{0.0};
-    /// Countdown to the last loser, which must emit the kUnknown verdict.
-    std::atomic<std::size_t> members_left{0};
-    std::atomic<std::size_t> attempts{0};
-    std::atomic<std::size_t> cancelled_members{0};
-    /// Set when a member's work was actually interrupted by the deadline
-    /// (cancelled while queued, between attempts, or mid-solve) — as
-    /// opposed to every member exhausting its attempts unverified while
-    /// the deadline happened to expire concurrently. Only the former is a
-    /// timeout.
-    std::atomic<bool> deadline_cut_short{false};
-    /// Diagnostics from members whose sampler/solve threw (e.g. an
-    /// embedding failure); attached to the verdict when no member wins.
-    std::mutex error_notes_mutex;
+    /// Written only by the job's one task, which is also the thread that
+    /// completes the job once it has started.
+    double queue_seconds = 0.0;
+    std::size_t attempts = 0;
+    /// The task stopped because the job's token fired (the deadline or an
+    /// external cancellation) — the job was cut short, not exhausted.
+    bool cancelled = false;
+    /// Diagnostics from rungs whose sampler threw (e.g. an embedding
+    /// failure); attached to the verdict when no rung wins.
     std::vector<std::string> error_notes;
-    /// Built, then presolved, once per job under prepare_once, before any
-    /// member samples (siblings block on it and share the model); on a
-    /// build failure build_error carries the message instead. The warm
-    /// refine (JobOptions::warm_start) runs at most once per job, from
-    /// whichever member reaches the prepared model first, without blocking
-    /// the others.
-    std::once_flag prepare_once;
-    std::shared_ptr<const strqubo::PreparedConstraint> prepared;
-    std::string build_error;
-    std::atomic<bool> warm_tried{false};
-    /// Adaptive routing (docs/routing.md). `router` is the resolved table
-    /// this job consults and trains (JobOptions::router, else
-    /// ServiceOptions::router; null when gating rejected it or the decision
-    /// raced); bucket/disposition are fixed at submission.
-    std::shared_ptr<route::Router> router;
-    std::string route_bucket;
-    /// "" | "routed" | "routed+fallback" | "race:low_confidence" |
-    /// "race:explore" — mirrored into JobResult::route.
-    const char* route_disposition = "";
-    /// True when the router dispatched a single member for this job.
-    bool routed = false;
-    std::size_t routed_member = 0;
-    /// Set by the one finisher that converts a failed routed dispatch into
-    /// a fallback race (guards against double re-enqueue).
-    std::atomic<bool> fell_back{false};
-    /// Member index that claimed the verdict (kNoWinner otherwise); feeds
-    /// the router's win/loss ledger in complete().
-    std::atomic<std::size_t> winner_member{kNoWinner};
-    /// The verdict came from the presolve or the warm-start refinement,
-    /// both member-independent — complete() must not credit the claiming
-    /// member with a routing win for it.
-    std::atomic<bool> member_independent{false};
-    /// Every raced member genuinely ran out of attempts undecided (the
-    /// finish_if_last kUnknown, not a build failure or shutdown) — the one
-    /// no-winner outcome that legitimately debits the whole portfolio in
-    /// the router's ledger.
-    std::atomic<bool> exhausted{false};
     /// Caller adopted an external CancelSource (claim_and_finish must
     /// always cancel so the caller's other handles observe the verdict).
     bool external_cancel = false;
     /// Invoked (worker thread) in complete() after the result is filled,
     /// just before the promise resolves — the pipeline-chaining hook.
     std::function<void(const JobResult&)> on_complete;
-  };
-
-  struct Task {
-    std::shared_ptr<Job> job;
-    std::size_t member = 0;
   };
 
   explicit Impl(ServiceOptions opts) : options(std::move(opts)) {
@@ -317,46 +188,10 @@ struct SolveService::Impl {
     for (std::thread& worker : workers) worker.join();
     // Whatever is still queued can no longer run; resolve every pending
     // promise exactly once so no caller blocks on a dead service.
-    for (Task& task : queue) {
-      resolve_unrun(*task.job, "service stopped before solve");
+    for (const std::shared_ptr<Job>& job : queue) {
+      resolve_unrun(*job, "service stopped before solve");
     }
     queue.clear();
-  }
-
-  /// Routing gate + decision for one job at submission. Fills the job's
-  /// router fields and returns how many member tasks to enqueue (the
-  /// routed member alone, or the whole portfolio).
-  void decide_route(Job& job) {
-    // Scripts and multi-conjunct jobs have no single constraint's features.
-    const auto* conjuncts =
-        std::get_if<std::vector<strqubo::Constraint>>(&job.payload);
-    if (conjuncts == nullptr || conjuncts->size() != 1) return;
-    std::shared_ptr<route::Router> router =
-        job.options.router ? job.options.router : options.router;
-    // A router learned over a different portfolio (or a portfolio with no
-    // race to prune) is ignored rather than mis-applied.
-    if (!router || router->num_members() != options.portfolio.size() ||
-        options.portfolio.size() < 2) {
-      return;
-    }
-    const route::RouteDecision decision =
-        router->decide(route::extract_features(conjuncts->front()));
-    job.router = std::move(router);
-    job.route_bucket = decision.bucket;
-    if (decision.action == route::RouteAction::kRoute) {
-      job.routed = true;
-      job.routed_member = decision.member;
-      job.route_disposition = "routed";
-      stats_routed.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        telemetry::counter("service.jobs.routed").add();
-      }
-    } else {
-      job.route_disposition =
-          decision.reason == route::RaceReason::kExplore
-              ? "race:explore"
-              : "race:low_confidence";
-    }
   }
 
   std::future<JobResult> enqueue(
@@ -375,8 +210,8 @@ struct SolveService::Impl {
     job->enqueued = SteadyClock::now();
     std::future<JobResult> future = job->promise.get_future();
 
-    // Canonical answer cache: look the job up ahead of the router. A
-    // verified hit resolves the future right here — no member task is ever
+    // Canonical answer cache: look the job up before queueing it. A
+    // verified hit resolves the future right here — no task is ever
     // queued — and a failed confirmation falls through to the cold path
     // below. Jobs whose deadline is already expired (negative) or whose
     // external cancel already fired skip the lookup so their cold
@@ -415,12 +250,9 @@ struct SolveService::Impl {
       }
     }
 
-    decide_route(*job);
-    job->members_left.store(job->routed ? 1 : options.portfolio.size(),
-                            std::memory_order_relaxed);
     // Adopt an external cancellation handle before arming the deadline so
     // both signals share one state: the caller's cancel() and the deadline
-    // race to the same token every member polls.
+    // fire the same token the running sampler polls.
     if (job->options.cancel) {
       job->cancel = *job->options.cancel;
       job->external_cancel = true;
@@ -436,20 +268,11 @@ struct SolveService::Impl {
       std::lock_guard<std::mutex> lock(queue_mutex);
       if (stopping) {
         rejected = true;
-      } else if (job->routed) {
-        // Routed dispatch: one member task, everyone else stays home. The
-        // seed stream is the same mix the race would hand this member, so
-        // the routed run is bit-identical to its race leg.
-        queue.push_back(Task{job, job->routed_member});
       } else {
-        // All member tasks adjacent: the portfolio race for one job starts
-        // as soon as workers free up, instead of interleaving with later
-        // jobs' members.
-        for (std::size_t m = 0; m < options.portfolio.size(); ++m) {
-          queue.push_back(Task{job, m});
-        }
+        // One task per job: it climbs the whole ladder on one worker.
+        queue.push_back(job);
+        publish_queue_depth_locked();
       }
-      if (!rejected) publish_queue_depth_locked();
     }
     if (rejected) {
       // Outside the queue lock: resolving runs the job's on_complete hook,
@@ -457,7 +280,7 @@ struct SolveService::Impl {
       resolve_unrun(*job, "service stopped before solve");
       return future;
     }
-    queue_cv.notify_all();
+    queue_cv.notify_one();
     stats_submitted.fetch_add(1, std::memory_order_relaxed);
     if (telemetry::enabled()) {
       telemetry::counter("service.jobs.submitted").add();
@@ -506,7 +329,7 @@ struct SolveService::Impl {
     stage_options.warm_start = std::move(warm);
     if (index > 0 && stage_options.warm_start.has_value()) {
       // Exactly one bump per chained hop — tests pin this against the
-      // stage count (tests/router_test.cpp).
+      // stage count (tests/service_test.cpp).
       ++state->result.chained_warm_starts;
       stats_chain_warm_starts.fetch_add(1, std::memory_order_relaxed);
       if (telemetry::enabled()) {
@@ -543,316 +366,257 @@ struct SolveService::Impl {
 
   void worker_loop() {
     for (;;) {
-      Task task;
+      std::shared_ptr<Job> job;
       {
         std::unique_lock<std::mutex> lock(queue_mutex);
         queue_cv.wait(lock, [this] { return stopping || !queue.empty(); });
         if (stopping) return;
-        task = std::move(queue.front());
+        job = std::move(queue.front());
         queue.pop_front();
         publish_queue_depth_locked();
       }
-      run_member(*task.job, task.member);
+      run_job(*job);
     }
   }
 
-  /// Records queue latency the first time any member picks the job up.
-  void mark_started(Job& job) {
-    if (!job.started.exchange(true, std::memory_order_acq_rel)) {
-      const double waited =
-          std::chrono::duration<double>(SteadyClock::now() - job.enqueued)
-              .count();
-      job.queue_seconds.store(waited, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        telemetry::histogram("service.job.wait_seconds",
-                             telemetry::Unit::kSeconds)
-            .record(waited);
+  /// How one sampling attempt ended.
+  enum class Attempt {
+    kDecided,     // A verdict was claimed (or the job was already decided).
+    kUnverified,  // Complete run, nothing verified: reseed and try again.
+    kRungFailed,  // The rung's sampler threw: move on to the next rung.
+  };
+
+  /// The job's one task: the shared solve stages, then the escalation
+  /// ladder. Rung r's attempt a samples with seed
+  /// mix_seed(mix_seed(seed, r + 1), a + 1), and rung r + 1 starts only
+  /// after every attempt of rung r came back unverified. The first attempt
+  /// also builds, presolves and warm-refines a conjunction job, so a job
+  /// those stages decide never constructs a sampler. Always settles the job
+  /// before returning.
+  void run_job(Job& job) {
+    const double waited =
+        std::chrono::duration<double>(SteadyClock::now() - job.enqueued)
+            .count();
+    job.queue_seconds = waited;
+    if (telemetry::enabled()) {
+      telemetry::histogram("service.job.wait_seconds",
+                           telemetry::Unit::kSeconds)
+          .record(waited);
+    }
+    const CancelToken token = job.cancel.token();
+    const bool is_conjunction =
+        std::holds_alternative<std::vector<strqubo::Constraint>>(job.payload);
+    std::shared_ptr<const strqubo::PreparedConstraint> prepared;
+    for (std::size_t rung = 0; rung < options.portfolio.size(); ++rung) {
+      const PortfolioMember& member = options.portfolio[rung];
+      for (std::size_t attempt = 0; attempt <= options.max_verify_retries;
+           ++attempt) {
+        if (token.cancelled()) return stop_cancelled(job);
+        if (attempt > 0) {
+          stats_retries.fetch_add(1, std::memory_order_relaxed);
+          if (telemetry::enabled()) {
+            telemetry::counter("service.retry.attempts").add();
+          }
+        }
+        ++job.attempts;
+        if (is_conjunction && !prepared) {
+          std::string build_error;
+          prepared = prepare_job(job, build_error);
+          if (!prepared) {
+            // Deterministic for every rung: retrying would only repeat it.
+            claim_and_finish(job, [&](JobResult& result) {
+              result.notes.push_back("model build failed: " + build_error);
+            });
+            return;
+          }
+          if (try_presolve(job, *prepared) ||
+              try_warm_start(job, member, *prepared)) {
+            return;
+          }
+          if (token.cancelled()) return stop_cancelled(job);
+        }
+        const std::uint64_t seed = mix_seed(
+            mix_seed(job.options.seed, rung + 1), attempt + 1);
+        const Attempt outcome =
+            sample_once(job, member, seed, token, prepared.get());
+        if (outcome == Attempt::kDecided) return;
+        if (outcome == Attempt::kRungFailed) break;
       }
     }
+    // The last attempt may have been cut short mid-sweep.
+    if (token.cancelled()) return stop_cancelled(job);
+    finish_unverified(job);
   }
 
-  /// The presolve stage for one job, run by prepare_job inside the job's
-  /// once-flag, so siblings wait and then find the job decided. A decline
-  /// or an unverified ground state falls through to the race unchanged
-  /// (same seeds). Returns true when this call claimed the verdict (member
-  /// bookkeeping fully settled via claim_and_finish).
+  /// One attempt of one rung: construct the rung's sampler, sample the
+  /// prepared model (or run the script through the engine), and claim a
+  /// verified verdict. Nothing may propagate out of a worker thread — an
+  /// escaped exception would std::terminate the whole service — so a
+  /// throwing sampler is recorded and fails only its own rung.
+  Attempt sample_once(Job& job, const PortfolioMember& member,
+                      std::uint64_t seed, const CancelToken& token,
+                      const strqubo::PreparedConstraint* prepared) {
+    std::unique_ptr<anneal::Sampler> sampler;
+    try {
+      sampler = member.make(seed, token);
+    } catch (const std::exception& error) {
+      return fail_rung(job, member, error.what());
+    }
+    if (prepared != nullptr) {
+      strqubo::SolveResult solved;
+      try {
+        solved = strqubo::StringConstraintSolver(*sampler, options.build)
+                     .solve(*prepared);
+      } catch (const std::exception& error) {
+        // E.g. EmbeddedSampler failing to embed the model.
+        return fail_rung(job, member, error.what());
+      }
+      if (!solved.satisfied) return Attempt::kUnverified;
+      claim_and_finish(job, [&](JobResult& result) {
+        result.status = smtlib::CheckSatStatus::kSat;
+        result.text = solved.text;
+        result.position = solved.position;
+        result.winner = member.name;
+        // Inside the claim so the increment is sequenced before the
+        // promise resolves — a caller snapshotting telemetry right after
+        // .get() must see this job's winner.
+        record_winner(member.name);
+      });
+      return Attempt::kDecided;
+    }
+    engine::ScriptResult solved;
+    try {
+      solved = engine::solve_script(std::get<std::string>(job.payload),
+                                    *sampler, options.build);
+    } catch (const std::invalid_argument& error) {
+      // Parse errors are deterministic for the whole job: no later rung can
+      // do better, so claim the verdict instead of escalating.
+      claim_and_finish(job, [&](JobResult& result) {
+        result.notes.push_back(std::string("parse error: ") + error.what());
+      });
+      return Attempt::kDecided;
+    } catch (const std::exception& error) {
+      return fail_rung(job, member, error.what());
+    }
+    if (solved.status == smtlib::CheckSatStatus::kUnknown) {
+      return Attempt::kUnverified;
+    }
+    claim_and_finish(job, [&](JobResult& result) {
+      result.status = solved.status;
+      result.variable = solved.variable;
+      result.model_value = solved.model_value;
+      result.notes = solved.notes;
+      result.winner = member.name;
+      record_winner(member.name);
+    });
+    return Attempt::kDecided;
+  }
+
+  /// A rung's sampler threw (e.g. no embedding onto the target topology):
+  /// record the diagnostic and leave the rung. Later rungs still run; if
+  /// none wins, the error notes ride the kUnknown verdict.
+  Attempt fail_rung(Job& job, const PortfolioMember& member,
+                    const std::string& message) {
+    job.error_notes.push_back("portfolio member '" + member.name +
+                              "' failed: " + message);
+    stats_member_errors.fetch_add(1, std::memory_order_relaxed);
+    if (telemetry::enabled()) {
+      telemetry::counter("service.member.errors").add();
+    }
+    return Attempt::kRungFailed;
+  }
+
+  /// The presolve stage. A decline or an unverified ground state falls
+  /// through to the ladder unchanged (same seeds). Returns true when it
+  /// decided the job.
   bool try_presolve(Job& job, const strqubo::PreparedConstraint& prepared) {
     const std::optional<strqubo::SolveResult> solved =
         strqubo::presolve(prepared);
     if (!solved || !solved->satisfied) return false;
-    return claim_and_finish(job, kNoWinner, [&](JobResult& result) {
+    claim_and_finish(job, [&](JobResult& result) {
       result.status = smtlib::CheckSatStatus::kSat;
       result.text = solved->text;
       result.position = solved->position;
       result.winner = "presolve";
-      job.member_independent.store(true, std::memory_order_relaxed);
       record_winner(result.winner);
     });
+    return true;
   }
 
   /// The warm refine stage from the caller's previous witness
-  /// (JobOptions::warm_start), run at most once per job by whichever
-  /// member reaches the prepared model first. A verified refinement
-  /// decides the job before anyone pays a full-budget solve; a witness
-  /// that does not fit the model is ignored, and any miss falls back to
-  /// the cold path. Returns true when this call claimed the verdict
-  /// (member bookkeeping fully settled via claim_and_finish).
+  /// (JobOptions::warm_start), run once, after the presolve and before rung
+  /// 0 samples. A verified refinement decides the job before anyone pays a
+  /// full-budget solve and is credited to rung 0; a witness that does not
+  /// fit the model is ignored, and any miss falls back to the ladder.
+  /// Returns true when it decided the job.
   bool try_warm_start(Job& job, const PortfolioMember& member,
                       const strqubo::PreparedConstraint& prepared) {
     if (!job.options.warm_start.has_value()) return false;
-    if (job.warm_tried.exchange(true, std::memory_order_acq_rel)) {
-      return false;
-    }
     const std::optional<strqubo::SolveResult> solved = strqubo::warm_refine(
         prepared, *job.options.warm_start, mix_seed(job.options.seed, 0x77a7));
     if (!solved) return false;
     stats_warm_starts.fetch_add(1, std::memory_order_relaxed);
     if (!solved->satisfied) return false;
-    return claim_and_finish(job, kNoWinner, [&](JobResult& result) {
+    claim_and_finish(job, [&](JobResult& result) {
       result.status = smtlib::CheckSatStatus::kSat;
       result.text = solved->text;
       result.position = solved->position;
       result.winner = member.name;
       result.notes.push_back("warm start");
-      // The refinement is member-independent: whoever reached the
-      // prepared model first ran it. Routing must not credit the member,
-      // or warm sessions would train the table on luck.
-      job.member_independent.store(true, std::memory_order_relaxed);
       record_winner(member.name);
       // Inside the claim so the increment is sequenced before the promise
       // resolves (a caller snapshotting stats right after .get() must see
       // this hit).
       stats_warm_hits.fetch_add(1, std::memory_order_relaxed);
     });
+    return true;
   }
 
-  /// One (job, member) race lane: the member's reseeded attempt loop.
-  /// Always settles this member's race bookkeeping before returning.
-  void run_member(Job& job, std::size_t member_index) {
-    const CancelToken token = job.cancel.token();
-    mark_started(job);
-    if (token.cancelled()) {
-      // Cancelled before a single sweep: either a sibling won (count the
-      // cancellation) or the deadline expired while queued, which cut the
-      // job short (this member may be the one that must emit the timeout).
-      if (job.decided.load(std::memory_order_acquire)) {
-        record_member_cancelled(job);
-        release_member(job);
-      } else {
-        job.deadline_cut_short.store(true, std::memory_order_relaxed);
-        finish_if_last(job);
-      }
-      return;
-    }
-    const PortfolioMember& member = options.portfolio[member_index];
-
-    // True when this member must stop racing. A cancelled token on an
-    // undecided job can only mean the deadline (a winner flips `decided`
-    // before cancelling), so observing it here — between attempts or right
-    // after a sweep loop aborted — marks the job as cut short by its
-    // deadline rather than exhausted.
-    const auto aborted = [&]() -> bool {
-      if (job.decided.load(std::memory_order_acquire)) return true;
-      if (token.cancelled()) {
-        job.deadline_cut_short.store(true, std::memory_order_relaxed);
-        return true;
-      }
-      return false;
-    };
-
-    for (std::size_t attempt = 0; attempt <= options.max_verify_retries;
-         ++attempt) {
-      if (aborted()) break;
-      if (attempt > 0) {
-        stats_retries.fetch_add(1, std::memory_order_relaxed);
-        if (telemetry::enabled()) {
-          telemetry::counter("service.retry.attempts").add();
-        }
-      }
-      job.attempts.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t seed = mix_seed(
-          mix_seed(job.options.seed, member_index + 1), attempt + 1);
-      std::unique_ptr<anneal::Sampler> sampler;
-      try {
-        sampler = member.make(seed, token);
-      } catch (const std::exception& error) {
-        fail_member(job, member, error.what());
-        return;
-      }
-
-      if (std::holds_alternative<std::vector<strqubo::Constraint>>(
-              job.payload)) {
-        bool presolved = false;
-        const strqubo::PreparedConstraint* prepared =
-            prepare_job(job, presolved);
-        if (presolved) return;
-        if (prepared == nullptr) {
-          // Build failed; the error is deterministic, so retrying or
-          // letting other members run the same build would only repeat it.
-          if (!claim_and_finish(job, kNoWinner, [&](JobResult& result) {
-                result.notes.push_back("model build failed: " +
-                                       job.build_error);
-              })) {
-            release_member(job);
-          }
-          return;
-        }
-        // A sibling's presolve may have claimed.
-        if (aborted()) break;
-        if (try_warm_start(job, member, *prepared)) return;
-        // ... or a sibling's warm start.
-        if (aborted()) break;
-        strqubo::SolveResult solved;
-        try {
-          const strqubo::StringConstraintSolver solver(*sampler,
-                                                       options.build);
-          solved = solver.solve(*prepared);
-        } catch (const std::exception& error) {
-          // E.g. EmbeddedSampler failing to embed the model. Worker threads
-          // must never let an exception escape (std::terminate); the member
-          // drops out of the race and its siblings keep going.
-          fail_member(job, member, error.what());
-          return;
-        }
-        if (solved.satisfied) {
-          if (claim_and_finish(job, member_index, [&](JobResult& result) {
-                result.status = smtlib::CheckSatStatus::kSat;
-                result.text = solved.text;
-                result.position = solved.position;
-                result.winner = member.name;
-                // Inside the claim so the increment is sequenced before the
-                // promise resolves — a caller snapshotting telemetry right
-                // after .get() must see this job's winner.
-                record_winner(member.name);
-              })) {
-            return;
-          }
-          break;  // Sibling won between our solve and the claim.
-        }
-        // Decoded model failed verification: loop for a reseeded attempt
-        // (noting first whether the deadline aborted this solve mid-sweep —
-        // the top-of-loop check never runs after the last attempt).
-        if (aborted()) break;
-      } else {
-        const std::string& script = std::get<std::string>(job.payload);
-        engine::ScriptResult solved;
-        try {
-          solved = engine::solve_script(script, *sampler, options.build);
-        } catch (const std::invalid_argument& error) {
-          // Parse errors are deterministic for the whole job: no sibling
-          // can do better, so claim the verdict instead of dropping out.
-          if (!claim_and_finish(job, kNoWinner,
-                                [&, message = std::string(error.what())](
-                                    JobResult& result) {
-                result.notes.push_back("parse error: " + message);
-              })) {
-            release_member(job);
-          }
-          return;
-        } catch (const std::exception& error) {
-          fail_member(job, member, error.what());
-          return;
-        }
-        if (solved.status != smtlib::CheckSatStatus::kUnknown) {
-          if (claim_and_finish(job, member_index, [&](JobResult& result) {
-                result.status = solved.status;
-                result.variable = solved.variable;
-                result.model_value = solved.model_value;
-                result.notes = solved.notes;
-                result.winner = member.name;
-                record_winner(member.name);
-              })) {
-            return;
-          }
-          break;
-        }
-        // kUnknown from a complete run: loop for a reseeded attempt.
-        if (aborted()) break;
-      }
-    }
-
-    // Lost: a sibling decided, the deadline expired mid-solve, or every
-    // reseeded attempt came back unverified.
-    if (token.cancelled() && job.decided.load(std::memory_order_acquire)) {
-      record_member_cancelled(job);
-    }
-    finish_if_last(job);
-  }
-
-  /// A member's sampler threw (e.g. no embedding onto the target topology):
-  /// record the diagnostic and drop the member out of the race. Siblings
-  /// keep racing; if none wins, the error notes ride the kUnknown verdict.
-  /// Nothing may propagate out of a worker thread — an escaped exception
-  /// would std::terminate the whole service.
-  void fail_member(Job& job, const PortfolioMember& member,
-                   const std::string& message) {
-    {
-      std::lock_guard<std::mutex> lock(job.error_notes_mutex);
-      job.error_notes.push_back("portfolio member '" + member.name +
-                                "' failed: " + message);
-    }
-    stats_member_errors.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      telemetry::counter("service.member.errors").add();
-    }
-    finish_if_last(job);
-  }
-
-  /// Builds (or fetches from the cache) the job's PreparedConstraint and
-  /// runs the presolve on it, once per job. Returns nullptr when the build
-  /// threw (job.build_error has the message); sets `presolved` in the one
-  /// call whose presolve claimed the verdict.
-  const strqubo::PreparedConstraint* prepare_job(Job& job, bool& presolved) {
-    std::call_once(job.prepare_once, [&] {
-      build_job(job);
-      if (job.prepared) presolved = try_presolve(job, *job.prepared);
-    });
-    return job.prepared.get();
-  }
-
-  /// prepare_job's build half: the prepared-model cache lookup, or the
+  /// The job's PreparedConstraint: the prepared-model cache lookup, or the
   /// build and its insert. Only one-conjunct models are cached. A merged
-  /// multi-conjunct model is built once per job and shared by its members
-  /// only: server sessions rarely repeat a conjunction (a repeat is an
-  /// answer-cache hit), and holding up to the cache's 256 of them raised
-  /// the daemon's peak RSS by about 30% on incremental traffic.
-  void build_job(Job& job) {
+  /// multi-conjunct model is built for its one job only: server sessions
+  /// rarely repeat a conjunction (a repeat is an answer-cache hit), and
+  /// holding up to the cache's 256 of them raised the daemon's peak RSS by
+  /// about 30% on incremental traffic. Returns null with `error` set when
+  /// the build threw.
+  std::shared_ptr<const strqubo::PreparedConstraint> prepare_job(
+      const Job& job, std::string& error) {
     const std::string& key = job.structure_key;
     if (!key.empty()) {
       std::lock_guard<std::mutex> lock(cache_mutex);
       auto it = cache.find(key);
       if (it != cache.end()) {
-        job.prepared = it->second->prepared;
         cache_lru.splice(cache_lru.begin(), cache_lru, it->second);
         stats_cache_hits.fetch_add(1, std::memory_order_relaxed);
         if (telemetry::enabled()) {
           telemetry::counter("service.model_cache.hits").add();
         }
-        return;
+        return it->second->prepared;
       }
     }
     stats_cache_misses.fetch_add(1, std::memory_order_relaxed);
     if (telemetry::enabled()) {
       telemetry::counter("service.model_cache.misses").add();
     }
+    std::shared_ptr<const strqubo::PreparedConstraint> prepared;
     try {
       // Build outside the cache lock: builds dominate and would serialise
       // every worker otherwise. Two threads may race the same key; the
       // loser's insert is a no-op and its build is wasted once.
-      job.prepared = std::make_shared<const strqubo::PreparedConstraint>(
+      prepared = std::make_shared<const strqubo::PreparedConstraint>(
           strqubo::prepare(
               std::get<std::vector<strqubo::Constraint>>(job.payload),
               options.build));
-    } catch (const std::exception& error) {
-      job.build_error = error.what();
-      return;
+    } catch (const std::exception& build_error) {
+      error = build_error.what();
+      return nullptr;
     }
-    if (key.empty()) return;
+    if (key.empty()) return prepared;
     std::lock_guard<std::mutex> lock(cache_mutex);
-    if (cache.contains(key)) return;
-    const std::size_t entry_bytes = prepared_bytes(key, *job.prepared);
+    if (cache.contains(key)) return prepared;
+    const std::size_t entry_bytes = prepared_bytes(key, *prepared);
     cache_bytes += entry_bytes;
-    cache_lru.push_front(CacheEntry{key, job.prepared, entry_bytes});
+    cache_lru.push_front(CacheEntry{key, prepared, entry_bytes});
     cache.emplace(key, cache_lru.begin());
     while (cache.size() > options.model_cache_capacity) {
       cache_bytes -= cache_lru.back().bytes;
@@ -865,160 +629,75 @@ struct SolveService::Impl {
       telemetry::gauge("service.model_cache.bytes", telemetry::Unit::kBytes)
           .set(static_cast<double>(cache_bytes));
     }
+    return prepared;
   }
 
-  /// Atomically claims the verdict for the calling member. On success runs
-  /// `fill` on a fresh JobResult, cancels the siblings, fulfils the promise
-  /// and records completion telemetry. `winner_member` is the portfolio
-  /// index whose solve produced the verdict (kNoWinner for member-neutral
-  /// claims: build failures, parse errors, warm starts) — it feeds the
-  /// router's ledger in complete(). Returns false when a sibling already
-  /// claimed (the caller simply finishes as a loser).
+  /// Atomically claims the verdict. On success runs `fill` on a fresh
+  /// JobResult, fulfils the promise and records completion telemetry.
+  /// Returns false when the job was already decided. One task runs each
+  /// job, but a shutdown may still resolve a job that never ran, so the
+  /// claim stays an election.
   template <typename Fill>
-  bool claim_and_finish(Job& job, std::size_t winner_member, Fill&& fill) {
+  bool claim_and_finish(Job& job, Fill&& fill) {
     bool expected = false;
     if (!job.decided.compare_exchange_strong(expected, true,
                                              std::memory_order_acq_rel)) {
       return false;
     }
-    job.winner_member.store(winner_member, std::memory_order_relaxed);
-    // Single-member portfolios with nothing armed on the token have nobody
-    // to signal: skip the cancel write so the no-race configuration pays no
-    // race scaffolding (bench/service_bench.cpp measures this path).
-    if (options.portfolio.size() > 1 || job.has_deadline ||
-        job.external_cancel) {
-      job.cancel.cancel();
-    }
+    // An adopted external CancelSource observes the verdict, so the
+    // caller's other handles see the job is over. A service-owned token
+    // has nobody left to signal.
+    if (job.external_cancel) job.cancel.cancel();
     JobResult result;
     fill(result);
     complete(job, std::move(result));
-    release_member(job);
     return true;
   }
 
-  /// Resolves a job whose member tasks will never run (shutdown races).
-  /// Idempotent across members: only the first call claims the verdict.
+  /// Resolves a job whose task will never run (shutdown races).
   void resolve_unrun(Job& job, const std::string& note) {
-    bool expected = false;
-    if (!job.decided.compare_exchange_strong(expected, true,
-                                             std::memory_order_acq_rel)) {
-      return;
-    }
-    JobResult result;
-    result.notes.push_back(note);
-    complete(job, std::move(result));
+    claim_and_finish(job, [&](JobResult& result) {
+      result.notes.push_back(note);
+    });
   }
 
-  /// A routed dispatch that failed to decide (member lost every attempt,
-  /// threw, or was pre-empted by shutdown of its lane) gets one fallback:
-  /// the remaining portfolio races exactly as it would have without the
-  /// router — same per-(member, attempt) seeds — so routing can delay but
-  /// never change a verdict. Returns true when the fallback race was
-  /// enqueued (the job stays live); false hands the verdict back to the
-  /// normal last-loser path. Only the finisher that observed the countdown
-  /// hit zero calls this, so the exchange is uncontended in practice.
-  bool maybe_fallback(Job& job) {
-    if (!job.routed) return false;
-    if (job.decided.load(std::memory_order_acquire)) return false;
-    // Deadline or external cancellation: no point starting new members.
-    if (job.cancel.token().cancelled()) return false;
-    if (options.portfolio.size() < 2) return false;
-    if (job.fell_back.exchange(true, std::memory_order_acq_rel)) return false;
-
-    // Ledger first (fallback = the routed member failed this bucket), and
-    // the disposition before the tasks so a fast fallback winner's
-    // complete() observes it (ordered by the queue mutex).
-    job.route_disposition = "routed+fallback";
-    if (job.router) {
-      job.router->record_fallback(job.route_bucket, job.routed_member);
-    }
-    stats_route_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  /// The job's token fired before a verdict: the deadline, or an external
+  /// cancellation such as a client disconnect, stopped the task while it
+  /// was queued, between attempts, or mid-sweep.
+  void stop_cancelled(Job& job) {
+    job.cancelled = true;
+    stats_cancelled.fetch_add(1, std::memory_order_relaxed);
     if (telemetry::enabled()) {
-      telemetry::counter("service.route.fallbacks").add();
+      telemetry::counter("service.member.cancelled").add();
     }
-
-    std::shared_ptr<Job> self = job.shared_from_this();
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex);
-      if (stopping) return false;  // Shutdown: emit the kUnknown verdict.
-      job.members_left.store(options.portfolio.size() - 1,
-                             std::memory_order_relaxed);
-      for (std::size_t m = 0; m < options.portfolio.size(); ++m) {
-        if (m == job.routed_member) continue;
-        queue.push_back(Task{self, m});
-      }
-      publish_queue_depth_locked();
-    }
-    queue_cv.notify_all();
-    return true;
+    finish_unverified(job);
   }
 
-  /// Loser bookkeeping: the last member to finish an undecided job owns the
-  /// kUnknown (or timeout) verdict.
-  void finish_if_last(Job& job) {
-    if (job.members_left.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-      return;
-    }
-    if (maybe_fallback(job)) return;
-    bool expected = false;
-    if (!job.decided.compare_exchange_strong(expected, true,
-                                             std::memory_order_acq_rel)) {
-      return;
-    }
-    JobResult result;
-    // timed_out only when the deadline actually interrupted work — not when
-    // every member ran its full attempt budget unverified and the deadline
-    // merely expired concurrently with the bookkeeping.
-    result.timed_out =
-        job.has_deadline &&
-        job.deadline_cut_short.load(std::memory_order_relaxed);
-    if (result.timed_out) {
-      result.notes.push_back("deadline expired");
-      stats_timeouts.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        telemetry::counter("service.job.timeouts").add();
+  /// The ladder ended without a verified verdict: kUnknown, marked as a
+  /// timeout only when the deadline actually interrupted work — not when
+  /// every rung ran its full attempt budget unverified and the deadline
+  /// merely expired afterwards.
+  void finish_unverified(Job& job) {
+    claim_and_finish(job, [&](JobResult& result) {
+      result.timed_out = job.has_deadline && job.cancelled;
+      if (result.timed_out) {
+        result.notes.push_back("deadline expired");
+        stats_timeouts.fetch_add(1, std::memory_order_relaxed);
+        if (telemetry::enabled()) {
+          telemetry::counter("service.job.timeouts").add();
+        }
+      } else {
+        result.notes.push_back(
+            "no portfolio member produced a verified model");
       }
-    } else {
-      result.notes.push_back("no portfolio member produced a verified model");
-      job.exhausted.store(true, std::memory_order_relaxed);
-    }
-    {
-      // The countdown hitting zero means every member finished, so all
-      // appends happened-before this read; the lock keeps ASan/TSan happy
-      // about a racing append from a member that failed after the claim.
-      std::lock_guard<std::mutex> lock(job.error_notes_mutex);
       for (std::string& note : job.error_notes) {
         result.notes.push_back(std::move(note));
       }
-    }
-    complete(job, std::move(result));
-  }
-
-  /// Feeds this job's outcome back into its router ledger. Only genuine
-  /// member-quality signals train the table: presolve and warm-start
-  /// verdicts are member-independent, timeouts and cancellations say
-  /// nothing about who would have won, and build/parse failures are
-  /// deterministic for every member. A failed routed dispatch recorded its own fallback loss in
-  /// maybe_fallback, so the no-winner branch here only debits full races.
-  void record_route_outcome(Job& job) {
-    if (!job.router) return;
-    if (job.member_independent.load(std::memory_order_relaxed)) return;
-    if (job.deadline_cut_short.load(std::memory_order_relaxed)) return;
-    const std::size_t winner = job.winner_member.load(std::memory_order_relaxed);
-    if (winner != kNoWinner) {
-      // Full races debit every beaten sibling; routed hits and fallback
-      // winners ran alone (or after the fallback loss already landed).
-      job.router->record_win(job.route_bucket, winner,
-                             /*was_race=*/!job.routed);
-    } else if (!job.routed && job.exhausted.load(std::memory_order_relaxed)) {
-      for (std::size_t m = 0; m < options.portfolio.size(); ++m) {
-        job.router->record_loss(job.route_bucket, m);
-      }
-    }
+    });
   }
 
   /// Confirms one answer-cache hit against this job's own payload and, on
-  /// success, resolves the job on the submitting thread: no member task is
+  /// success, resolves the job on the submitting thread: no task is
   /// queued, winner is "answer-cache", attempts stay zero, and the
   /// pipeline/on_complete plumbing fires through the ordinary complete()
   /// path. Exactly ONE classical verification guards every served witness:
@@ -1120,7 +799,7 @@ struct SolveService::Impl {
     answer.status = result.status;
     if (std::holds_alternative<std::vector<strqubo::Constraint>>(
             job.payload)) {
-      // Already classically verified by the winning member (first-
+      // Already classically verified by the winning rung (first-
       // verified-SAT-wins); conjunction jobs never resolve kUnsat.
       answer.text = result.text;
       answer.position = result.position;
@@ -1151,15 +830,12 @@ struct SolveService::Impl {
 
   void complete(Job& job, JobResult result) {
     result.tag = job.options.tag;
-    result.route = job.route_disposition;
-    result.attempts = job.attempts.load(std::memory_order_relaxed);
-    result.members_cancelled =
-        job.cancelled_members.load(std::memory_order_relaxed);
-    result.queue_seconds = job.queue_seconds.load(std::memory_order_relaxed);
+    result.attempts = job.attempts;
+    result.members_cancelled = job.cancelled ? 1 : 0;
+    result.queue_seconds = job.queue_seconds;
     result.solve_seconds =
         std::chrono::duration<double>(SteadyClock::now() - job.enqueued)
             .count();
-    record_route_outcome(job);
     // Check the verdict into the answer cache before the promise resolves:
     // a caller that resubmits an alpha-variant right after .get() must hit.
     maybe_insert_answer(job, result);
@@ -1174,18 +850,6 @@ struct SolveService::Impl {
     // is already enqueued by the time any waiter wakes.
     if (job.on_complete) job.on_complete(result);
     job.promise.set_value(std::move(result));
-  }
-
-  void release_member(Job& job) {
-    job.members_left.fetch_sub(1, std::memory_order_acq_rel);
-  }
-
-  void record_member_cancelled(Job& job) {
-    job.cancelled_members.fetch_add(1, std::memory_order_relaxed);
-    stats_cancelled.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      telemetry::counter("service.member.cancelled").add();
-    }
   }
 
   void record_winner(const std::string& name) {
@@ -1205,7 +869,7 @@ struct SolveService::Impl {
 
   std::mutex queue_mutex;
   std::condition_variable queue_cv;
-  std::deque<Task> queue;
+  std::deque<std::shared_ptr<Job>> queue;
   bool stopping = false;
   std::vector<std::thread> workers;
 
@@ -1229,8 +893,6 @@ struct SolveService::Impl {
   std::atomic<std::uint64_t> stats_cache_misses{0};
   std::atomic<std::uint64_t> stats_warm_starts{0};
   std::atomic<std::uint64_t> stats_warm_hits{0};
-  std::atomic<std::uint64_t> stats_routed{0};
-  std::atomic<std::uint64_t> stats_route_fallbacks{0};
   std::atomic<std::uint64_t> stats_pipelines{0};
   std::atomic<std::uint64_t> stats_chain_warm_starts{0};
   std::atomic<std::uint64_t> stats_answer_hits{0};
@@ -1299,19 +961,6 @@ std::size_t SolveService::num_workers() const noexcept {
   return impl_->workers.size();
 }
 
-std::size_t SolveService::portfolio_size() const noexcept {
-  return impl_->options.portfolio.size();
-}
-
-std::vector<std::string> SolveService::portfolio_names() const {
-  std::vector<std::string> names;
-  names.reserve(impl_->options.portfolio.size());
-  for (const PortfolioMember& member : impl_->options.portfolio) {
-    names.push_back(member.name);
-  }
-  return names;
-}
-
 SolveService::Stats SolveService::stats() const noexcept {
   Stats stats;
   stats.jobs_submitted = impl_->stats_submitted.load(std::memory_order_relaxed);
@@ -1328,9 +977,6 @@ SolveService::Stats SolveService::stats() const noexcept {
       impl_->stats_cache_misses.load(std::memory_order_relaxed);
   stats.warm_starts = impl_->stats_warm_starts.load(std::memory_order_relaxed);
   stats.warm_hits = impl_->stats_warm_hits.load(std::memory_order_relaxed);
-  stats.jobs_routed = impl_->stats_routed.load(std::memory_order_relaxed);
-  stats.route_fallbacks =
-      impl_->stats_route_fallbacks.load(std::memory_order_relaxed);
   stats.pipelines = impl_->stats_pipelines.load(std::memory_order_relaxed);
   stats.chain_warm_starts =
       impl_->stats_chain_warm_starts.load(std::memory_order_relaxed);

@@ -1,39 +1,39 @@
-// qsmt::service — the serving layer: concurrent batch solving with
-// portfolio racing, cancellation, and deadlines.
+// qsmt::service — the serving layer: concurrent batch solving with an
+// escalation ladder of samplers, cancellation, and deadlines.
 //
 // SolveService owns a fixed-size worker pool. Every submitted job (a
 // conjunction of strqubo::Constraints over one string — a single constraint
-// is the one-element case — or an SMT-LIB script) is raced by a configurable
-// portfolio of samplers — simulated annealing, parallel tempering,
-// path-integral quantum simulation, minor-embedded annealing, or any
-// custom anneal::Sampler — with first-verified-SAT-wins semantics:
+// is the one-element case — or an SMT-LIB script) is one queued task that
+// climbs ServiceOptions::portfolio in order — simulated annealing, parallel
+// tempering, path-integral quantum simulation, minor-embedded annealing, or
+// any custom anneal::Sampler — until a rung produces a verified verdict:
 //
-//  * the first portfolio member whose decoded model passes classical
-//    verification (or, for scripts, whose engine verdict is decisively
-//    sat/unsat) fulfils the job's future and cancels the job's
-//    CancelSource;
-//  * losing members observe the shared CancelToken inside their sweep
-//    loops (the same per-sweep plumbing as the annealer's zero-flip early
-//    exit) and stop within one sweep, returning their cycles to the pool;
-//  * per-job deadlines ride the same token: an expired deadline cancels
-//    in-flight members and the job resolves to a graceful kUnknown with
-//    timed_out set — deadlines never throw and never lose other jobs;
-//  * a member whose decoded model fails verification retries with a
-//    reseeded sampler up to ServiceOptions::max_verify_retries times
-//    (annealing is stochastic; a fresh RNG stream is often all it takes).
+//  * a rung samples up to max_verify_retries + 1 times with reseeded
+//    samplers (annealing is stochastic; a fresh RNG stream is often all it
+//    takes); the first decoded model that passes classical verification
+//    (or, for scripts, the first decisive sat/unsat engine verdict)
+//    fulfils the job's future;
+//  * only when every attempt of a rung fails does the task go on, in the
+//    same worker, to the next rung — a more expensive sampler never runs
+//    for a job a cheaper one already decided, and no job ever holds two
+//    workers;
+//  * per-job deadlines and external cancellation (a client disconnect)
+//    ride the job's CancelToken, which the running sampler polls inside its
+//    sweep loops: the job resolves to a graceful kUnknown (timed_out set
+//    for a deadline) — deadlines never throw and never lose other jobs.
 //
 // Conjunction jobs run the shared solve stages of strqubo/solver.hpp: the
 // QUBO model and its CSR adjacency are built once per job (one-conjunct
 // models once per distinct constraint, through a keyed cache shared across
-// jobs), presolved once per job, warm-refined from JobOptions::warm_start,
-// and re-sampled at every attempt — see strqubo::PreparedConstraint. The server's sessions
+// jobs), presolved, warm-refined from JobOptions::warm_start, and only then
+// re-sampled rung by rung — see strqubo::PreparedConstraint. A rung's
+// sampler is constructed only when that rung samples. The server's sessions
 // submit every sampled check-sat this way. Script jobs reach the same
 // stages through engine::solve_script and the in-process driver.
 //
-// The unit of queued work is one (job, member) pair, so workers never
-// block waiting on other tasks and the pool cannot deadlock regardless of
-// worker count. Emitted telemetry (docs/telemetry.md): queue depth gauge,
-// job latency histograms, portfolio-winner/timeout/cancellation counters.
+// Workers never block waiting on other tasks, so the pool cannot deadlock
+// regardless of worker count. Emitted telemetry (docs/telemetry.md): queue
+// depth gauge, job latency histograms, winner/timeout/cancellation counters.
 #pragma once
 
 #include <chrono>
@@ -46,13 +46,9 @@
 #include <vector>
 
 #include "anneal/exact.hpp"
-#include "anneal/pimc.hpp"
-#include "canon/answer_cache.hpp"
 #include "anneal/sampler.hpp"
 #include "anneal/simulated_annealer.hpp"
-#include "anneal/tempering.hpp"
-#include "graph/embedded_sampler.hpp"
-#include "route/router.hpp"
+#include "canon/answer_cache.hpp"
 #include "smtlib/driver.hpp"
 #include "strqubo/builders.hpp"
 #include "strqubo/constraint.hpp"
@@ -60,10 +56,10 @@
 
 namespace qsmt::service {
 
-/// One lane of the portfolio race: a display name plus a thread-safe
+/// One rung of the escalation ladder: a display name plus a thread-safe
 /// factory producing the sampler for a given (seed, cancel token) pair.
-/// Factories are invoked per (job, member, attempt), so retry-with-reseed
-/// gets genuinely independent RNG streams.
+/// Factories are invoked per (job, rung, attempt) that actually samples, so
+/// retry-with-reseed gets genuinely independent RNG streams.
 struct PortfolioMember {
   std::string name;
   std::function<std::unique_ptr<anneal::Sampler>(std::uint64_t seed,
@@ -71,43 +67,26 @@ struct PortfolioMember {
       make;
 };
 
-/// Simulated-annealing lane. `base.seed` and `base.cancel` are overwritten
+/// Simulated-annealing rung. `base.seed` and `base.cancel` are overwritten
 /// per attempt; every other field is honoured.
 PortfolioMember simulated_annealing_member(
     std::string name, anneal::SimulatedAnnealerParams base = {});
 
-/// Parallel-tempering (replica exchange) lane.
-PortfolioMember parallel_tempering_member(
-    std::string name, anneal::ParallelTemperingParams base = {});
-
-/// Path-integral (simulated quantum annealing) lane.
-PortfolioMember path_integral_member(std::string name,
-                                     anneal::PathIntegralParams base = {});
-
-/// Minor-embedded hardware-simulation lane. `target` must outlive the
-/// service; the cancel token threads through the inner annealer.
-PortfolioMember embedded_member(std::string name, const graph::Graph& target,
-                                graph::EmbeddedSamplerParams base = {});
-
-/// Exhaustive-enumeration lane (anneal::ExactSolver, <= 30 QUBO variables —
-/// larger models throw and the member drops out of its race). Deterministic
-/// verdicts for corpus-sized jobs: the server's tests and `qsmt-server
-/// --exact` run a single-member exact portfolio so replies are pinnable.
+/// Exhaustive-enumeration rung (anneal::ExactSolver, <= 30 QUBO variables —
+/// larger models throw and the ladder moves on to the next rung).
+/// Deterministic verdicts for corpus-sized jobs: the server's tests and
+/// `qsmt-server --exact` run a single-rung exact portfolio so replies are
+/// pinnable.
 PortfolioMember exact_member(std::string name,
                              anneal::ExactSolverParams base = {});
 
-/// The default race: a fast low-budget annealer (wins easy jobs in
-/// milliseconds) against a deep high-budget one (catches what the fast
-/// lane misses). Bian et al.'s portfolio observation for annealing-based
-/// SAT: heterogeneous effort levels beat any single configuration.
+/// The default ladder: a fast low-budget annealer (decides easy jobs in
+/// fractions of a millisecond), then a deep high-budget one that runs only
+/// for jobs the fast rung could not verify. Bian et al.'s portfolio
+/// observation for annealing-based SAT — heterogeneous effort levels beat
+/// any single configuration — applied in escalation order, so the extra
+/// budget is spent only where the cheap one failed.
 std::vector<PortfolioMember> default_portfolio();
-
-/// A quantum-inclusive race: sa-fast plus a light path-integral lane and a
-/// minor-embedded lane onto `target` (which must outlive the service). The
-/// embedded lane shares one structure-keyed embedding cache across all of
-/// its attempts, so batches of same-shaped string QUBOs embed once and then
-/// race warm — the workload Abel et al. describe for annealer model building.
-std::vector<PortfolioMember> quantum_portfolio(const graph::Graph& target);
 
 struct ServiceOptions {
   /// Worker threads. 0 = one per CPU the constructing thread may run on
@@ -118,30 +97,19 @@ struct ServiceOptions {
   std::size_t num_workers = 0;
   /// QUBO build options shared by every job.
   strqubo::BuildOptions build;
-  /// The race lanes. Empty = default_portfolio().
+  /// The escalation order: rung 0 samples first, and rung r + 1 runs only
+  /// after every attempt of rung r failed to verify. Empty =
+  /// default_portfolio().
   std::vector<PortfolioMember> portfolio;
-  /// Extra reseeded attempts per member after a failed verification.
+  /// Extra reseeded attempts per rung after a failed verification.
   std::size_t max_verify_retries = 2;
   /// Deadline applied to jobs that do not set their own (0 = none).
   std::chrono::nanoseconds default_deadline{0};
   /// Upper bound on distinct prepared constraints kept in the model cache
   /// (an unbounded cache would grow with the stream of distinct jobs).
   std::size_t model_cache_capacity = 256;
-  /// Adaptive portfolio router (docs/routing.md). When set, one-conjunct
-  /// jobs consult it before enqueueing: a confident decision dispatches
-  /// ONLY the historically-best member (seeds preserved, so the routed run
-  /// is bit-identical to that member's leg of the full race);
-  /// low-confidence and periodic-explore decisions race the whole
-  /// portfolio and train the table. A routed member that fails to decide
-  /// falls back to racing the remaining members. Ignored when the router's
-  /// member list does not match this portfolio's size, when the portfolio
-  /// has fewer than two members, and for multi-conjunct and script jobs
-  /// (no single constraint's structural features): those race. Shared: one
-  /// router may serve many services, or many tenants may each pass their
-  /// own per-job via JobOptions::router.
-  std::shared_ptr<route::Router> router;
   /// Canonical answer cache (docs/caching.md). When set, every job is
-  /// looked up at submission — ahead of the router — under its
+  /// looked up at submission, before any task is queued, under its
   /// alpha-equivalence canonical key (src/canon): a hit whose remapped
   /// witness passes one classical verification resolves the future
   /// immediately with a byte-identical verdict (winner "answer-cache",
@@ -165,23 +133,19 @@ struct JobOptions {
   /// Opaque caller id echoed into JobResult (batch bookkeeping, tests).
   std::uint64_t tag = 0;
   /// External cancellation handle the job adopts when set: cancelling the
-  /// source cancels the job's whole portfolio race (the server session uses
+  /// source cancels the job's running sampler (the server session uses
   /// this to abort in-flight work when a client disconnects mid-check-sat).
   /// The job's deadline, when any, is armed on this same source.
   std::optional<CancelSource> cancel;
   /// Warm-start seed for conjunction jobs: a previously verified witness
   /// from the same logical session (the server's incremental sessions pass
-  /// their last sat model). The first member to pick the job up runs one
-  /// cheap reverse-anneal refinement from this string before its cold
-  /// attempt; if the refined sample verifies, the job is decided without a
+  /// their last sat model). The job's task runs one cheap reverse-anneal
+  /// refinement from this string after the presolve and before rung 0
+  /// samples; if the refined sample verifies, the job is decided without a
   /// full-budget solve. A witness whose length differs from the job's
   /// string length is ignored (cold start). Jobs from submit_script ignore
   /// this field.
   std::optional<std::string> warm_start;
-  /// Per-job router override (the server passes each tenant's own learned
-  /// table here). Takes precedence over ServiceOptions::router; the same
-  /// member-count and constraint-job-only gating applies.
-  std::shared_ptr<route::Router> router;
 };
 
 struct JobResult {
@@ -193,30 +157,28 @@ struct JobResult {
   /// Script jobs: model variable and value when status == kSat.
   std::string variable;
   std::string model_value;
-  /// Portfolio member that produced the decisive verdict (empty when none).
+  /// Rung that produced the decisive verdict ("presolve" for the exact
+  /// presolve, rung 0's name for a warm-start hit; empty when none).
   std::string winner;
-  /// Router disposition for this job: "" when no router was consulted,
-  /// "routed" (single-member dispatch held), "routed+fallback" (routed
-  /// member failed to decide; the rest of the portfolio raced),
-  /// "race:low_confidence" or "race:explore" (router chose a full race).
-  std::string route;
   std::vector<std::string> notes;
-  /// True when the job's deadline actually cut work short (a member was
+  /// True when the job's deadline actually cut work short (the task was
   /// cancelled while queued, between attempts, or mid-solve) before any
-  /// member won. A job whose members exhausted every attempt unverified
-  /// while the deadline expired concurrently is kUnknown, not a timeout.
+  /// rung won. A job that exhausted every attempt unverified while the
+  /// deadline expired concurrently is kUnknown, not a timeout.
   bool timed_out = false;
   /// True when the verdict was served from the canonical answer cache
-  /// (ServiceOptions::answer_cache): no portfolio member ran, winner is
+  /// (ServiceOptions::answer_cache): no rung ran, winner is
   /// "answer-cache", and the witness was confirmed by one classical
   /// verification against this job's own payload.
   bool answer_cache_hit = false;
-  /// Sampling attempts across all members at the time the verdict landed.
+  /// Attempts started across all rungs by the time the verdict landed (the
+  /// first one also runs the build, presolve and warm refine).
   std::size_t attempts = 0;
-  /// Losing members that had observed their cancel token by verdict time.
+  /// 1 when the job's task stopped because its token fired (deadline or
+  /// external cancellation) before a verdict, else 0.
   std::size_t members_cancelled = 0;
   std::uint64_t tag = 0;
-  /// Seconds from submission to first member pickup / to the verdict
+  /// Seconds from submission to task pickup / to the verdict
   /// (steady clock).
   double queue_seconds = 0.0;
   double solve_seconds = 0.0;
@@ -256,8 +218,8 @@ class SolveService {
   SolveService(const SolveService&) = delete;
   SolveService& operator=(const SolveService&) = delete;
 
-  /// Enqueues one constraint job; the future resolves when the portfolio
-  /// race decides (or the deadline expires).
+  /// Enqueues one constraint job; the future resolves when a rung of the
+  /// ladder decides, every rung is exhausted, or the deadline expires.
   std::future<JobResult> submit(strqubo::Constraint constraint,
                                 JobOptions options = {});
 
@@ -289,20 +251,17 @@ class SolveService {
   std::future<PipelineResult> submit_pipeline(PipelineJob pipeline);
 
   std::size_t num_workers() const noexcept;
-  std::size_t portfolio_size() const noexcept;
-  /// Member names in portfolio-index order — the list a route::Router for
-  /// this service must be constructed over.
-  std::vector<std::string> portfolio_names() const;
 
   /// Monotonic whole-service counters (tests, monitoring).
   struct Stats {
     std::uint64_t jobs_submitted = 0;
     std::uint64_t jobs_completed = 0;
     std::uint64_t jobs_timed_out = 0;
-    /// Losing members that observed their token and aborted.
+    /// Jobs whose task observed its token fire (deadline or external
+    /// cancellation) before a verdict and stopped.
     std::uint64_t members_cancelled = 0;
-    /// Members whose sampler threw (e.g. embedding failure); the member
-    /// drops out of its race, the job and the service keep running.
+    /// Rungs whose sampler threw (e.g. embedding failure); the ladder moves
+    /// on to the next rung, the job and the service keep running.
     std::uint64_t member_errors = 0;
     /// Reseeded re-attempts after failed verification.
     std::uint64_t verify_retries = 0;
@@ -316,11 +275,6 @@ class SolveService {
     /// decided the job.
     std::uint64_t warm_starts = 0;
     std::uint64_t warm_hits = 0;
-    /// Jobs dispatched to a single routed member (router said kRoute).
-    std::uint64_t jobs_routed = 0;
-    /// Routed jobs whose member failed to decide and fell back to racing
-    /// the remaining portfolio.
-    std::uint64_t route_fallbacks = 0;
     /// Pipelines submitted via submit_pipeline.
     std::uint64_t pipelines = 0;
     /// Pipeline stages submitted with the previous stage's witness chained

@@ -87,13 +87,18 @@ class Reader {
   }
 
   SExpr read_list() {
+    if (depth_ == kMaxSexprDepth) {
+      fail("lists nested deeper than " + std::to_string(kMaxSexprDepth));
+    }
     advance();  // consume '('
+    ++depth_;
     SList items;
     while (true) {
       skip_space();
       if (at_end()) fail("unterminated '('");
       if (peek() == ')') {
         advance();
+        --depth_;
         return SExpr::make_list(std::move(items));
       }
       items.push_back(read_expr());
@@ -153,6 +158,7 @@ class Reader {
   std::string_view input_;
   std::size_t pos_ = 0;
   std::size_t line_ = 1;
+  std::size_t depth_ = 0;  // Lists currently open.
 };
 
 void append(std::string& out, const SExpr& expr) {

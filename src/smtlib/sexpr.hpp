@@ -6,6 +6,7 @@
 // line comments.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -37,9 +38,15 @@ struct SExpr {
   static SExpr make_list(SList items);
 };
 
+/// Deepest list nesting parse_sexprs accepts. The reader and every term
+/// walker after it recurse once per level, so an input nested deeper than
+/// this is rejected as a parse error instead of exhausting the stack.
+inline constexpr std::size_t kMaxSexprDepth = 1000;
+
 /// Parses a whole input into the sequence of top-level s-expressions.
 /// Throws std::invalid_argument with a line number on malformed input
-/// (unbalanced parens, unterminated string, stray ')').
+/// (unbalanced parens, unterminated string, stray ')', lists nested deeper
+/// than kMaxSexprDepth).
 std::vector<SExpr> parse_sexprs(std::string_view input);
 
 /// Renders an s-expression back to SMT-LIB concrete syntax.

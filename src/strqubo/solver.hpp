@@ -113,7 +113,7 @@ class FragmentCache {
 
 /// A conjunction with its QUBO model and CSR adjacency prebuilt: the unit
 /// of reuse for re-solvers. Retry loops, sweep escalation, and the
-/// portfolio racing service (src/service) build one of these per distinct
+/// escalating solve service (src/service) build one of these per distinct
 /// conjunction and re-sample it across samplers, attempts, and jobs without
 /// paying the build again. Immutable after prepare(); safe to share across
 /// threads.

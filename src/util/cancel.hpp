@@ -16,7 +16,7 @@
 //
 // Poll sites in the tree: the Metropolis sweep loops of SimulatedAnnealer,
 // ParallelTempering, and PathIntegralAnnealer (once per sweep, via their
-// Params::cancel token), and qsmt::service between portfolio attempts.
+// Params::cancel token), and qsmt::service between ladder attempts.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,7 @@
 // Inputs that reach the samplers. The exact component presolve
 // (anneal::presolve) decides every separable or small-component model
 // before any sampler runs, so a test whose subject is the sampler path —
-// fake, throwing or slow samplers, deadlines, warm starts, routing,
+// fake, throwing or slow samplers, deadlines, warm starts, escalation,
 // embedding caches — must feed the job a model the presolve declines.
 // declined() asserts exactly that before handing the input over, so a
 // presolve that later grows to decide it fails here loudly instead of

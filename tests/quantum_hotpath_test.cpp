@@ -10,7 +10,7 @@
 #include "graph/chimera.hpp"
 #include "graph/embedded_sampler.hpp"
 #include "graph/embedding_cache.hpp"
-#include "service/service.hpp"
+#include "service/quantum_portfolio.hpp"
 #include "strqubo/builders.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"

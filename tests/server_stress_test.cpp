@@ -23,6 +23,7 @@
 #include "server/client.hpp"
 #include "smtlib/driver.hpp"
 #include "server/server.hpp"
+#include "service/quantum_portfolio.hpp"
 #include "service/service.hpp"
 
 namespace {
@@ -368,96 +369,6 @@ TEST(ServerStress, SharedFragmentCacheNeverLeaksAcrossTenantDrivers) {
   // The shared phase's fragments were built at most once per concurrent
   // miss; later tenants must have hit the shared cache.
   EXPECT_GE(cache->stats().hits, 1u);
-}
-
-/// Per-tenant adaptive routing under concurrency: half the tenants hammer
-/// equality-shaped queries, half substring-shaped ones. Every tenant's
-/// lazily-created router must learn ONLY its own mix — a single bucket,
-/// exactly one decision per check-sat — and the two table populations must
-/// split kNumClients/2 / kNumClients/2. Any cross-tenant leakage (a job
-/// consulting or training another tenant's table) shows up as a mixed
-/// table or an inflated decision count.
-TEST(ServerStress, DivergentTenantMixesLearnIsolatedRouterTables) {
-  constexpr std::size_t kRounds = 5;
-
-  server::ServerOptions options;
-  options.service.num_workers = 4;  // Default sa-fast/sa-deep portfolio.
-  options.max_waiting = kNumClients * 2;
-  route::RouterOptions routing;
-  routing.min_observations = 2;  // One 2-member race makes a bucket confident.
-  routing.min_win_rate = 0.5;
-  routing.explore_period = 0;
-  options.tenant_routing = routing;
-  // One-hot class selectors: a six-letter class is one 13-variable
-  // component, which the presolve leaves to the race.
-  options.service.build.regex_encoding =
-      strqubo::RegexClassEncoding::kOneHotSelectors;
-  server::Server node(options);
-  const std::uint16_t port = node.listen(0);
-  node.start();
-
-  // Two structurally disjoint workload mixes (single-constraint fast path:
-  // regex-match vs not-contains — different router buckets by op family).
-  const std::string regex_mix =
-      "(declare-const x String)" +
-      test::declined_asserts(strqubo::RegexMatch{"[abcdef]x", 2},
-                             options.service.build) +
-      "(check-sat)";
-  const std::string not_contains_mix =
-      "(declare-const x String)" +
-      test::declined_asserts(strqubo::NotContains{3, "cd"}) + "(check-sat)";
-
-  std::atomic<std::size_t> failures{0};
-  std::vector<std::thread> clients;
-  clients.reserve(kNumClients);
-  for (std::size_t c = 0; c < kNumClients; ++c) {
-    clients.emplace_back([&, c] {
-      const std::string& script = c % 2 == 0 ? regex_mix : not_contains_mix;
-      server::Client client;
-      client.connect(port);
-      for (std::size_t round = 0; round < kRounds; ++round) {
-        if (client.request(script) != "sat\n") failures.fetch_add(1);
-        if (client.request("(reset)") != "") failures.fetch_add(1);
-      }
-      client.request("(exit)");
-    });
-  }
-  for (std::thread& client : clients) client.join();
-  node.shutdown();
-  EXPECT_EQ(failures.load(), 0u);
-
-  // Tenant ids are assigned in accept order, so a client thread's mix
-  // cannot be matched to a tenant id — but purity can: every tenant's
-  // table must hold exactly one bucket, from exactly one mix.
-  std::size_t regex_tenants = 0;
-  std::size_t not_contains_tenants = 0;
-  std::uint64_t routed_total = 0;
-  for (std::uint64_t tenant = 0; tenant < kNumClients; ++tenant) {
-    SCOPED_TRACE("tenant " + std::to_string(tenant));
-    const std::shared_ptr<route::Router> router = node.tenant_router(tenant);
-    ASSERT_NE(router, nullptr);
-    const std::vector<route::BucketRecord> table = router->table();
-    ASSERT_EQ(table.size(), 1u);
-    const std::string& bucket = table[0].bucket;
-    if (bucket.rfind("regex-match/", 0) == 0) {
-      ++regex_tenants;
-    } else if (bucket.rfind("not-contains/", 0) == 0) {
-      ++not_contains_tenants;
-    } else {
-      ADD_FAILURE() << "unexpected bucket: " << bucket;
-    }
-    // Exactly this tenant's own check-sats consulted the table; after the
-    // first race trains the bucket, the remaining rounds route.
-    const route::RouterStats stats = router->stats();
-    EXPECT_EQ(stats.decisions, kRounds);
-    EXPECT_GE(stats.routed, kRounds - 2);
-    routed_total += stats.routed;
-  }
-  EXPECT_EQ(regex_tenants, kNumClients / 2);
-  EXPECT_EQ(not_contains_tenants, kNumClients / 2);
-  // Every routed dispatch in the pool is accounted to exactly one tenant
-  // table — the shared service saw the same number it executed.
-  EXPECT_EQ(node.service().stats().jobs_routed, routed_total);
 }
 
 /// Concurrent tenants sharing one canonical answer cache: half hammer one

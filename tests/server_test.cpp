@@ -616,4 +616,29 @@ TEST(ServerStdio, ServesScriptsAndFlushesPerCommand) {
   EXPECT_EQ(node.stats().sessions_closed, 1u);
 }
 
+// A 50,000-deep boolean term used to overflow the stack in the reader; it
+// now draws an (error ...) at the s-expression nesting limit, and the same
+// session keeps serving.
+TEST(ServerStdio, DeeplyNestedScriptDrawsErrorAndSessionSurvives) {
+  constexpr std::size_t kDepth = 50000;
+  server::ServerOptions options;
+  options.service = exact_service();
+  server::Server node(options);
+  std::string deep = "(assert ";
+  for (std::size_t i = 0; i < kDepth; ++i) deep += "(and ";
+  deep += "true";
+  deep += std::string(kDepth, ')');
+  deep += ")\n";
+  std::istringstream in("(declare-const x String)\n" + deep +
+                        "(assert (= x \"ok\"))\n"
+                        "(check-sat)\n"
+                        "(exit)\n");
+  std::ostringstream out;
+  EXPECT_EQ(node.run_stdio(in, out), 0);
+  EXPECT_EQ(out.str().rfind("(error \"smtlib parse error", 0), 0u)
+      << out.str().substr(0, 200);
+  EXPECT_NE(out.str().find("nested deeper than 1000"), std::string::npos);
+  EXPECT_EQ(out.str().substr(out.str().find('\n') + 1), "sat\n");
+}
+
 }  // namespace

@@ -1,22 +1,26 @@
-// qsmt::service — worker pool, portfolio racing, cancellation, deadlines.
+// qsmt::service — worker pool, the escalation ladder, cancellation,
+// deadlines, and solution-chained pipelines.
 //
 // The stress tests drive the service from several submitter threads at once
 // with mixed deadlines and check the accounting invariants a job queue must
 // keep under contention: every future resolves, no result is lost or
 // duplicated, tags round-trip, expired deadlines become graceful kUnknown
-// timeouts, and losing portfolio members actually observe their cancel
+// timeouts, and a cancelled job's running rung actually observes its cancel
 // token. The suite is part of the sanitizer matrix (scripts/ci.sh), so the
 // same schedules run under ASan and UBSan.
 #include <gtest/gtest.h>
 #include <sched.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -30,7 +34,9 @@
 #include "smtlib/driver.hpp"
 #include "strqubo/constraint.hpp"
 #include "strqubo/verify.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/cancel.hpp"
+#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace qsmt {
@@ -294,21 +300,41 @@ TEST(Service, ScriptParseErrorResolvesUnknownWithNote) {
 }
 
 TEST(Service, LosingMemberObservesCancellation) {
-  // sa-fast wins the race on a trivial constraint; sa-deep must then see
-  // the shared token and be counted as cancelled — on a single worker it
-  // is cancelled before it even starts, on many workers mid-sweep. The
-  // winner fulfils the future before the loser necessarily runs, so the
-  // observation shows up in the service-wide stats, not the JobResult;
-  // on one FIFO worker the loser is guaranteed to have run by the time a
-  // second job resolves.
+  // The ladder has no sibling to cancel: a job the fast rung decides
+  // leaves the cancellation counter at zero, and sa-deep never runs. Only
+  // the job's own token stops its rung — an external cancellation (a
+  // client disconnect) or a deadline — and the task observing it is
+  // counted once, on the job and on the service.
   service::ServiceOptions options;
   options.num_workers = 1;
   service::SolveService service(options);
-  const service::JobResult result =
-      service.submit(strqubo::Equality{"ab"}).get();
-  EXPECT_EQ(result.status, smtlib::CheckSatStatus::kSat);
-  service.submit(strqubo::Equality{"cd"}).get();
-  EXPECT_GE(service.stats().members_cancelled, 1u);
+  const service::JobResult decided =
+      service.submit(test::declined(strqubo::NotContains{3, "ab"})).get();
+  EXPECT_EQ(decided.status, smtlib::CheckSatStatus::kSat);
+  EXPECT_EQ(decided.winner, "sa-fast");
+  EXPECT_EQ(decided.members_cancelled, 0u);
+  EXPECT_EQ(service.stats().members_cancelled, 0u);
+
+  service::JobOptions disconnected;
+  CancelSource source;
+  source.cancel();
+  disconnected.cancel = source;
+  const service::JobResult dropped =
+      service.submit(test::declined(strqubo::NotContains{3, "cd"}),
+                     disconnected)
+          .get();
+  EXPECT_EQ(dropped.status, smtlib::CheckSatStatus::kUnknown);
+  EXPECT_FALSE(dropped.timed_out);
+  EXPECT_EQ(dropped.members_cancelled, 1u);
+
+  service::JobOptions expired;
+  expired.deadline = nanoseconds(1);
+  const service::JobResult timed_out =
+      service.submit(test::declined(strqubo::NotContains{3, "ef"}), expired)
+          .get();
+  EXPECT_TRUE(timed_out.timed_out);
+  EXPECT_EQ(timed_out.members_cancelled, 1u);
+  EXPECT_EQ(service.stats().members_cancelled, 2u);
 }
 
 TEST(Service, ExpiredDeadlineTimesOutGracefully) {
@@ -592,6 +618,178 @@ TEST(Service, DestructorResolvesQueuedJobs) {
   }
 }
 
+// Wraps every sampler a rung constructs, recording per job which rungs
+// were constructed and how many sample() calls are in flight. Attempt
+// seeds are mix_seed(mix_seed(job seed, rung + 1), attempt + 1), so the
+// factory maps the seed it is handed back to its (job, rung).
+struct LadderProbe {
+  std::mutex mutex;
+  std::map<std::uint64_t, std::pair<std::size_t, std::size_t>> owner;
+  std::vector<std::array<int, 2>> constructed;
+  std::vector<int> in_flight;
+  int overlaps = 0;
+};
+
+class ProbedSampler : public anneal::Sampler {
+ public:
+  ProbedSampler(std::unique_ptr<anneal::Sampler> inner,
+                std::shared_ptr<LadderProbe> probe, std::size_t job)
+      : inner_(std::move(inner)), probe_(std::move(probe)), job_(job) {}
+  anneal::SampleSet sample(const qubo::QuboModel& model) const override {
+    enter();
+    anneal::SampleSet samples = inner_->sample(model);
+    leave();
+    return samples;
+  }
+  anneal::SampleSet sample(
+      const qubo::QuboAdjacency& adjacency) const override {
+    enter();
+    anneal::SampleSet samples = inner_->sample(adjacency);
+    leave();
+    return samples;
+  }
+  bool supports_adjacency_sampling() const noexcept override {
+    return inner_->supports_adjacency_sampling();
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  void enter() const {
+    std::lock_guard<std::mutex> lock(probe_->mutex);
+    if (++probe_->in_flight[job_] > 1) ++probe_->overlaps;
+  }
+  void leave() const {
+    std::lock_guard<std::mutex> lock(probe_->mutex);
+    --probe_->in_flight[job_];
+  }
+  std::unique_ptr<anneal::Sampler> inner_;
+  std::shared_ptr<LadderProbe> probe_;
+  std::size_t job_;
+};
+
+service::PortfolioMember probed(service::PortfolioMember inner,
+                                std::shared_ptr<LadderProbe> probe) {
+  service::PortfolioMember member;
+  member.name = inner.name;
+  member.make = [inner, probe](std::uint64_t seed, CancelToken cancel)
+      -> std::unique_ptr<anneal::Sampler> {
+    std::size_t job = 0;
+    {
+      std::lock_guard<std::mutex> lock(probe->mutex);
+      const auto [owner_job, rung] = probe->owner.at(seed);
+      ++probe->constructed[owner_job][rung];
+      job = owner_job;
+    }
+    return std::make_unique<ProbedSampler>(inner.make(seed, cancel), probe,
+                                           job);
+  };
+  return member;
+}
+
+// One task per job climbs sa-fast -> sa-deep on one worker: sa-deep is
+// constructed only after every sa-fast attempt failed, never for a job the
+// presolve, the warm refine or sa-fast decided, and no job ever samples
+// twice at once. sa-fast runs with a one-read budget here, so some
+// presolve-declined jobs exhaust it and escalate.
+TEST(ServiceLadder, DeepRungRunsOnlyAfterFastRungFailsAndNeverInParallel) {
+  struct Case {
+    strqubo::Constraint constraint;
+    std::optional<std::string> warm;
+  };
+  const std::vector<Case> cases = {
+      {strqubo::Equality{"abcd"}, std::nullopt},  // Presolved.
+      {test::declined(strqubo::NotContains{4, "ab"}), "wxyz"},
+      {test::declined(strqubo::NotContains{3, "ab"}), std::nullopt},
+      {test::declined(strqubo::NotContains{5, "abc"}), std::nullopt},
+      {test::declined(strqubo::NotContains{4, "ca"}), std::nullopt},
+      {test::declined(strqubo::BoundedLength{3, 0, 2}), std::nullopt},
+      {test::declined(strqubo::BoundedLength{3, 1, 3}), std::nullopt},
+      {test::declined(strqubo::BoundedLength{5, 1, 4}), std::nullopt},
+      {test::declined(strqubo::BoundedLength{5, 2, 5}), std::nullopt},
+      {test::declined(strqubo::Includes{"abcdeabcdeabcdea", "ea"}),
+       std::nullopt},
+      {test::declined(strqubo::Includes{"edcbaedcbaedcbaed", "d"}),
+       std::nullopt},
+      {test::declined(strqubo::Includes{"aabbccddeeaabbccdd", "cd"}),
+       std::nullopt},
+  };
+  constexpr std::size_t kRetries = 2;
+  const std::vector<service::PortfolioMember> ladder = [] {
+    anneal::SimulatedAnnealerParams fast;
+    fast.num_reads = 1;
+    fast.num_sweeps = 1;
+    std::vector<service::PortfolioMember> rungs = service::default_portfolio();
+    rungs[0] = service::simulated_annealing_member("sa-fast", fast);
+    return rungs;
+  }();
+  ASSERT_EQ(ladder[1].name, "sa-deep");
+
+  auto run = [&](std::size_t workers) {
+    auto probe = std::make_shared<LadderProbe>();
+    probe->constructed.assign(cases.size(), {0, 0});
+    probe->in_flight.assign(cases.size(), 0);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      for (std::size_t rung = 0; rung < 2; ++rung) {
+        for (std::size_t attempt = 0; attempt <= kRetries; ++attempt) {
+          probe->owner[mix_seed(mix_seed(100 + i, rung + 1), attempt + 1)] =
+              {i, rung};
+        }
+      }
+    }
+    service::ServiceOptions options;
+    options.num_workers = workers;
+    options.max_verify_retries = kRetries;
+    for (const service::PortfolioMember& rung : ladder) {
+      options.portfolio.push_back(probed(rung, probe));
+    }
+    service::SolveService service(options);
+    std::vector<std::future<service::JobResult>> futures;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      service::JobOptions job;
+      job.seed = 100 + i;
+      job.warm_start = cases[i].warm;
+      futures.push_back(service.submit(cases[i].constraint, job));
+    }
+    std::vector<service::JobResult> results;
+    for (auto& future : futures) results.push_back(future.get());
+    return std::make_pair(std::move(results), probe);
+  };
+
+  const auto [one, one_probe] = run(1);
+  const auto [four, four_probe] = run(4);
+  std::size_t escalated = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_EQ(one[i].status, four[i].status);
+    EXPECT_EQ(one[i].text, four[i].text);
+    EXPECT_EQ(one[i].winner, four[i].winner);
+    EXPECT_EQ(one[i].attempts, four[i].attempts);
+    EXPECT_EQ(one_probe->constructed[i], four_probe->constructed[i]);
+
+    const std::array<int, 2>& built = four_probe->constructed[i];
+    const service::JobResult& result = four[i];
+    const bool warm_hit =
+        std::find(result.notes.begin(), result.notes.end(), "warm start") !=
+        result.notes.end();
+    if (result.winner == "presolve" || warm_hit) {
+      EXPECT_EQ(built[0], 0);
+      EXPECT_EQ(built[1], 0);
+    } else if (result.winner == "sa-fast") {
+      EXPECT_EQ(built[1], 0);
+    } else {
+      // sa-deep starts only after every sa-fast attempt failed to verify.
+      EXPECT_EQ(built[0], static_cast<int>(kRetries + 1));
+      ++escalated;
+    }
+  }
+  EXPECT_EQ(one[0].winner, "presolve");
+  EXPECT_EQ(one[1].winner, "sa-fast");  // The warm refine is rung 0's.
+  // Not vacuous: the weak fast rung left some jobs to sa-deep.
+  EXPECT_GE(escalated, 1u);
+  EXPECT_EQ(one_probe->overlaps, 0);
+  EXPECT_EQ(four_probe->overlaps, 0);
+}
+
 // A "gate" member (index 0) blocks the single worker inside its sampler
 // factory until released, then throws. While the worker is parked on job
 // 1's gate task, the test queues more jobs behind it, so on release they
@@ -805,6 +1003,144 @@ TEST(ServiceStress, BatchPreservesInputOrder) {
     ASSERT_EQ(results[i].status, smtlib::CheckSatStatus::kSat) << i;
     ASSERT_TRUE(results[i].text.has_value());
     EXPECT_EQ(*results[i].text, words[i]) << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Solution-chained pipelines
+
+TEST(PipelineChaining, ChainsWarmStartsOncePerHop) {
+  telemetry::reset();
+  telemetry::set_mode(telemetry::Mode::kSummary);
+
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  service::SolveService service(options);
+
+  // Three stages whose witnesses are all "ab": every hop chains.
+  service::PipelineJob pipeline;
+  pipeline.stages = {strqubo::Equality{"ab"}, strqubo::Concat{"a", "b"},
+                     strqubo::Reverse{"ba"}};
+  pipeline.options.seed = 0xC4A1;
+  const service::PipelineResult result =
+      service.submit_pipeline(std::move(pipeline)).get();
+
+  ASSERT_EQ(result.stages.size(), 3u);
+  EXPECT_TRUE(result.all_sat);
+  for (const service::JobResult& stage : result.stages) {
+    ASSERT_EQ(stage.status, smtlib::CheckSatStatus::kSat);
+    ASSERT_TRUE(stage.text.has_value());
+    EXPECT_EQ(*stage.text, "ab");
+  }
+  // Exactly once per hop: two hops, two chained warm starts.
+  EXPECT_EQ(result.chained_warm_starts, 2u);
+  const service::SolveService::Stats stats = service.stats();
+  EXPECT_EQ(stats.pipelines, 1u);
+  EXPECT_EQ(stats.chain_warm_starts, 2u);
+
+  const telemetry::Snapshot snapshot = telemetry::registry().snapshot();
+  const telemetry::CounterStat* warm =
+      snapshot.counter("route.chain.warm_starts");
+  ASSERT_NE(warm, nullptr);
+  EXPECT_EQ(warm->value, 2u);
+  const telemetry::CounterStat* stages = snapshot.counter("route.chain.stages");
+  ASSERT_NE(stages, nullptr);
+  EXPECT_EQ(stages->value, 3u);
+  const telemetry::CounterStat* pipelines =
+      snapshot.counter("route.chain.pipelines");
+  ASSERT_NE(pipelines, nullptr);
+  EXPECT_EQ(pipelines->value, 1u);
+
+  telemetry::set_mode(telemetry::Mode::kOff);
+  telemetry::reset();
+}
+
+TEST(PipelineChaining, ChainedPathMatchesColdPathVerdicts) {
+  const std::vector<strqubo::Constraint> stages = {
+      strqubo::Equality{"abc"}, strqubo::Reverse{"cba"},
+      strqubo::ReplaceAll{"abc", 'c', 'a'}};
+
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  service::SolveService service(options);
+
+  // Cold path: the same constraints as independent jobs. solve_constraints
+  // derives stage seeds exactly like submit_pipeline (mix_seed(seed, i)),
+  // so chaining is the only difference between the two runs.
+  service::JobOptions job;
+  job.seed = 0xC01D;
+  const std::vector<service::JobResult> cold =
+      service.solve_constraints(stages, job);
+
+  service::PipelineJob pipeline;
+  pipeline.stages = stages;
+  pipeline.options.seed = 0xC01D;
+  const service::PipelineResult chained =
+      service.submit_pipeline(std::move(pipeline)).get();
+
+  ASSERT_EQ(chained.stages.size(), cold.size());
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    SCOPED_TRACE("stage " + std::to_string(i));
+    ASSERT_EQ(cold[i].status, smtlib::CheckSatStatus::kSat);
+    EXPECT_EQ(chained.stages[i].status, cold[i].status);
+    // These ops have unique witnesses, so chaining cannot change them.
+    EXPECT_EQ(chained.stages[i].text, cold[i].text);
+  }
+  EXPECT_TRUE(chained.all_sat);
+}
+
+TEST(PipelineChaining, WitnesslessHopRunsCold) {
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  service::SolveService service(options);
+
+  // Includes yields a position, not a string: the hop after it has no
+  // witness to chain and must run cold.
+  service::PipelineJob pipeline;
+  pipeline.stages = {strqubo::Equality{"ab"},
+                     strqubo::Includes{"abcab", "ca"},
+                     strqubo::Equality{"ba"}};
+  pipeline.options.seed = 0x1D1E;
+  const service::PipelineResult result =
+      service.submit_pipeline(std::move(pipeline)).get();
+
+  ASSERT_EQ(result.stages.size(), 3u);
+  EXPECT_TRUE(result.all_sat);
+  EXPECT_EQ(result.chained_warm_starts, 1u);  // Only hop 0 -> 1 chained.
+  EXPECT_EQ(service.stats().chain_warm_starts, 1u);
+}
+
+TEST(PipelineChaining, EmptyPipelineResolvesImmediately) {
+  service::SolveService service;
+  const service::PipelineResult result =
+      service.submit_pipeline(service::PipelineJob{}).get();
+  EXPECT_TRUE(result.stages.empty());
+  EXPECT_TRUE(result.all_sat);
+  EXPECT_EQ(result.chained_warm_starts, 0u);
+}
+
+TEST(PipelineChaining, ChainedWitnessesVerifyClassically) {
+  service::ServiceOptions options;
+  options.num_workers = 2;
+  service::SolveService service(options);
+
+  service::PipelineJob pipeline;
+  pipeline.stages = {strqubo::Equality{"abab"},
+                     strqubo::ReplaceAll{"abab", 'b', 'a'},
+                     strqubo::Reverse{"abab"}};
+  pipeline.options.seed = 0x7E57;
+  const service::PipelineResult result =
+      service.submit_pipeline(std::move(pipeline)).get();
+
+  ASSERT_EQ(result.stages.size(), 3u);
+  const std::vector<strqubo::Constraint> stages = {
+      strqubo::Equality{"abab"}, strqubo::ReplaceAll{"abab", 'b', 'a'},
+      strqubo::Reverse{"abab"}};
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    SCOPED_TRACE("stage " + std::to_string(i));
+    ASSERT_EQ(result.stages[i].status, smtlib::CheckSatStatus::kSat);
+    ASSERT_TRUE(result.stages[i].text.has_value());
+    EXPECT_TRUE(strqubo::verify_string(stages[i], *result.stages[i].text));
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "smtlib/sexpr.hpp"
 
 namespace qsmt::smtlib {
@@ -86,6 +88,36 @@ TEST(ParseSexprs, Errors) {
   EXPECT_THROW(parse_sexprs(")"), std::invalid_argument);
   EXPECT_THROW(parse_sexprs("(a (b)"), std::invalid_argument);
   EXPECT_THROW(parse_sexprs("\"unterminated"), std::invalid_argument);
+}
+
+std::string nested(std::size_t depth) {
+  return std::string(depth, '(') + "x" + std::string(depth, ')');
+}
+
+TEST(ParseSexprs, NestingAtTheLimitParses) {
+  const auto exprs = parse_sexprs(nested(kMaxSexprDepth) + "\n" +
+                                  nested(kMaxSexprDepth));
+  ASSERT_EQ(exprs.size(), 2u);
+  const SExpr* expr = &exprs[0];
+  std::size_t depth = 0;
+  while (expr->is_list()) {
+    ASSERT_EQ(expr->list.size(), 1u);
+    expr = &expr->list[0];
+    ++depth;
+  }
+  EXPECT_EQ(depth, kMaxSexprDepth);
+  EXPECT_TRUE(expr->is_symbol("x"));
+}
+
+TEST(ParseSexprs, NestingPastTheLimitIsAParseError) {
+  try {
+    parse_sexprs(nested(kMaxSexprDepth + 1));
+    FAIL() << "expected parse error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nested deeper than 1000"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ParseSexprs, ErrorMessageCarriesLineNumber) {
