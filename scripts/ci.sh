@@ -110,12 +110,15 @@ for san in address undefined; do
   done
 done
 
-# ThreadSanitizer over the two suites whose threads share the most state:
-# the service pool (verdict claims, cancellation, deadlines, the escalation
-# ladder's per-job task) and the socket server (accept loop against
-# shutdown, reader threads against disconnect cancellation). A report
-# fails the stage: TSan exits non-zero when it found a race.
-tsan_subset=(service_test server_stress_test)
+# ThreadSanitizer over the suites whose threads share the most state: the
+# service pool (verdict claims, cancellation, deadlines, the escalation
+# ladder's per-job task), the sessions (which build models, presolve,
+# resolve promises and insert into the shared answer and model caches on
+# their own threads while workers do the same), and the socket server
+# (accept loop against shutdown, reader threads against disconnect
+# cancellation). A report fails the stage: TSan exits non-zero when it
+# found a race.
+tsan_subset=(service_test server_test server_stress_test)
 echo "=== thread sanitizer build (build-thread/) ==="
 cmake -B build-thread -S . -DQSMT_SANITIZE=thread >/dev/null
 cmake --build build-thread -j "${jobs}" --target "${tsan_subset[@]}"

@@ -45,6 +45,15 @@ bool hex_decode(const std::string& token, std::string& out) {
   return true;
 }
 
+/// The heap block a string of this length needs: none while it fits the
+/// string's inline buffer, else its characters plus the terminator. Sized
+/// by length, not capacity, so a snapshot round trip restores bytes()
+/// exactly.
+std::size_t heap_bytes(const std::string& text) {
+  static const std::size_t kInline = std::string().capacity();
+  return text.size() > kInline ? text.size() + 1 : 0;
+}
+
 const char* status_token(smtlib::CheckSatStatus status) {
   switch (status) {
     case smtlib::CheckSatStatus::kSat:
@@ -65,9 +74,14 @@ AnswerCache::AnswerCache(AnswerCacheOptions options) : options_(options) {
 
 std::size_t AnswerCache::entry_bytes(const std::string& key,
                                      const CachedAnswer& answer) {
-  return key.size() + (answer.text ? answer.text->size() : 0) +
-         answer.variable.size() + answer.note.size() +
-         96;  // list/map node overhead.
+  constexpr std::size_t kListNode = sizeof(Entry) + 2 * sizeof(void*);
+  constexpr std::size_t kIndexNode =
+      sizeof(void*) + sizeof(std::string_view) +
+      sizeof(std::list<Entry>::iterator) + sizeof(std::size_t) +
+      sizeof(void*);  // Next link, key, iterator, cached hash; bucket slot.
+  return kListNode + kIndexNode + heap_bytes(key) +
+         (answer.text ? heap_bytes(*answer.text) : 0) +
+         heap_bytes(answer.variable) + heap_bytes(answer.note);
 }
 
 std::optional<CachedAnswer> AnswerCache::lookup(const std::string& key) {
@@ -107,7 +121,8 @@ void AnswerCache::insert(const std::string& key, CachedAnswer answer) {
     entry.answer = std::move(answer);
     bytes_ += entry.bytes;
     lru_.push_front(std::move(entry));
-    index_.emplace(key, lru_.begin());
+    // The index views the list's copy of the key, which never moves.
+    index_.emplace(lru_.front().key, lru_.begin());
   }
   ++stats_.insertions;
   if (telemetry::enabled()) {
@@ -141,8 +156,8 @@ void AnswerCache::publish_occupancy_locked() {
 
 void AnswerCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
+  index_.clear();  // Its keys view the entries: drop them first.
   lru_.clear();
-  index_.clear();
   bytes_ = 0;
   publish_occupancy_locked();
 }
@@ -237,8 +252,8 @@ bool AnswerCache::load_snapshot(const std::string& snapshot) {
   }
 
   std::lock_guard<std::mutex> lock(mutex_);
+  index_.clear();  // Its keys view the entries being replaced.
   lru_ = std::move(loaded);
-  index_.clear();
   bytes_ = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (!index_.emplace(it->key, it).second) {

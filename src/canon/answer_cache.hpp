@@ -5,10 +5,11 @@
 // are keyed by a canonical alpha-equivalence form of the job (canon.hpp)
 // joined with the BuildOptions fingerprint, and store the verdict plus the
 // canonical witness (sat) or the UNSAT note. The SolveService looks a job
-// up at enqueue — ahead of the router — and on a hit confirms the remapped
-// witness with one classical verification before serving it; any mismatch
-// falls through to a normal solve, so a cache (even a poisoned or stale
-// one) can cost at most one cheap check, never a wrong verdict.
+// up at enqueue — ahead of the model build and presolve — and on a hit
+// confirms the remapped witness with one classical verification before
+// serving it; any mismatch falls through to a normal solve, so a cache
+// (even a poisoned or stale one) can cost at most one cheap check, never a
+// wrong verdict.
 //
 // Thread-safe, byte-budgeted LRU. One instance is meant to be shared
 // across services, server sessions, and tenants (like the FragmentCache):
@@ -18,8 +19,8 @@
 //
 // Telemetry: answer_cache.{hits,misses,insertions,evictions} counters and
 // answer_cache.{bytes,entries} gauges, mirrored deterministically by
-// Stats. save_snapshot/load_snapshot round-trip the cache as text (like
-// the PR 9 router snapshot) so a warmed cache survives daemon restarts.
+// Stats. save_snapshot/load_snapshot round-trip the cache as text so a
+// warmed cache survives daemon restarts.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +29,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "smtlib/driver.hpp"
@@ -49,8 +51,9 @@ struct CachedAnswer {
 };
 
 struct AnswerCacheOptions {
-  /// Retained-footprint budget (keys + stored answers); the LRU tail is
-  /// evicted past it. Minimum one entry is always kept.
+  /// Retained-footprint budget (AnswerCache::entry_bytes summed over every
+  /// entry); the LRU tail is evicted past it. Minimum one entry is always
+  /// kept.
   std::size_t max_bytes = 8u << 20;
   /// Entry-count ceiling, applied alongside the byte budget.
   std::size_t max_entries = 65536;
@@ -73,6 +76,15 @@ class AnswerCache {
 
   std::size_t size() const;
   std::size_t bytes() const;
+
+  /// What one entry holding `key` and `answer` really occupies: the heap
+  /// blocks of its strings (length plus terminator; a string short enough
+  /// to live inside its own object adds none), the entry itself, its LRU
+  /// list node's two links, and its index node (next link, key view, list
+  /// iterator, cached hash) plus one bucket slot. The key is stored once.
+  /// bytes() is the sum over every entry.
+  static std::size_t entry_bytes(const std::string& key,
+                                 const CachedAnswer& answer);
 
   /// Deterministic mirror of the answer_cache.* counters and gauges.
   struct Stats {
@@ -102,15 +114,15 @@ class AnswerCache {
     std::size_t bytes = 0;
   };
 
-  static std::size_t entry_bytes(const std::string& key,
-                                 const CachedAnswer& answer);
   void evict_to_budget_locked();
   void publish_occupancy_locked();
 
   AnswerCacheOptions options_;
   mutable std::mutex mutex_;
   std::list<Entry> lru_;  // Front = most recently used.
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  /// Keyed by a view of the entry's own key: list nodes never move, so
+  /// each key is stored once.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
   Stats stats_;
   std::size_t bytes_ = 0;
 };

@@ -232,7 +232,7 @@ std::string canonical_name(const CanonicalScript& canonical,
 
 std::string constraint_answer_key(
     const std::vector<strqubo::Constraint>& constraints,
-    const strqubo::BuildOptions& options) {
+    std::string_view fingerprint) {
   std::vector<std::string> keys;
   keys.reserve(constraints.size());
   for (const strqubo::Constraint& constraint : constraints) {
@@ -246,8 +246,15 @@ std::string constraint_answer_key(
     out += key;
   }
   out += '\x1e';
-  out += strqubo::options_fingerprint(options);
+  out += fingerprint;
   return out;
+}
+
+std::string constraint_answer_key(
+    const std::vector<strqubo::Constraint>& constraints,
+    const strqubo::BuildOptions& options) {
+  return constraint_answer_key(constraints,
+                               strqubo::options_fingerprint(options));
 }
 
 std::string constraint_answer_key(const strqubo::Constraint& constraint,
@@ -257,13 +264,19 @@ std::string constraint_answer_key(const strqubo::Constraint& constraint,
 }
 
 std::string script_answer_key(const CanonicalScript& canonical,
-                              const strqubo::BuildOptions& options) {
+                              std::string_view fingerprint) {
   if (!canonical.cacheable) return "";
   std::string out = "qsmt-answer-script\x1d";
   out += canonical.text;
   out += '\x1e';
-  out += strqubo::options_fingerprint(options);
+  out += fingerprint;
   return out;
+}
+
+std::string script_answer_key(const CanonicalScript& canonical,
+                              const strqubo::BuildOptions& options) {
+  if (!canonical.cacheable) return "";
+  return script_answer_key(canonical, strqubo::options_fingerprint(options));
 }
 
 }  // namespace qsmt::canon

@@ -31,6 +31,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -91,7 +92,7 @@ std::string constraint_answer_key(
     const std::vector<strqubo::Constraint>& constraints,
     const strqubo::BuildOptions& options);
 
-/// Single-constraint convenience (the SolveService submit() path).
+/// Single-constraint convenience.
 std::string constraint_answer_key(const strqubo::Constraint& constraint,
                                   const strqubo::BuildOptions& options);
 
@@ -99,5 +100,14 @@ std::string constraint_answer_key(const strqubo::Constraint& constraint,
 /// when `canonical.cacheable` is false.
 std::string script_answer_key(const CanonicalScript& canonical,
                               const strqubo::BuildOptions& options);
+
+/// The same keys from a precomputed strqubo::options_fingerprint, byte-
+/// identical to the overloads above: a caller that keys many jobs under one
+/// BuildOptions (the SolveService) formats the fingerprint once.
+std::string constraint_answer_key(
+    const std::vector<strqubo::Constraint>& constraints,
+    std::string_view fingerprint);
+std::string script_answer_key(const CanonicalScript& canonical,
+                              std::string_view fingerprint);
 
 }  // namespace qsmt::canon

@@ -135,6 +135,10 @@ struct SolveService::Impl {
     std::shared_ptr<const canon::CanonicalScript> canonical;
     /// Served from the answer cache: complete() must not re-insert.
     bool answer_cache_hit = false;
+    /// A conjunction job's model, built (or found in the model cache) at
+    /// submission; the task samples it. Null for script jobs and for jobs
+    /// whose token had fired before submission finished.
+    std::shared_ptr<const strqubo::PreparedConstraint> prepared;
     JobOptions options;
     SteadyClock::time_point enqueued;
     bool has_deadline = false;
@@ -144,8 +148,8 @@ struct SolveService::Impl {
     /// false fills the result and fulfils the promise — nobody else touches
     /// either afterwards.
     std::atomic<bool> decided{false};
-    /// Written only by the job's one task, which is also the thread that
-    /// completes the job once it has started.
+    /// Written by the submitting thread until the job is queued, then only
+    /// by the job's one task, which also completes it.
     double queue_seconds = 0.0;
     std::size_t attempts = 0;
     /// The task stopped because the job's token fired (the deadline or an
@@ -157,12 +161,16 @@ struct SolveService::Impl {
     /// Caller adopted an external CancelSource (claim_and_finish must
     /// always cancel so the caller's other handles observe the verdict).
     bool external_cancel = false;
-    /// Invoked (worker thread) in complete() after the result is filled,
-    /// just before the promise resolves — the pipeline-chaining hook.
+    /// Invoked in complete() after the result is filled, just before the
+    /// promise resolves, on whichever thread decided the job (a worker, or
+    /// the submitter for a job decided at submission) — the
+    /// pipeline-chaining hook.
     std::function<void(const JobResult&)> on_complete;
   };
 
-  explicit Impl(ServiceOptions opts) : options(std::move(opts)) {
+  explicit Impl(ServiceOptions opts)
+      : options(std::move(opts)),
+        build_fingerprint(strqubo::options_fingerprint(options.build)) {
     if (options.portfolio.empty()) options.portfolio = default_portfolio();
     for (const PortfolioMember& member : options.portfolio) {
       if (!member.make) {
@@ -219,12 +227,13 @@ struct SolveService::Impl {
     if (options.answer_cache) {
       if (conjuncts != nullptr) {
         job->answer_key =
-            canon::constraint_answer_key(*conjuncts, options.build);
+            canon::constraint_answer_key(*conjuncts, build_fingerprint);
       } else {
         auto canonical = std::make_shared<const canon::CanonicalScript>(
             canon::canonicalize_script(std::get<std::string>(job->payload)));
         if (canonical->cacheable) {
-          job->answer_key = canon::script_answer_key(*canonical, options.build);
+          job->answer_key =
+              canon::script_answer_key(*canonical, build_fingerprint);
           job->canonical = std::move(canonical);
         }
       }
@@ -263,6 +272,13 @@ struct SolveService::Impl {
       job->has_deadline = true;
       job->cancel.set_deadline_after(deadline);
     }
+    // The exact stages run here, on the submitting thread, so a job they
+    // decide never waits for a worker. A job whose token already fired
+    // skips them and is queued, so its task reports the cancellation.
+    if (conjuncts != nullptr && !job->cancel.token().cancelled() &&
+        decide_at_submission(*job)) {
+      return future;
+    }
     bool rejected = false;
     {
       std::lock_guard<std::mutex> lock(queue_mutex);
@@ -281,22 +297,75 @@ struct SolveService::Impl {
       return future;
     }
     queue_cv.notify_one();
+    count_submitted();
+    return future;
+  }
+
+  void count_submitted() {
     stats_submitted.fetch_add(1, std::memory_order_relaxed);
     if (telemetry::enabled()) {
       telemetry::counter("service.jobs.submitted").add();
     }
-    return future;
+  }
+
+  void record_wait(Job& job, double seconds) {
+    job.queue_seconds = seconds;
+    if (telemetry::enabled()) {
+      telemetry::histogram("service.job.wait_seconds",
+                           telemetry::Unit::kSeconds)
+          .record(seconds);
+    }
+  }
+
+  /// The exact stages of a conjunction job: the model build (or its model
+  /// cache hit) and the presolve. A build error or a verified presolve
+  /// decides the job on the calling thread, as its first attempt and with
+  /// zero queue wait. A decline or an unverified ground state leaves the
+  /// model on the job for its task, which starts at the warm refine. Never
+  /// constructs a sampler. Returns true when it decided the job.
+  bool decide_at_submission(Job& job) {
+    std::string build_error;
+    job.prepared = prepare_job(job, build_error);
+    std::optional<strqubo::SolveResult> solved;
+    if (job.prepared) {
+      solved = strqubo::presolve(*job.prepared);
+      if (!solved || !solved->satisfied) return false;
+    }
+    job.attempts = 1;
+    count_submitted();
+    record_wait(job, 0.0);
+    claim_and_finish(job, [&](JobResult& result) {
+      if (!solved) {
+        // Deterministic for every rung: sampling could only repeat it.
+        result.notes.push_back("model build failed: " + build_error);
+        return;
+      }
+      result.status = smtlib::CheckSatStatus::kSat;
+      result.text = solved->text;
+      result.position = solved->position;
+      result.winner = "presolve";
+      record_winner(result.winner);
+    });
+    return true;
   }
 
   /// In-flight state of one solution-chained pipeline. Stages run strictly
-  /// sequentially (stage N+1 is submitted from stage N's on_complete hook),
-  /// so the mutable fields are touched by one thread at a time with
-  /// happens-before through the queue mutex.
+  /// sequentially (stage N+1 is requested from stage N's on_complete hook),
+  /// so `result` is touched by one thread at a time, with happens-before
+  /// through `mutex`.
   struct PipelineState {
     std::vector<strqubo::Constraint> stages;
     JobOptions base;
     std::promise<PipelineResult> promise;
     PipelineResult result;
+    /// Guards the two fields below. A stage decided at submission completes
+    /// inside enqueue(), so its hook requests the next stage while the
+    /// thread that submitted it is still in submit_stage: the request is
+    /// parked here and that thread's loop submits it, instead of nesting
+    /// one more enqueue per stage on its stack.
+    std::mutex mutex;
+    std::optional<std::pair<std::size_t, std::optional<std::string>>> next;
+    bool submitting = false;
   };
 
   std::future<PipelineResult> submit_pipeline(PipelineJob pipeline) {
@@ -318,12 +387,37 @@ struct SolveService::Impl {
     return future;
   }
 
-  /// Submits pipeline stage `index`. `warm` is the previous stage's
+  /// Requests pipeline stage `index`: submits it, unless another frame of
+  /// this pipeline is already submitting, whose loop then takes it over.
+  void submit_stage(const std::shared_ptr<PipelineState>& state,
+                    std::size_t index, std::optional<std::string> warm) {
+    {
+      std::lock_guard<std::mutex> lock(state->mutex);
+      state->next.emplace(index, std::move(warm));
+      if (state->submitting) return;
+      state->submitting = true;
+    }
+    for (;;) {
+      std::pair<std::size_t, std::optional<std::string>> next;
+      {
+        std::lock_guard<std::mutex> lock(state->mutex);
+        if (!state->next) {
+          state->submitting = false;
+          return;
+        }
+        next = std::move(*state->next);
+        state->next.reset();
+      }
+      enqueue_stage(state, next.first, std::move(next.second));
+    }
+  }
+
+  /// Enqueues pipeline stage `index`. `warm` is the previous stage's
   /// verified witness (or the caller's own warm_start for stage 0); it
   /// rides the ordinary JobOptions::warm_start reverse-anneal plumbing, so
   /// chaining changes where a stage starts, never what it can answer.
-  void submit_stage(const std::shared_ptr<PipelineState>& state,
-                    std::size_t index, std::optional<std::string> warm) {
+  void enqueue_stage(const std::shared_ptr<PipelineState>& state,
+                     std::size_t index, std::optional<std::string> warm) {
     JobOptions stage_options = state->base;
     stage_options.seed = mix_seed(state->base.seed, index);
     stage_options.warm_start = std::move(warm);
@@ -386,27 +480,17 @@ struct SolveService::Impl {
     kRungFailed,  // The rung's sampler threw: move on to the next rung.
   };
 
-  /// The job's one task: the shared solve stages, then the escalation
-  /// ladder. Rung r's attempt a samples with seed
+  /// The job's one task: the escalation ladder over the model prepared at
+  /// submission (or the script). Rung r's attempt a samples with seed
   /// mix_seed(mix_seed(seed, r + 1), a + 1), and rung r + 1 starts only
   /// after every attempt of rung r came back unverified. The first attempt
-  /// also builds, presolves and warm-refines a conjunction job, so a job
-  /// those stages decide never constructs a sampler. Always settles the job
-  /// before returning.
+  /// also warm-refines a conjunction job, so a job the refinement decides
+  /// never constructs a sampler. Always settles the job before returning.
   void run_job(Job& job) {
-    const double waited =
-        std::chrono::duration<double>(SteadyClock::now() - job.enqueued)
-            .count();
-    job.queue_seconds = waited;
-    if (telemetry::enabled()) {
-      telemetry::histogram("service.job.wait_seconds",
-                           telemetry::Unit::kSeconds)
-          .record(waited);
-    }
+    record_wait(job, std::chrono::duration<double>(SteadyClock::now() -
+                                                   job.enqueued)
+                         .count());
     const CancelToken token = job.cancel.token();
-    const bool is_conjunction =
-        std::holds_alternative<std::vector<strqubo::Constraint>>(job.payload);
-    std::shared_ptr<const strqubo::PreparedConstraint> prepared;
     for (std::size_t rung = 0; rung < options.portfolio.size(); ++rung) {
       const PortfolioMember& member = options.portfolio[rung];
       for (std::size_t attempt = 0; attempt <= options.max_verify_retries;
@@ -419,26 +503,14 @@ struct SolveService::Impl {
           }
         }
         ++job.attempts;
-        if (is_conjunction && !prepared) {
-          std::string build_error;
-          prepared = prepare_job(job, build_error);
-          if (!prepared) {
-            // Deterministic for every rung: retrying would only repeat it.
-            claim_and_finish(job, [&](JobResult& result) {
-              result.notes.push_back("model build failed: " + build_error);
-            });
-            return;
-          }
-          if (try_presolve(job, *prepared) ||
-              try_warm_start(job, member, *prepared)) {
-            return;
-          }
+        if (job.attempts == 1 && job.prepared) {
+          if (try_warm_start(job, member, *job.prepared)) return;
           if (token.cancelled()) return stop_cancelled(job);
         }
         const std::uint64_t seed = mix_seed(
             mix_seed(job.options.seed, rung + 1), attempt + 1);
         const Attempt outcome =
-            sample_once(job, member, seed, token, prepared.get());
+            sample_once(job, member, seed, token, job.prepared.get());
         if (outcome == Attempt::kDecided) return;
         if (outcome == Attempt::kRungFailed) break;
       }
@@ -526,26 +598,9 @@ struct SolveService::Impl {
     return Attempt::kRungFailed;
   }
 
-  /// The presolve stage. A decline or an unverified ground state falls
-  /// through to the ladder unchanged (same seeds). Returns true when it
-  /// decided the job.
-  bool try_presolve(Job& job, const strqubo::PreparedConstraint& prepared) {
-    const std::optional<strqubo::SolveResult> solved =
-        strqubo::presolve(prepared);
-    if (!solved || !solved->satisfied) return false;
-    claim_and_finish(job, [&](JobResult& result) {
-      result.status = smtlib::CheckSatStatus::kSat;
-      result.text = solved->text;
-      result.position = solved->position;
-      result.winner = "presolve";
-      record_winner(result.winner);
-    });
-    return true;
-  }
-
   /// The warm refine stage from the caller's previous witness
-  /// (JobOptions::warm_start), run once, after the presolve and before rung
-  /// 0 samples. A verified refinement decides the job before anyone pays a
+  /// (JobOptions::warm_start), run once by the job's task, before rung 0
+  /// samples. A verified refinement decides the job before anyone pays a
   /// full-budget solve and is credited to rung 0; a witness that does not
   /// fit the model is ignored, and any miss falls back to the ladder.
   /// Returns true when it decided the job.
@@ -774,10 +829,9 @@ struct SolveService::Impl {
       job.external_cancel = true;
       job.cancel.cancel();
     }
-    stats_submitted.fetch_add(1, std::memory_order_relaxed);
+    count_submitted();
     stats_answer_hits.fetch_add(1, std::memory_order_relaxed);
     if (telemetry::enabled()) {
-      telemetry::counter("service.jobs.submitted").add();
       telemetry::counter("service.answer.hits").add();
     }
     complete(job, std::move(result));
@@ -866,6 +920,9 @@ struct SolveService::Impl {
   }
 
   ServiceOptions options;
+  /// strqubo::options_fingerprint(options.build), formatted once for every
+  /// answer-cache key.
+  const std::string build_fingerprint;
 
   std::mutex queue_mutex;
   std::condition_variable queue_cv;

@@ -22,12 +22,15 @@
 //    sweep loops: the job resolves to a graceful kUnknown (timed_out set
 //    for a deadline) — deadlines never throw and never lose other jobs.
 //
-// Conjunction jobs run the shared solve stages of strqubo/solver.hpp: the
-// QUBO model and its CSR adjacency are built once per job (one-conjunct
-// models once per distinct constraint, through a keyed cache shared across
-// jobs), presolved, warm-refined from JobOptions::warm_start, and only then
-// re-sampled rung by rung — see strqubo::PreparedConstraint. A rung's
-// sampler is constructed only when that rung samples. The server's sessions
+// Conjunction jobs run the shared solve stages of strqubo/solver.hpp. The
+// exact ones run inside submit(), on the caller's thread: the QUBO model
+// and its CSR adjacency are built once per job (one-conjunct models once
+// per distinct constraint, through a keyed cache shared across jobs) and
+// presolved, and a presolved job resolves there without a worker. Any
+// other job is queued with its strqubo::PreparedConstraint; its task
+// warm-refines from JobOptions::warm_start and only then re-samples rung by
+// rung. A rung's sampler is constructed only when that rung samples, and
+// never on the submitting thread. The server's sessions
 // submit every sampled check-sat this way. Script jobs reach the same
 // stages through engine::solve_script and the in-process driver.
 //
@@ -172,14 +175,15 @@ struct JobResult {
   /// verification against this job's own payload.
   bool answer_cache_hit = false;
   /// Attempts started across all rungs by the time the verdict landed (the
-  /// first one also runs the build, presolve and warm refine).
+  /// build and presolve at submission count as the first one when they
+  /// decide the job; otherwise the first one also runs the warm refine).
   std::size_t attempts = 0;
   /// 1 when the job's task stopped because its token fired (deadline or
   /// external cancellation) before a verdict, else 0.
   std::size_t members_cancelled = 0;
   std::uint64_t tag = 0;
-  /// Seconds from submission to task pickup / to the verdict
-  /// (steady clock).
+  /// Seconds from submission to task pickup (0 for a job decided at
+  /// submission) / to the verdict (steady clock).
   double queue_seconds = 0.0;
   double solve_seconds = 0.0;
 };
@@ -218,8 +222,9 @@ class SolveService {
   SolveService(const SolveService&) = delete;
   SolveService& operator=(const SolveService&) = delete;
 
-  /// Enqueues one constraint job; the future resolves when a rung of the
-  /// ladder decides, every rung is exhausted, or the deadline expires.
+  /// Submits one constraint job; the future resolves when the presolve (at
+  /// submission, before this returns) or a rung of the ladder decides,
+  /// every rung is exhausted, or the deadline expires.
   std::future<JobResult> submit(strqubo::Constraint constraint,
                                 JobOptions options = {});
 

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "canon/canon.hpp"
 #include "graph/embedding_cache.hpp"
@@ -47,7 +48,7 @@ TEST(AnswerCacheTest, LookupHitRefreshesLruPosition) {
 
 TEST(AnswerCacheTest, ByteBudgetEvictsTail) {
   canon::AnswerCacheOptions options;
-  options.max_bytes = 300;  // Roughly two entries' worth of overhead.
+  options.max_bytes = 300;  // About one entry's worth (entry_bytes).
   canon::AnswerCache cache(options);
   cache.insert("first", sat_answer(std::string(64, 'x')));
   cache.insert("second", sat_answer(std::string(64, 'y')));
@@ -56,6 +57,48 @@ TEST(AnswerCacheTest, ByteBudgetEvictsTail) {
   EXPECT_LT(cache.size(), 3u);
   EXPECT_FALSE(cache.lookup("first").has_value());
   EXPECT_TRUE(cache.lookup("third").has_value());
+}
+
+TEST(AnswerCacheTest, EntryBytesCountWhatAnEntryHolds) {
+  using canon::AnswerCache;
+  // Fixed part: the entry (key string, answer, byte count), its list
+  // node's two links, and its index node (next link, key view, list
+  // iterator, cached hash) plus one bucket slot.
+  const canon::CachedAnswer bare = sat_answer("");
+  const std::size_t fixed = AnswerCache::entry_bytes("k", bare);
+  EXPECT_EQ(fixed, sizeof(std::string) + sizeof(canon::CachedAnswer) +
+                       sizeof(std::size_t) + 2 * sizeof(void*) +
+                       sizeof(void*) + sizeof(std::string_view) +
+                       sizeof(void*) + sizeof(std::size_t) + sizeof(void*));
+  // Strings that fit their inline buffer add nothing; longer ones add
+  // their heap block (length plus terminator).
+  const std::string inline_key(std::string().capacity(), 'k');
+  EXPECT_EQ(AnswerCache::entry_bytes(inline_key, bare), fixed);
+  const std::string long_key(200, 'k');
+  canon::CachedAnswer full = sat_answer(std::string(50, 't'));
+  full.variable = std::string(40, 'v');
+  full.note = std::string(30, 'n');
+  const std::size_t full_bytes = AnswerCache::entry_bytes(long_key, full);
+  EXPECT_EQ(full_bytes, fixed + 201 + 51 + 41 + 31);
+
+  // bytes() is the sum over the entries: the key is counted (and stored)
+  // once.
+  AnswerCache cache;
+  cache.insert(long_key, full);
+  cache.insert("k", bare);
+  EXPECT_EQ(cache.bytes(), full_bytes + fixed);
+
+  // A budget of three such entries holds exactly three.
+  canon::AnswerCacheOptions options;
+  options.max_bytes = 3 * full_bytes;
+  AnswerCache bounded(options);
+  for (char tag : {'a', 'b', 'c', 'd'}) {
+    std::string key = long_key;
+    key.back() = tag;
+    bounded.insert(key, full);
+  }
+  EXPECT_EQ(bounded.size(), 3u);
+  EXPECT_EQ(bounded.bytes(), 3 * full_bytes);
 }
 
 TEST(AnswerCacheTest, AlwaysKeepsOneEntryEvenOverBudget) {

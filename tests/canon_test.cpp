@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "smtlib/parser.hpp"
 
@@ -129,6 +130,35 @@ TEST(CanonTest, DifferentBuildOptionsDoNotCollide) {
   const strqubo::Constraint constraint = strqubo::Equality{"ab"};
   EXPECT_NE(constraint_answer_key(constraint, a),
             constraint_answer_key(constraint, b));
+}
+
+TEST(CanonTest, FingerprintOverloadsBuildByteIdenticalKeys) {
+  const CanonicalScript canonical = canon_of(
+      "(declare-const y String)\n"
+      "(assert (str.prefixof \"ab\" y))\n"
+      "(assert (= (str.len y) 4))\n"
+      "(check-sat)\n");
+  const CanonicalScript uncacheable = canonicalize_script(
+      "(declare-const x String)\n"
+      "(push 1)\n"
+      "(check-sat)\n");
+  ASSERT_FALSE(uncacheable.cacheable);
+  const std::vector<strqubo::Constraint> conjuncts = {
+      strqubo::Reverse{"abc"}, strqubo::Equality{"cba"}};
+  strqubo::BuildOptions tuned;
+  tuned.strength = 3.5;
+  tuned.includes_selection_cost = 0.25;
+  for (const strqubo::BuildOptions& options :
+       {strqubo::BuildOptions{}, tuned}) {
+    const std::string fingerprint = strqubo::options_fingerprint(options);
+    EXPECT_EQ(constraint_answer_key(conjuncts, fingerprint),
+              constraint_answer_key(conjuncts, options));
+    EXPECT_EQ(constraint_answer_key({conjuncts.front()}, fingerprint),
+              constraint_answer_key(conjuncts.front(), options));
+    EXPECT_EQ(script_answer_key(canonical, fingerprint),
+              script_answer_key(canonical, options));
+    EXPECT_EQ(script_answer_key(uncacheable, fingerprint), "");
+  }
 }
 
 TEST(CanonTest, ConstraintKeyErasesOrderAndMultiplicity) {

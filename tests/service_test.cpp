@@ -605,8 +605,12 @@ TEST(Service, DestructorResolvesQueuedJobs) {
     service::ServiceOptions options;
     options.num_workers = 1;
     service::SolveService service(options);
+    // Presolve-declined, so the jobs queue instead of being decided at
+    // submission.
+    const strqubo::Constraint constraint =
+        test::declined(strqubo::NotContains{6, "zz"});
     for (int i = 0; i < 16; ++i) {
-      futures.push_back(service.submit(strqubo::Palindrome{6}));
+      futures.push_back(service.submit(constraint));
     }
     // Destroyed with most jobs still queued.
   }
@@ -868,6 +872,84 @@ TEST(ServiceStress, QueuedJobsBehindDeadlinedSolveAllTimeOut) {
   EXPECT_EQ(stats.jobs_timed_out, kJobs);
 }
 
+// The exact stages run at submission: with the only worker parked inside a
+// gate job's sampler factory, a job the presolve decides is already
+// resolved when submit() returns, and no sampler was constructed for it.
+TEST(ServiceSubmission, PresolvedJobResolvesBeforeSubmitReturns) {
+  auto gate = std::make_shared<GateState>();
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  options.portfolio.push_back(gate_member(gate));
+  service::SolveService service(options);
+  std::future<service::JobResult> parked =
+      service.submit(test::declined(strqubo::NotContains{4, "zz"}));
+  gate->wait_until_entered();
+
+  std::future<service::JobResult> presolved =
+      service.submit(strqubo::Equality{"abcd"});
+  const bool ready = presolved.wait_for(std::chrono::seconds(0)) ==
+                     std::future_status::ready;
+  const int factory_calls = gate->calls.load();
+  gate->release();  // Before any check, so a failure cannot hang the pool.
+  EXPECT_TRUE(ready);
+  EXPECT_EQ(factory_calls, 1);  // Only the parked job's.
+  const service::JobResult result = presolved.get();
+  EXPECT_EQ(result.status, smtlib::CheckSatStatus::kSat);
+  EXPECT_EQ(result.text, "abcd");
+  EXPECT_EQ(result.winner, "presolve");
+  EXPECT_EQ(result.attempts, 1u);
+  EXPECT_EQ(result.queue_seconds, 0.0);
+  EXPECT_EQ(parked.get().status, smtlib::CheckSatStatus::kUnknown);
+  EXPECT_EQ(gate->calls.load(), 1);
+}
+
+// The submitting thread runs only the exact stages: every sampler factory
+// call for presolve-declined jobs (cold or warm-started, one conjunct or
+// several) happens on a pool worker.
+TEST(ServiceSubmission, SamplerFactoriesNeverRunOnTheSubmittingThread) {
+  struct ThreadLog {
+    std::mutex mutex;
+    std::vector<std::thread::id> makers;
+  };
+  auto log = std::make_shared<ThreadLog>();
+  service::ServiceOptions options;
+  options.num_workers = 2;
+  for (const service::PortfolioMember& rung : service::default_portfolio()) {
+    service::PortfolioMember member;
+    member.name = rung.name;
+    member.make = [rung, log](std::uint64_t seed, CancelToken cancel) {
+      {
+        std::lock_guard<std::mutex> lock(log->mutex);
+        log->makers.push_back(std::this_thread::get_id());
+      }
+      return rung.make(seed, cancel);
+    };
+    options.portfolio.push_back(std::move(member));
+  }
+  service::SolveService service(options);
+
+  const strqubo::Constraint not_contains =
+      test::declined(strqubo::NotContains{4, "ab"});
+  std::vector<std::future<service::JobResult>> futures;
+  futures.push_back(service.submit(not_contains));
+  futures.push_back(
+      service.submit(test::declined(strqubo::BoundedLength{5, 1, 4})));
+  futures.push_back(service.submit(std::vector<strqubo::Constraint>{
+      not_contains, test::declined(strqubo::NotContains{4, "zz"})}));
+  service::JobOptions warm;
+  warm.warm_start = "abab";  // Not a witness: the refinement starts off it.
+  futures.push_back(service.submit(not_contains, warm));
+  for (auto& future : futures) {
+    EXPECT_NE(future.get().winner, "presolve");
+  }
+
+  std::lock_guard<std::mutex> lock(log->mutex);
+  EXPECT_GE(log->makers.size(), 3u);
+  for (const std::thread::id& maker : log->makers) {
+    EXPECT_NE(maker, std::this_thread::get_id());
+  }
+}
+
 // The headline stress: N submitter threads x M jobs with mixed deadlines,
 // racing the pool from outside while the portfolio races inside. Checks
 // that results are neither lost nor duplicated (every tag resolves exactly
@@ -1117,6 +1199,25 @@ TEST(PipelineChaining, EmptyPipelineResolvesImmediately) {
   EXPECT_TRUE(result.stages.empty());
   EXPECT_TRUE(result.all_sat);
   EXPECT_EQ(result.chained_warm_starts, 0u);
+}
+
+// Every stage here is presolved at submission, so each completes inside
+// the enqueue of the stage before it. The stages must still be submitted
+// one after another, not nested one call deeper per stage: tens of
+// thousands of nested stages would overflow the submitting thread's stack.
+TEST(PipelineChaining, PresolvedStagesDoNotNestOnTheStack) {
+  constexpr std::size_t kStages = 50000;
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  service::SolveService service(options);
+  service::PipelineJob pipeline;
+  pipeline.stages.assign(kStages, strqubo::Equality{"ab"});
+  const service::PipelineResult result =
+      service.submit_pipeline(std::move(pipeline)).get();
+  ASSERT_EQ(result.stages.size(), kStages);
+  EXPECT_TRUE(result.all_sat);
+  EXPECT_EQ(result.stages.back().winner, "presolve");
+  EXPECT_EQ(result.chained_warm_starts, kStages - 1);
 }
 
 TEST(PipelineChaining, ChainedWitnessesVerifyClassically) {
