@@ -46,8 +46,11 @@ docs/*.md, plus any root-level markdown they link to):
     src/ file must have its metric name appear as a string literal in
     each file it names. A `<placeholder>` name such as
     `service.winner.<member>` is matched on its literal prefix
-    (`"service.winner.`). A counter deleted from the code, or moved to
-    another file, therefore fails the build until its doc row follows.
+    (`"service.winner.`). A cache metric `<prefix>.<event>`, where
+    `<event>` is one that util::LruCache publishes (read from
+    src/util/lru_cache.hpp), is matched on the literal `"<prefix>"` the
+    file builds its cache with. A counter deleted from the code, or moved
+    to another file, therefore fails the build until its doc row follows.
 
 10. One solve path: under src/ outside src/anneal/, the exact presolve
     call `anneal::presolve(` and a `ReverseAnnealer` construction may each
@@ -60,6 +63,11 @@ docs/*.md, plus any root-level markdown they link to):
     `docs/routing.md`. The escalation ladder tries one rung at a time, so
     a job holds one worker by construction and the adaptive router it
     replaced is gone.
+
+12. One LRU: no file under src/ other than src/util/lru_cache.hpp may
+    use `std::list<` or `.splice(`. Every cache layer is a util::LruCache,
+    which owns the recency list, the index, the caps and the metrics, so
+    LRU bookkeeping is written once. Comment lines are skipped.
 
 Also prints the line count of src/, which the roadmap tracks next to the
 benchmarks.
@@ -96,6 +104,9 @@ ONE_PATH_RES = {
     ),
 }
 TICKED_RE = re.compile(r"`([^`]+)`")
+LRU_HEADER = REPO / "src" / "util" / "lru_cache.hpp"
+LRU_RE = re.compile(r"std::list<|\.splice\(")
+LRU_EVENT_RE = re.compile(r'metric_name\(metric_prefix, "(\w+)"\)')
 CODE_DIRS = ("src", "tests", "bench", "examples")
 
 
@@ -261,8 +272,35 @@ def check_one_solve_path() -> list:
     return errors
 
 
+def check_one_lru() -> list:
+    errors = []
+    for path in files_under("src"):
+        if path == LRU_HEADER:
+            continue
+        text = path.read_text(encoding="utf-8", errors="replace")
+        for number, line in enumerate(text.splitlines(), 1):
+            if LRU_RE.search(line) and not line.lstrip().startswith("//"):
+                errors.append(
+                    f"{path.relative_to(REPO)}:{number}: LRU bookkeeping "
+                    "belongs in src/util/lru_cache.hpp; use util::LruCache"
+                )
+    return errors
+
+
+def source_literals(name: str, lru_events: list) -> list:
+    """The string literals any one of which shows `name` is emitted."""
+    if "<" in name:
+        return ['"' + name.split("<")[0]]
+    literals = [f'"{name}"']
+    prefix, _, event = name.rpartition(".")
+    if prefix and event in lru_events:
+        literals.append(f'"{prefix}"')
+    return literals
+
+
 def check_telemetry_sources() -> list:
     errors = []
+    lru_events = LRU_EVENT_RE.findall(LRU_HEADER.read_text(encoding="utf-8"))
     lines = (REPO / "docs/telemetry.md").read_text(encoding="utf-8").splitlines()
     for number, line in enumerate(lines, 1):
         if not line.startswith("|"):
@@ -278,9 +316,10 @@ def check_telemetry_sources() -> list:
         if not names or not sources:
             continue
         name = names[0]
-        literal = '"' + name.split("<")[0] if "<" in name else f'"{name}"'
+        literals = source_literals(name, lru_events)
         for source in sources:
-            if literal not in source.read_text(encoding="utf-8"):
+            text = source.read_text(encoding="utf-8")
+            if not any(literal in text for literal in literals):
                 errors.append(
                     f"docs/telemetry.md:{number}: `{name}` is not emitted "
                     f"in {source.relative_to(REPO)}"
@@ -308,6 +347,7 @@ def main() -> int:
         + check_telemetry_sources()
         + check_one_solve_path()
         + check_no_router()
+        + check_one_lru()
     )
     for err in errors:
         print(f"check_docs: {err}", file=sys.stderr)

@@ -87,18 +87,19 @@ fi
 # transport's reader threads, admission gate, and disconnect-cancellation
 # races), plus the incremental differential chains (fragment-cache LRU
 # mutation under reuse, context-carried clause memory, and the shared-cache
-# concurrency schedules), plus the answer-cache suites (one shared LRU mutated from every submitting
-# thread and tenant session, with hit-serving racing inserts and
-# evictions). The binaries run directly (rather than via ctest) so the
-# subset is exact regardless of which gtest case names discovery
-# registered.
+# concurrency schedules), plus the answer-cache suites (one shared LRU
+# mutated from every submitting thread and tenant session, with
+# hit-serving racing inserts and evictions), plus the util::LruCache suite
+# every cache layer sits on. The binaries run directly (rather than via
+# ctest) so the subset is exact regardless of which gtest case names
+# discovery registered.
 subset=(annealer_test hotpath_test batched_kernel_test qubo_builder_test
         qubo_model_test adjacency_test sample_set_test schedule_test
         builders_test pimc_test embedding_test embedded_sampler_test
         quantum_hotpath_test quantum_conformance_test
         service_test conformance_test corpus_test
         server_test server_stress_test incremental_test
-        canon_test answer_cache_test answer_fuzz_test)
+        canon_test answer_cache_test answer_fuzz_test lru_cache_test)
 
 for san in address undefined; do
   echo "=== ${san} sanitizer build (build-${san}/) ==="
@@ -116,9 +117,10 @@ done
 # resolve promises and insert into the shared answer and model caches on
 # their own threads while workers do the same), and the socket server
 # (accept loop against shutdown, reader threads against disconnect
-# cancellation). A report fails the stage: TSan exits non-zero when it
-# found a race.
-tsan_subset=(service_test server_test server_stress_test)
+# cancellation), plus the util::LruCache get-or-build race that all four
+# cache layers share. A report fails the stage: TSan exits non-zero when
+# it found a race.
+tsan_subset=(service_test server_test server_stress_test lru_cache_test)
 echo "=== thread sanitizer build (build-thread/) ==="
 cmake -B build-thread -S . -DQSMT_SANITIZE=thread >/dev/null
 cmake --build build-thread -j "${jobs}" --target "${tsan_subset[@]}"

@@ -1,11 +1,8 @@
 #include "canon/answer_cache.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 #include <vector>
-
-#include "telemetry/telemetry.hpp"
 
 namespace qsmt::canon {
 
@@ -45,15 +42,6 @@ bool hex_decode(const std::string& token, std::string& out) {
   return true;
 }
 
-/// The heap block a string of this length needs: none while it fits the
-/// string's inline buffer, else its characters plus the terminator. Sized
-/// by length, not capacity, so a snapshot round trip restores bytes()
-/// exactly.
-std::size_t heap_bytes(const std::string& text) {
-  static const std::size_t kInline = std::string().capacity();
-  return text.size() > kInline ? text.size() + 1 : 0;
-}
-
 const char* status_token(smtlib::CheckSatStatus status) {
   switch (status) {
     case smtlib::CheckSatStatus::kSat:
@@ -66,140 +54,64 @@ const char* status_token(smtlib::CheckSatStatus status) {
   return "unknown";
 }
 
+/// Heap bytes of an entry's key and answer strings.
+std::size_t strings_heap_bytes(const std::string& key,
+                               const CachedAnswer& answer) {
+  return util::heap_bytes(key) +
+         (answer.text ? util::heap_bytes(*answer.text) : 0) +
+         util::heap_bytes(answer.variable) + util::heap_bytes(answer.note);
+}
+
 }  // namespace
 
-AnswerCache::AnswerCache(AnswerCacheOptions options) : options_(options) {
-  if (options_.max_entries == 0) options_.max_entries = 1;
-}
+AnswerCache::AnswerCache(AnswerCacheOptions options)
+    : cache_("answer_cache", options.max_entries, options.max_bytes) {}
 
 std::size_t AnswerCache::entry_bytes(const std::string& key,
                                      const CachedAnswer& answer) {
-  constexpr std::size_t kListNode = sizeof(Entry) + 2 * sizeof(void*);
-  constexpr std::size_t kIndexNode =
-      sizeof(void*) + sizeof(std::string_view) +
-      sizeof(std::list<Entry>::iterator) + sizeof(std::size_t) +
-      sizeof(void*);  // Next link, key, iterator, cached hash; bucket slot.
-  return kListNode + kIndexNode + heap_bytes(key) +
-         (answer.text ? heap_bytes(*answer.text) : 0) +
-         heap_bytes(answer.variable) + heap_bytes(answer.note);
+  return Lru::kNodeBytes + strings_heap_bytes(key, answer);
 }
 
 std::optional<CachedAnswer> AnswerCache::lookup(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    if (telemetry::enabled()) {
-      telemetry::counter("answer_cache.misses").add();
-    }
-    return std::nullopt;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++stats_.hits;
-  if (telemetry::enabled()) {
-    telemetry::counter("answer_cache.hits").add();
-  }
-  return lru_.front().answer;
+  return cache_.get(key);
 }
 
 void AnswerCache::insert(const std::string& key, CachedAnswer answer) {
   if (answer.status == smtlib::CheckSatStatus::kUnknown) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Refresh: same canonical form re-solved (e.g. after a snapshot load
-    // raced an in-flight job). Keep the newer answer.
-    bytes_ -= it->second->bytes;
-    it->second->bytes = entry_bytes(key, answer);
-    bytes_ += it->second->bytes;
-    it->second->answer = std::move(answer);
-    lru_.splice(lru_.begin(), lru_, it->second);
-  } else {
-    Entry entry;
-    entry.key = key;
-    entry.bytes = entry_bytes(key, answer);
-    entry.answer = std::move(answer);
-    bytes_ += entry.bytes;
-    lru_.push_front(std::move(entry));
-    // The index views the list's copy of the key, which never moves.
-    index_.emplace(lru_.front().key, lru_.begin());
-  }
-  ++stats_.insertions;
-  if (telemetry::enabled()) {
-    telemetry::counter("answer_cache.insertions").add();
-  }
-  evict_to_budget_locked();
-  publish_occupancy_locked();
+  // A key already present is refreshed: the same canonical form re-solved
+  // (e.g. after a snapshot load raced an in-flight job) keeps the newer
+  // answer.
+  const std::size_t heap = strings_heap_bytes(key, answer);
+  cache_.insert(key, std::move(answer), heap);
 }
 
-void AnswerCache::evict_to_budget_locked() {
-  while (lru_.size() > 1 &&
-         (lru_.size() > options_.max_entries || bytes_ > options_.max_bytes)) {
-    bytes_ -= lru_.back().bytes;
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++stats_.evictions;
-    if (telemetry::enabled()) {
-      telemetry::counter("answer_cache.evictions").add();
-    }
-  }
-}
+void AnswerCache::clear() { cache_.clear(); }
 
-void AnswerCache::publish_occupancy_locked() {
-  if (telemetry::enabled()) {
-    telemetry::gauge("answer_cache.entries")
-        .set(static_cast<double>(lru_.size()));
-    telemetry::gauge("answer_cache.bytes", telemetry::Unit::kBytes)
-        .set(static_cast<double>(bytes_));
-  }
-}
+std::size_t AnswerCache::size() const { return cache_.stats().entries; }
 
-void AnswerCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  index_.clear();  // Its keys view the entries: drop them first.
-  lru_.clear();
-  bytes_ = 0;
-  publish_occupancy_locked();
-}
+std::size_t AnswerCache::bytes() const { return cache_.stats().bytes; }
 
-std::size_t AnswerCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
-}
-
-std::size_t AnswerCache::bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_;
-}
-
-AnswerCache::Stats AnswerCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Stats stats = stats_;
-  stats.entries = lru_.size();
-  stats.bytes = bytes_;
-  return stats;
-}
+AnswerCache::Stats AnswerCache::stats() const { return cache_.stats(); }
 
 std::string AnswerCache::save_snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream out;
   out << kSnapshotHeader << '\n';
-  for (const Entry& entry : lru_) {
-    out << "entry " << status_token(entry.answer.status) << ' ';
-    if (entry.answer.position) {
-      out << *entry.answer.position;
+  cache_.for_each([&](const std::string& key, const CachedAnswer& answer) {
+    out << "entry " << status_token(answer.status) << ' ';
+    if (answer.position) {
+      out << *answer.position;
     } else {
       out << '~';
     }
-    out << ' ' << hex_encode(entry.key) << ' ';
-    if (entry.answer.text) {
-      out << 't' << hex_encode(*entry.answer.text);
+    out << ' ' << hex_encode(key) << ' ';
+    if (answer.text) {
+      out << 't' << hex_encode(*answer.text);
     } else {
       out << '~';
     }
-    out << ' ' << hex_encode(entry.answer.variable) << ' '
-        << hex_encode(entry.answer.note) << '\n';
-  }
+    out << ' ' << hex_encode(answer.variable) << ' ' << hex_encode(answer.note)
+        << '\n';
+  });
   return out.str();
 }
 
@@ -207,7 +119,7 @@ bool AnswerCache::load_snapshot(const std::string& snapshot) {
   std::istringstream in(snapshot);
   std::string line;
   if (!std::getline(in, line) || line != kSnapshotHeader) return false;
-  std::list<Entry> loaded;
+  std::vector<Lru::Entry> loaded;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::istringstream fields(line);
@@ -219,11 +131,11 @@ bool AnswerCache::load_snapshot(const std::string& snapshot) {
     std::string trailing;
     if (fields >> trailing) return false;
     if (tag != "entry") return false;
-    Entry entry;
+    Lru::Entry entry;
     if (status == "sat") {
-      entry.answer.status = smtlib::CheckSatStatus::kSat;
+      entry.value.status = smtlib::CheckSatStatus::kSat;
     } else if (status == "unsat") {
-      entry.answer.status = smtlib::CheckSatStatus::kUnsat;
+      entry.value.status = smtlib::CheckSatStatus::kUnsat;
     } else {
       return false;
     }
@@ -236,35 +148,21 @@ bool AnswerCache::load_snapshot(const std::string& snapshot) {
       } catch (const std::exception&) {
         return false;
       }
-      entry.answer.position = parsed;
+      entry.value.position = parsed;
     }
     if (!hex_decode(key, entry.key) || entry.key.empty()) return false;
     if (text != "~") {
       if (text.empty() || text[0] != 't') return false;
       std::string decoded;
       if (!hex_decode(text.substr(1), decoded)) return false;
-      entry.answer.text = std::move(decoded);
+      entry.value.text = std::move(decoded);
     }
-    if (!hex_decode(variable, entry.answer.variable)) return false;
-    if (!hex_decode(note, entry.answer.note)) return false;
-    entry.bytes = entry_bytes(entry.key, entry.answer);
+    if (!hex_decode(variable, entry.value.variable)) return false;
+    if (!hex_decode(note, entry.value.note)) return false;
+    entry.heap_bytes = strings_heap_bytes(entry.key, entry.value);
     loaded.push_back(std::move(entry));
   }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  index_.clear();  // Its keys view the entries being replaced.
-  lru_ = std::move(loaded);
-  bytes_ = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (!index_.emplace(it->key, it).second) {
-      it = lru_.erase(it);  // Duplicate key: keep the more recent (earlier).
-      continue;
-    }
-    bytes_ += it->bytes;
-    ++it;
-  }
-  evict_to_budget_locked();
-  publish_occupancy_locked();
+  cache_.assign(std::move(loaded));
   return true;
 }
 

@@ -11,11 +11,12 @@
 // (even a poisoned or stale one) can cost at most one cheap check, never a
 // wrong verdict.
 //
-// Thread-safe, byte-budgeted LRU. One instance is meant to be shared
-// across services, server sessions, and tenants (like the FragmentCache):
-// entries carry no session state, and a witness can only be observed
-// through a canonical-key hit — i.e. by a tenant who already holds a
-// structurally identical query (pinned by tests/server_stress_test.cpp).
+// A thread-safe, byte-budgeted util::LruCache. One instance is meant to
+// be shared across services, server sessions, and tenants (like the
+// FragmentCache): entries carry no session state, and a witness can only
+// be observed through a canonical-key hit — i.e. by a tenant who already
+// holds a structurally identical query (pinned by
+// tests/server_stress_test.cpp).
 //
 // Telemetry: answer_cache.{hits,misses,insertions,evictions} counters and
 // answer_cache.{bytes,entries} gauges, mirrored deterministically by
@@ -24,15 +25,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <list>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 
 #include "smtlib/driver.hpp"
+#include "util/lru_cache.hpp"
 
 namespace qsmt::canon {
 
@@ -77,24 +74,17 @@ class AnswerCache {
   std::size_t size() const;
   std::size_t bytes() const;
 
-  /// What one entry holding `key` and `answer` really occupies: the heap
-  /// blocks of its strings (length plus terminator; a string short enough
-  /// to live inside its own object adds none), the entry itself, its LRU
-  /// list node's two links, and its index node (next link, key view, list
-  /// iterator, cached hash) plus one bucket slot. The key is stored once.
-  /// bytes() is the sum over every entry.
+  /// What one entry holding `key` and `answer` really occupies: the LRU's
+  /// node overhead (util::LruCache::kNodeBytes: the entry, its list node's
+  /// two links, its index node and one bucket slot) plus the heap blocks
+  /// of its strings (length plus terminator; a string short enough to live
+  /// inside its own object adds none). The key is stored once. bytes() is
+  /// the sum over every entry.
   static std::size_t entry_bytes(const std::string& key,
                                  const CachedAnswer& answer);
 
   /// Deterministic mirror of the answer_cache.* counters and gauges.
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t entries = 0;
-    std::uint64_t bytes = 0;
-  };
+  using Stats = util::CacheStats;
   Stats stats() const;
 
   /// Serializes every entry (most recent first) as line-oriented text
@@ -108,23 +98,8 @@ class AnswerCache {
   bool load_snapshot(const std::string& snapshot);
 
  private:
-  struct Entry {
-    std::string key;
-    CachedAnswer answer;
-    std::size_t bytes = 0;
-  };
-
-  void evict_to_budget_locked();
-  void publish_occupancy_locked();
-
-  AnswerCacheOptions options_;
-  mutable std::mutex mutex_;
-  std::list<Entry> lru_;  // Front = most recently used.
-  /// Keyed by a view of the entry's own key: list nodes never move, so
-  /// each key is stored once.
-  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
-  Stats stats_;
-  std::size_t bytes_ = 0;
+  using Lru = util::LruCache<std::string, CachedAnswer>;
+  Lru cache_;
 };
 
 }  // namespace qsmt::canon

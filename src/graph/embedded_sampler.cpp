@@ -79,7 +79,7 @@ anneal::SampleSet EmbeddedSampler::sample(const qubo::QuboModel& model) const {
 }
 
 std::size_t EmbeddedSampler::embedding_cache_hits() const {
-  return cache_->hits();
+  return cache_->stats().hits;
 }
 
 anneal::SampleSet EmbeddedSampler::sample_with_stats(

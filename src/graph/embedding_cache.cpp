@@ -1,120 +1,59 @@
 #include "graph/embedding_cache.hpp"
 
-#include <algorithm>
+#include <span>
 
-#include "telemetry/telemetry.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace qsmt::graph {
 
-std::uint64_t structure_hash(const Graph& graph) {
-  require(graph.finalized(), "structure_hash: graph must be finalized");
-  // splitmix64 as the per-word mixer — the same finalizer the RNG seeding
-  // uses, strong enough that collisions are handled (verified edge lists),
-  // not feared.
-  std::uint64_t h = mix_seed(0x9e3779b97f4a7c15ULL, graph.num_nodes());
-  for (const auto& [u, v] : graph.edges()) {
+namespace {
+
+// splitmix64 as the per-word mixer — the same finalizer the RNG seeding
+// uses, strong enough that collisions are handled (shapes compared in
+// full), not feared.
+std::uint64_t hash_shape(
+    std::size_t num_nodes,
+    std::span<const std::pair<std::uint32_t, std::uint32_t>> edges) {
+  std::uint64_t h = mix_seed(0x9e3779b97f4a7c15ULL, num_nodes);
+  for (const auto& [u, v] : edges) {
     h = mix_seed(h, (static_cast<std::uint64_t>(u) << 32) | v);
   }
   return h;
 }
 
-EmbeddingCache::EmbeddingCache(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-bool EmbeddingCache::matches(const Entry& entry, const Graph& logical) const {
-  return entry.num_nodes == logical.num_nodes() &&
-         std::equal(entry.edges.begin(), entry.edges.end(),
-                    logical.edges().begin(), logical.edges().end());
+GraphShape shape_of(const Graph& graph) {
+  require(graph.finalized(), "structure_hash: graph must be finalized");
+  return {graph.num_nodes(), {graph.edges().begin(), graph.edges().end()}};
 }
 
+}  // namespace
+
+std::uint64_t structure_hash(const Graph& graph) {
+  require(graph.finalized(), "structure_hash: graph must be finalized");
+  return hash_shape(graph.num_nodes(), graph.edges());
+}
+
+std::size_t EmbeddingCache::ShapeHash::operator()(
+    const GraphShape& shape) const {
+  return hash_shape(shape.num_nodes, shape.edges);
+}
+
+EmbeddingCache::EmbeddingCache(std::size_t capacity)
+    : cache_("embed.cache", capacity) {}
+
 std::optional<Embedding> EmbeddingCache::lookup(const Graph& logical) {
-  const std::uint64_t hash = structure_hash(logical);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, end] = index_.equal_range(hash);
-  for (; it != end; ++it) {
-    if (!matches(*it->second, logical)) continue;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    ++hits_;
-    if (telemetry::enabled()) telemetry::counter("embed.cache.hits").add();
-    return lru_.front().embedding;
-  }
-  ++misses_;
-  if (telemetry::enabled()) telemetry::counter("embed.cache.misses").add();
-  return std::nullopt;
+  return cache_.get(shape_of(logical));
 }
 
 void EmbeddingCache::insert(const Graph& logical, const Embedding& embedding) {
-  const std::uint64_t hash = structure_hash(logical);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto [it, end] = index_.equal_range(hash); it != end; ++it) {
-    if (matches(*it->second, logical)) return;  // Racing inserts: keep first.
-  }
-  Entry entry;
-  entry.hash = hash;
-  entry.num_nodes = logical.num_nodes();
-  entry.edges.assign(logical.edges().begin(), logical.edges().end());
-  entry.embedding = embedding;
-  entry.bytes = entry.edges.size() * sizeof(entry.edges.front());
+  GraphShape shape = shape_of(logical);
+  std::size_t heap = shape.edges.size() * sizeof(shape.edges.front()) +
+                     embedding.chains.size() * sizeof(embedding.chains.front());
   for (const auto& chain : embedding.chains) {
-    entry.bytes += chain.size() * sizeof(std::uint32_t) + sizeof(chain);
+    heap += chain.size() * sizeof(std::uint32_t);
   }
-  entry.bytes += 64;  // list/map node overhead.
-  bytes_ += entry.bytes;
-  lru_.push_front(std::move(entry));
-  index_.emplace(hash, lru_.begin());
-  if (lru_.size() > capacity_) {
-    const auto victim = std::prev(lru_.end());
-    for (auto [it, end] = index_.equal_range(victim->hash); it != end; ++it) {
-      if (it->second == victim) {
-        index_.erase(it);
-        break;
-      }
-    }
-    bytes_ -= victim->bytes;
-    lru_.pop_back();
-    ++evictions_;
-    if (telemetry::enabled()) {
-      telemetry::counter("embed.cache.evictions").add();
-    }
-  }
-  publish_occupancy_locked();
-}
-
-void EmbeddingCache::publish_occupancy_locked() {
-  if (telemetry::enabled()) {
-    telemetry::gauge("embed.cache.size").set(static_cast<double>(lru_.size()));
-    telemetry::gauge("embed.cache.entries")
-        .set(static_cast<double>(lru_.size()));
-    telemetry::gauge("embed.cache.bytes", telemetry::Unit::kBytes)
-        .set(static_cast<double>(bytes_));
-  }
-}
-
-std::size_t EmbeddingCache::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::size_t EmbeddingCache::misses() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::size_t EmbeddingCache::evictions() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
-}
-
-std::size_t EmbeddingCache::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
-}
-
-std::size_t EmbeddingCache::bytes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_;
+  cache_.insert(std::move(shape), embedding, heap, util::OnExisting::kKeep);
 }
 
 }  // namespace qsmt::graph

@@ -8,26 +8,33 @@
 // embedded solves) into a hash lookup for all but the first solve of each
 // shape.
 //
-// Entries are keyed by a 64-bit hash of (node count, sorted edge list) and
-// verified against the stored edge list on every hit, so a hash collision
-// costs one extra compare instead of ever serving a wrong embedding. The
-// cache is bounded LRU and thread-safe: one instance can be shared across
-// samplers (EmbeddedSamplerParams::embedding_cache), which is how the solve
-// service lets every attempt of a portfolio lane reuse warm embeddings.
+// Entries are keyed by the graph's shape (node count, sorted edge list),
+// hashed by structure_hash and compared in full on every hit, so a hash
+// collision costs one extra compare instead of ever serving a wrong
+// embedding. The cache is a bounded, thread-safe util::LruCache: one
+// instance can be shared across samplers
+// (EmbeddedSamplerParams::embedding_cache), which is how the solve service
+// lets every attempt of a portfolio lane reuse warm embeddings.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "graph/embedding.hpp"
 #include "graph/graph.hpp"
+#include "util/lru_cache.hpp"
 
 namespace qsmt::graph {
+
+/// What an embedding depends on: the node count and the sorted edge list.
+struct GraphShape {
+  std::size_t num_nodes = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+
+  bool operator==(const GraphShape&) const = default;
+};
 
 /// Canonical 64-bit structure hash of a finalized graph: node count plus the
 /// sorted edge list (Graph::finalize sorts edges, so isomorphic *labelled*
@@ -46,40 +53,20 @@ class EmbeddingCache {
   std::optional<Embedding> lookup(const Graph& logical);
 
   /// Stores `embedding` for `logical`'s structure (no-op if already
-  /// present). Evicts the LRU entry when over capacity and keeps the
-  /// embed.cache.size gauge current.
+  /// present: racing inserts keep the first). Evicts the LRU entry when
+  /// over capacity.
   void insert(const Graph& logical, const Embedding& embedding);
 
-  std::size_t hits() const;
-  std::size_t misses() const;
-  std::size_t evictions() const;
-  std::size_t size() const;
-  /// Approximate retained footprint (stored edge lists + embedding chains),
-  /// the value mirrored into the embed.cache.bytes gauge (embed.cache.entries
-  /// mirrors size()).
-  std::size_t bytes() const;
-  std::size_t capacity() const noexcept { return capacity_; }
+  /// Mirror of the embed.cache.* counters and gauges; `bytes` counts the
+  /// LRU nodes plus the stored edge lists and embedding chains.
+  util::CacheStats stats() const { return cache_.stats(); }
 
  private:
-  struct Entry {
-    std::uint64_t hash = 0;
-    std::size_t num_nodes = 0;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    Embedding embedding;
-    std::size_t bytes = 0;
+  struct ShapeHash {
+    std::size_t operator()(const GraphShape& shape) const;
   };
 
-  bool matches(const Entry& entry, const Graph& logical) const;
-  void publish_occupancy_locked();
-
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::list<Entry> lru_;  ///< Front = most recently used.
-  std::unordered_multimap<std::uint64_t, std::list<Entry>::iterator> index_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
-  std::size_t evictions_ = 0;
-  std::size_t bytes_ = 0;
+  util::LruCache<GraphShape, Embedding, ShapeHash> cache_;
 };
 
 }  // namespace qsmt::graph

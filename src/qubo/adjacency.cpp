@@ -111,6 +111,12 @@ double QuboAdjacency::min_abs_nonzero_coefficient() const noexcept {
   return std::isinf(best) ? 0.0 : best;
 }
 
+std::size_t QuboAdjacency::heap_bytes() const noexcept {
+  return linear_.capacity() * sizeof(double) +
+         row_start_.capacity() * sizeof(std::size_t) +
+         neighbors_.capacity() * sizeof(Neighbor);
+}
+
 QuboModel QuboAdjacency::to_model() const {
   const std::size_t n = linear_.size();
   QuboModel model(n);

@@ -66,6 +66,9 @@ class QuboAdjacency {
   /// Smallest nonzero |coefficient| (0 for an all-zero adjacency).
   double min_abs_nonzero_coefficient() const noexcept;
 
+  /// Heap bytes of the linear, row-start and neighbor arrays.
+  std::size_t heap_bytes() const noexcept;
+
   /// Reconstructs an equivalent QuboModel (used by Sampler's generic
   /// adjacency entry point for samplers without a native CSR path).
   QuboModel to_model() const;

@@ -113,6 +113,13 @@ double QuboModel::min_abs_nonzero_coefficient() const noexcept {
   return std::isinf(best) ? 0.0 : best;
 }
 
+std::size_t QuboModel::heap_bytes() const noexcept {
+  return linear_.capacity() * sizeof(double) +
+         quadratic_.size() *
+             (sizeof(void*) + sizeof(decltype(quadratic_)::value_type)) +
+         quadratic_.bucket_count() * sizeof(void*);
+}
+
 std::vector<double> QuboModel::to_dense() const {
   const std::size_t n = linear_.size();
   std::vector<double> dense(n * n, 0.0);

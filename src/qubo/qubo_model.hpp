@@ -93,6 +93,10 @@ class QuboModel {
   /// Access to the raw linear coefficient array.
   const std::vector<double>& linear_terms() const noexcept { return linear_; }
 
+  /// Heap bytes of the coefficient storage: the linear array, one hash
+  /// node (next link, key, value) per quadratic term and the bucket array.
+  std::size_t heap_bytes() const noexcept;
+
   /// Removes stored quadratic entries that are exactly zero.
   void prune_zeros();
 

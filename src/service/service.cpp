@@ -6,11 +6,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <list>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 
@@ -20,6 +18,7 @@
 #include "strqubo/solver.hpp"
 #include "strqubo/verify.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/lru_cache.hpp"
 #include "util/rng.hpp"
 
 namespace qsmt::service {
@@ -39,15 +38,19 @@ std::size_t default_worker_count() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-// Retained-footprint estimate of one prepared-model cache entry (key +
-// QUBO linear/quadratic terms, doubled for the CSR adjacency mirror) —
-// feeds the service.model_cache.bytes gauge.
-std::size_t prepared_bytes(const std::string& key,
-                           const strqubo::PreparedConstraint& prepared) {
-  return key.size() + prepared.model.num_variables() * sizeof(double) +
-         prepared.model.num_interactions() *
-             (sizeof(std::uint64_t) + sizeof(double)) * 2 +
-         64;
+// Distinct prepared constraints kept in the model cache (an unbounded
+// cache would grow with the stream of distinct jobs).
+constexpr std::size_t kModelCacheCapacity = 256;
+
+// Heap bytes of one prepared-model cache entry: its key, the shared
+// PreparedConstraint block and the model's and CSR adjacency's coefficient
+// storage. Feeds the service.model_cache.bytes gauge.
+std::size_t prepared_heap_bytes(const std::string& key,
+                                const strqubo::PreparedConstraint& prepared) {
+  return util::heap_bytes(key) +
+         util::shared_block_bytes<strqubo::PreparedConstraint>() +
+         prepared.conjuncts.capacity() * sizeof(strqubo::Constraint) +
+         prepared.model.heap_bytes() + prepared.adjacency.heap_bytes();
 }
 
 // Round-trips a script-unsat verdict's notes through one CachedAnswer
@@ -180,7 +183,6 @@ struct SolveService::Impl {
       }
     }
     if (options.num_workers == 0) options.num_workers = default_worker_count();
-    if (options.model_cache_capacity == 0) options.model_cache_capacity = 1;
     workers.reserve(options.num_workers);
     for (std::size_t i = 0; i < options.num_workers; ++i) {
       workers.emplace_back([this] { worker_loop(); });
@@ -636,28 +638,15 @@ struct SolveService::Impl {
   /// the build threw.
   std::shared_ptr<const strqubo::PreparedConstraint> prepare_job(
       const Job& job, std::string& error) {
+    // A merged model's key is empty and never cached, so its lookup counts
+    // the one miss every built model records.
     const std::string& key = job.structure_key;
-    if (!key.empty()) {
-      std::lock_guard<std::mutex> lock(cache_mutex);
-      auto it = cache.find(key);
-      if (it != cache.end()) {
-        cache_lru.splice(cache_lru.begin(), cache_lru, it->second);
-        stats_cache_hits.fetch_add(1, std::memory_order_relaxed);
-        if (telemetry::enabled()) {
-          telemetry::counter("service.model_cache.hits").add();
-        }
-        return it->second->prepared;
-      }
-    }
-    stats_cache_misses.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      telemetry::counter("service.model_cache.misses").add();
-    }
+    if (auto cached = model_cache.get(key)) return std::move(*cached);
     std::shared_ptr<const strqubo::PreparedConstraint> prepared;
     try {
       // Build outside the cache lock: builds dominate and would serialise
       // every worker otherwise. Two threads may race the same key; the
-      // loser's insert is a no-op and its build is wasted once.
+      // loser's insert keeps the first model and its build is wasted once.
       prepared = std::make_shared<const strqubo::PreparedConstraint>(
           strqubo::prepare(
               std::get<std::vector<strqubo::Constraint>>(job.payload),
@@ -666,23 +655,9 @@ struct SolveService::Impl {
       error = build_error.what();
       return nullptr;
     }
-    if (key.empty()) return prepared;
-    std::lock_guard<std::mutex> lock(cache_mutex);
-    if (cache.contains(key)) return prepared;
-    const std::size_t entry_bytes = prepared_bytes(key, *prepared);
-    cache_bytes += entry_bytes;
-    cache_lru.push_front(CacheEntry{key, prepared, entry_bytes});
-    cache.emplace(key, cache_lru.begin());
-    while (cache.size() > options.model_cache_capacity) {
-      cache_bytes -= cache_lru.back().bytes;
-      cache.erase(cache_lru.back().key);
-      cache_lru.pop_back();
-    }
-    if (telemetry::enabled()) {
-      telemetry::gauge("service.model_cache.entries")
-          .set(static_cast<double>(cache_lru.size()));
-      telemetry::gauge("service.model_cache.bytes", telemetry::Unit::kBytes)
-          .set(static_cast<double>(cache_bytes));
+    if (!key.empty()) {
+      model_cache.insert(key, prepared, prepared_heap_bytes(key, *prepared),
+                         util::OnExisting::kKeep);
     }
     return prepared;
   }
@@ -930,15 +905,9 @@ struct SolveService::Impl {
   bool stopping = false;
   std::vector<std::thread> workers;
 
-  struct CacheEntry {
-    std::string key;
-    std::shared_ptr<const strqubo::PreparedConstraint> prepared;
-    std::size_t bytes = 0;
-  };
-  std::mutex cache_mutex;
-  std::list<CacheEntry> cache_lru;  // Front = most recently used.
-  std::unordered_map<std::string, std::list<CacheEntry>::iterator> cache;
-  std::size_t cache_bytes = 0;  // Guarded by cache_mutex.
+  util::LruCache<std::string,
+                 std::shared_ptr<const strqubo::PreparedConstraint>>
+      model_cache{"service.model_cache", kModelCacheCapacity};
 
   std::atomic<std::uint64_t> stats_submitted{0};
   std::atomic<std::uint64_t> stats_completed{0};
@@ -946,8 +915,6 @@ struct SolveService::Impl {
   std::atomic<std::uint64_t> stats_cancelled{0};
   std::atomic<std::uint64_t> stats_member_errors{0};
   std::atomic<std::uint64_t> stats_retries{0};
-  std::atomic<std::uint64_t> stats_cache_hits{0};
-  std::atomic<std::uint64_t> stats_cache_misses{0};
   std::atomic<std::uint64_t> stats_warm_starts{0};
   std::atomic<std::uint64_t> stats_warm_hits{0};
   std::atomic<std::uint64_t> stats_pipelines{0};
@@ -1028,10 +995,6 @@ SolveService::Stats SolveService::stats() const noexcept {
   stats.member_errors =
       impl_->stats_member_errors.load(std::memory_order_relaxed);
   stats.verify_retries = impl_->stats_retries.load(std::memory_order_relaxed);
-  stats.model_cache_hits =
-      impl_->stats_cache_hits.load(std::memory_order_relaxed);
-  stats.model_cache_misses =
-      impl_->stats_cache_misses.load(std::memory_order_relaxed);
   stats.warm_starts = impl_->stats_warm_starts.load(std::memory_order_relaxed);
   stats.warm_hits = impl_->stats_warm_hits.load(std::memory_order_relaxed);
   stats.pipelines = impl_->stats_pipelines.load(std::memory_order_relaxed);
@@ -1042,11 +1005,11 @@ SolveService::Stats SolveService::stats() const noexcept {
       impl_->stats_answer_misses.load(std::memory_order_relaxed);
   stats.answer_fallbacks =
       impl_->stats_answer_fallbacks.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(impl_->cache_mutex);
-    stats.model_cache_entries = impl_->cache_lru.size();
-    stats.model_cache_bytes = impl_->cache_bytes;
-  }
+  const util::CacheStats models = impl_->model_cache.stats();
+  stats.model_cache_hits = models.hits;
+  stats.model_cache_misses = models.misses;
+  stats.model_cache_entries = models.entries;
+  stats.model_cache_bytes = models.bytes;
   return stats;
 }
 

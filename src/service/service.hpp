@@ -108,9 +108,6 @@ struct ServiceOptions {
   std::size_t max_verify_retries = 2;
   /// Deadline applied to jobs that do not set their own (0 = none).
   std::chrono::nanoseconds default_deadline{0};
-  /// Upper bound on distinct prepared constraints kept in the model cache
-  /// (an unbounded cache would grow with the stream of distinct jobs).
-  std::size_t model_cache_capacity = 256;
   /// Canonical answer cache (docs/caching.md). When set, every job is
   /// looked up at submission, before any task is queued, under its
   /// alpha-equivalence canonical key (src/canon): a hit whose remapped

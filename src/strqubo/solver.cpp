@@ -31,15 +31,6 @@ void record_solve_verdict(bool satisfied) {
       .add();
 }
 
-/// Approximate retained footprint of one cached block: its key plus the
-/// model's linear and quadratic coefficient storage.
-std::size_t block_bytes(const std::string& key, const qubo::QuboModel& block) {
-  return key.size() + block.num_variables() * sizeof(double) +
-         block.num_interactions() *
-             (sizeof(std::uint64_t) + sizeof(double)) +
-         64;  // list/map node overhead.
-}
-
 /// Sums per-conjunct blocks into one model: string bits share indices,
 /// auxiliary blocks are re-linked to fresh ranges past the string block.
 qubo::QuboModel merge_conjunction(const std::vector<Constraint>& conjuncts,
@@ -91,74 +82,29 @@ std::string fragment_key(const Constraint& constraint,
 }
 
 FragmentCache::FragmentCache(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(1, capacity)) {}
+    : cache_("incremental.fragment", capacity) {}
 
 std::shared_ptr<const qubo::QuboModel> FragmentCache::get_or_build(
     const Constraint& constraint, const BuildOptions& options) {
-  const std::string key = fragment_key(constraint, options);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      ++stats_.hits;
-      if (telemetry::enabled()) {
-        telemetry::counter("incremental.fragment.hits").add();
-      }
-      return it->second->block;
-    }
-  }
+  std::string key = fragment_key(constraint, options);
+  if (auto cached = cache_.get(key)) return std::move(*cached);
   // Build outside the lock: builders dominate and would serialise every
   // session otherwise. Two threads may race the same key; the loser's
-  // insert is a no-op and its build is wasted once.
+  // insert keeps the first block and its build is wasted once.
   auto block =
       std::make_shared<const qubo::QuboModel>(build(constraint, options));
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  if (telemetry::enabled()) {
-    telemetry::counter("incremental.fragment.misses").add();
-  }
-  auto it = index_.find(key);
-  if (it != index_.end()) return it->second->block;
-  const std::size_t entry_bytes = block_bytes(key, *block);
-  lru_.push_front(Entry{key, block, entry_bytes});
-  index_.emplace(key, lru_.begin());
-  bytes_ += entry_bytes;
-  while (index_.size() > capacity_) {
-    bytes_ -= lru_.back().bytes;
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-  }
-  publish_occupancy_locked();
+  const std::size_t heap = util::heap_bytes(key) +
+                           util::shared_block_bytes<qubo::QuboModel>() +
+                           block->heap_bytes();
+  cache_.insert(std::move(key), block, heap, util::OnExisting::kKeep);
   return block;
 }
 
-void FragmentCache::publish_occupancy_locked() {
-  if (telemetry::enabled()) {
-    telemetry::gauge("incremental.fragment.entries")
-        .set(static_cast<double>(index_.size()));
-    telemetry::gauge("incremental.fragment.bytes", telemetry::Unit::kBytes)
-        .set(static_cast<double>(bytes_));
-  }
-}
+std::size_t FragmentCache::size() const { return cache_.stats().entries; }
 
-std::size_t FragmentCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return index_.size();
-}
+std::size_t FragmentCache::bytes() const { return cache_.stats().bytes; }
 
-std::size_t FragmentCache::bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_;
-}
-
-FragmentCache::Stats FragmentCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Stats stats = stats_;
-  stats.entries = index_.size();
-  stats.bytes = bytes_;
-  return stats;
-}
+FragmentCache::Stats FragmentCache::stats() const { return cache_.stats(); }
 
 StringConstraintSolver::StringConstraintSolver(const anneal::Sampler& sampler,
                                                BuildOptions options)

@@ -20,18 +20,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "anneal/sampler.hpp"
 #include "qubo/adjacency.hpp"
 #include "strqubo/builders.hpp"
 #include "strqubo/constraint.hpp"
+#include "util/lru_cache.hpp"
 
 namespace qsmt::strqubo {
 
@@ -66,11 +64,11 @@ using WitnessFilter = std::function<bool(const std::string&)>;
 std::string fragment_key(const Constraint& constraint,
                          const BuildOptions& options);
 
-/// Thread-safe LRU of built QUBO blocks, shareable across drivers and
-/// server sessions (blocks are immutable; per-session state never enters
-/// the cache, so sharing cannot leak anything between tenants). prepare()
-/// takes its blocks from one when the caller has one, so a re-solve with
-/// one mutated conjunct rebuilds exactly one block.
+/// Thread-safe LRU (util::LruCache) of built QUBO blocks, shareable across
+/// drivers and server sessions (blocks are immutable; per-session state
+/// never enters the cache, so sharing cannot leak anything between
+/// tenants). prepare() takes its blocks from one when the caller has one,
+/// so a re-solve with one mutated conjunct rebuilds exactly one block.
 class FragmentCache {
  public:
   explicit FragmentCache(std::size_t capacity = 256);
@@ -81,34 +79,16 @@ class FragmentCache {
       const Constraint& constraint, const BuildOptions& options);
 
   std::size_t size() const;
-  /// Approximate retained footprint (keys + block coefficients), the value
-  /// mirrored into the incremental.fragment.bytes gauge.
+  /// Retained footprint (LRU nodes, keys and block coefficient storage),
+  /// the value mirrored into the incremental.fragment.bytes gauge.
   std::size_t bytes() const;
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    /// Occupancy mirror of the incremental.fragment.{entries,bytes} gauges.
-    std::uint64_t entries = 0;
-    std::uint64_t bytes = 0;
-  };
+  /// Mirror of the incremental.fragment.* counters and gauges.
+  using Stats = util::CacheStats;
   Stats stats() const;
 
  private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const qubo::QuboModel> block;
-    std::size_t bytes = 0;
-  };
-
-  void publish_occupancy_locked();
-
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::list<Entry> lru_;  // Front = most recently used.
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  Stats stats_;
-  std::size_t bytes_ = 0;
+  util::LruCache<std::string, std::shared_ptr<const qubo::QuboModel>> cache_;
 };
 
 /// A conjunction with its QUBO model and CSR adjacency prebuilt: the unit

@@ -454,14 +454,14 @@ TEST_F(CacheGaugeMirrorTest, EmbeddingCacheGaugesMirrorAccessors) {
   cache.insert(logical, embedding);
 
   const telemetry::Snapshot snapshot = telemetry::registry().snapshot();
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_GT(cache.bytes(), 0u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_GT(cache.stats().bytes, 0u);
   const telemetry::GaugeStat* entries = snapshot.gauge("embed.cache.entries");
   ASSERT_NE(entries, nullptr);
-  EXPECT_EQ(entries->value, static_cast<double>(cache.size()));
+  EXPECT_EQ(entries->value, static_cast<double>(cache.stats().entries));
   const telemetry::GaugeStat* bytes = snapshot.gauge("embed.cache.bytes");
   ASSERT_NE(bytes, nullptr);
-  EXPECT_EQ(bytes->value, static_cast<double>(cache.bytes()));
+  EXPECT_EQ(bytes->value, static_cast<double>(cache.stats().bytes));
 }
 
 }  // namespace

@@ -120,14 +120,14 @@ TEST(EmbeddingCacheSharing, HitReturnsBitIdenticalEmbedding) {
   const graph::EmbeddedSampler cold(target, params);
   graph::EmbeddedSampleStats cold_stats;
   (void)cold.sample_with_stats(model, cold_stats);
-  EXPECT_EQ(cache->hits(), 0u);
-  EXPECT_EQ(cache->misses(), 1u);
+  EXPECT_EQ(cache->stats().hits, 0u);
+  EXPECT_EQ(cache->stats().misses, 1u);
 
   const graph::EmbeddedSampler warm(target, params);
   graph::EmbeddedSampleStats warm_stats;
   (void)warm.sample_with_stats(model, warm_stats);
-  EXPECT_EQ(cache->hits(), 1u);
-  EXPECT_EQ(cache->misses(), 1u) << "warm solve must skip find_embedding";
+  EXPECT_EQ(cache->stats().hits, 1u);
+  EXPECT_EQ(cache->stats().misses, 1u) << "warm solve must skip find_embedding";
   EXPECT_EQ(warm_stats.embedding.chains, cold_stats.embedding.chains);
 
   const auto snapshot = telemetry::registry().snapshot();
@@ -160,9 +160,9 @@ TEST(EmbeddingCacheSharing, EmbeddedMemberAttemptsShareOneCache) {
 
   const auto* warm = dynamic_cast<const graph::EmbeddedSampler*>(second.get());
   ASSERT_NE(warm, nullptr);
-  EXPECT_EQ(warm->embedding_cache()->misses(), 1u)
+  EXPECT_EQ(warm->embedding_cache()->stats().misses, 1u)
       << "second attempt repeated the embedding search";
-  EXPECT_EQ(warm->embedding_cache()->hits(), 1u);
+  EXPECT_EQ(warm->embedding_cache()->stats().hits, 1u);
 }
 
 // LRU bound: capacity + 1 distinct shapes evict the oldest, and a re-solve
@@ -179,8 +179,8 @@ TEST(EmbeddingCacheLru, EvictsLeastRecentlyUsedShape) {
   cache.insert(shape(4), dummy);
   EXPECT_TRUE(cache.lookup(shape(3)).has_value());  // 3 now most recent.
   cache.insert(shape(5), dummy);                    // Evicts 4.
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().entries, 2u);
   EXPECT_FALSE(cache.lookup(shape(4)).has_value());
   EXPECT_TRUE(cache.lookup(shape(3)).has_value());
   EXPECT_TRUE(cache.lookup(shape(5)).has_value());

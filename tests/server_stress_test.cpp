@@ -206,8 +206,8 @@ TEST(ServerStress, SessionsShareTheEmbeddingCache) {
   EXPECT_EQ(decided.load(), kNumClients);
   // All eight tenants solved the same shape: one embedding search, the
   // rest warm hits on the shared cache.
-  EXPECT_GE(cache->hits(), 1u);
-  EXPECT_GE(cache->misses(), 1u);
+  EXPECT_GE(cache->stats().hits, 1u);
+  EXPECT_GE(cache->stats().misses, 1u);
 }
 
 /// A client that hangs up mid-solve gets its in-flight job cancelled

@@ -17,12 +17,14 @@
 #include "anneal/exact.hpp"
 #include "anneal/simulated_annealer.hpp"
 #include "engine/engine.hpp"
+#include "graph/embedding_cache.hpp"
 #include "presolve_declined.hpp"
 #include "qubo/qubo_model.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 #include "service/service.hpp"
 #include "smtlib/driver.hpp"
+#include "smtlib/incremental.hpp"
 #include "telemetry/sink.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -534,6 +536,58 @@ TEST(ServiceTelemetry, OffModeIsSilentFromWorkerThreads) {
   // Worker threads ran real solves; with telemetry off none of them may
   // have interned or recorded anything.
   EXPECT_TRUE(registry().snapshot().empty());
+}
+
+// Pins the counters each cache layer gained from util::LruCache
+// (docs/telemetry.md): fragment and model insertions and evictions, and
+// embedding insertions, each equal to the workload's exact count.
+TEST(CacheTelemetry, SharedLruCountersAreEmitted) {
+  set_mode(Mode::kSummary);
+  reset();
+
+  smtlib::FragmentCache fragments(1);
+  fragments.get_or_build(strqubo::Equality{"ab"}, {});
+  fragments.get_or_build(strqubo::Equality{"cd"}, {});  // Evicts "ab".
+
+  graph::EmbeddingCache embeddings(4);
+  graph::Graph path(3);
+  path.add_edge(0, 1);
+  path.add_edge(1, 2);
+  path.finalize();
+  graph::Embedding embedding;
+  embedding.chains = {{0}, {1}, {2}};
+  embeddings.insert(path, embedding);
+  embeddings.insert(path, embedding);  // Already present: keeps the first.
+
+  // One more distinct one-conjunct model than the model cache's 256.
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  service::SolveService service(options);
+  constexpr std::size_t kModels = 260;
+  for (std::size_t i = 0; i < kModels; ++i) {
+    const std::string text = {static_cast<char>('a' + i % 26),
+                              static_cast<char>('a' + i / 26)};
+    service.submit(strqubo::Equality{text}).get();
+  }
+
+  const Snapshot snapshot = registry().snapshot();
+  const struct {
+    const char* name;
+    std::uint64_t expected;
+  } pins[] = {
+      {"incremental.fragment.insertions", 2},
+      {"incremental.fragment.evictions", 1},
+      {"embed.cache.insertions", 1},
+      {"service.model_cache.insertions", kModels},
+      {"service.model_cache.evictions", kModels - 256},
+  };
+  for (const auto& pin : pins) {
+    const CounterStat* counter = snapshot.counter(pin.name);
+    ASSERT_NE(counter, nullptr) << pin.name;
+    EXPECT_EQ(counter->value, pin.expected) << pin.name;
+  }
+  EXPECT_EQ(fragments.stats().evictions, 1u);
+  EXPECT_EQ(service.stats().model_cache_entries, 256u);
 }
 
 }  // namespace
