@@ -43,10 +43,13 @@ docs/*.md, plus any root-level markdown they link to):
    reads on the calling thread.
 
 9. Telemetry sources: every table row in docs/telemetry.md that names a
-    src/ file must have its metric name appear as a string literal in
-    each file it names. A `<placeholder>` name such as
-    `service.winner.<member>` is matched on its literal prefix
-    (`"service.winner.`). A cache metric `<prefix>.<event>`, where
+    src/ file must have each of its ticked metric names appear as a
+    string literal in each file it names. A shorthand such as `.misses`
+    after `service.answer.hits` stands for `service.answer.misses` (the
+    row's first full name with its last component replaced). A
+    `<placeholder>` name such as `service.winner.<member>` is matched on
+    its literal prefix (`"service.winner.`). A cache metric
+    `<prefix>.<event>`, where
     `<event>` is one that util::LruCache publishes (read from
     src/util/lru_cache.hpp), is matched on the literal `"<prefix>"` the
     file builds its cache with. A counter deleted from the code, or moved
@@ -68,6 +71,14 @@ docs/*.md, plus any root-level markdown they link to):
     use `std::list<` or `.splice(`. Every cache layer is a util::LruCache,
     which owns the recency list, the index, the caps and the metrics, so
     LRU bookkeeping is written once. Comment lines are skipped.
+
+13. Count once: under src/ outside src/telemetry/, no statement may intern
+    a metric and use it at once (`telemetry::counter|gauge|histogram(...)`
+    followed by `.add(`, `.set(` or `.record(` before the statement's
+    `;`, on one line or across several). Interning takes the registry
+    mutex, so each site holds its handle: a function-local or member
+    `static const` handle, or a telemetry::Tally for a fact a stats()
+    reports. Comment lines are skipped.
 
 Also prints the line count of src/, which the roadmap tracks next to the
 benchmarks.
@@ -108,6 +119,10 @@ LRU_HEADER = REPO / "src" / "util" / "lru_cache.hpp"
 LRU_RE = re.compile(r"std::list<|\.splice\(")
 LRU_EVENT_RE = re.compile(r'metric_name\(metric_prefix, "(\w+)"\)')
 CODE_DIRS = ("src", "tests", "bench", "examples")
+INTERN_AND_USE_RE = re.compile(
+    r"telemetry::(?:counter|gauge|histogram)\([^;]*?\)"
+    r"\s*\.(?:add|set|record)\("
+)
 
 
 def files_under(top: str) -> list:
@@ -287,6 +302,35 @@ def check_one_lru() -> list:
     return errors
 
 
+def check_count_once() -> list:
+    errors = []
+    for path in files_under("src"):
+        if path.is_relative_to(REPO / "src" / "telemetry"):
+            continue
+        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+        code = "\n".join(
+            "" if line.lstrip().startswith("//") else line for line in lines
+        )
+        for match in INTERN_AND_USE_RE.finditer(code):
+            number = code.count("\n", 0, match.start()) + 1
+            errors.append(
+                f"{path.relative_to(REPO)}:{number}: a metric is interned "
+                "and used in one statement; hold a static const handle or a "
+                "telemetry::Tally"
+            )
+    return errors
+
+
+def row_names(cell: str) -> list:
+    """The metric names one catalog row lists, shorthands expanded."""
+    names = []
+    for name in TICKED_RE.findall(cell):
+        if name.startswith(".") and names:
+            name = names[0].rpartition(".")[0] + name
+        names.append(name)
+    return names
+
+
 def source_literals(name: str, lru_events: list) -> list:
     """The string literals any one of which shows `name` is emitted."""
     if "<" in name:
@@ -306,24 +350,22 @@ def check_telemetry_sources() -> list:
         if not line.startswith("|"):
             continue
         cells = line.strip().strip("|").split("|")
-        names = TICKED_RE.findall(cells[0])
+        names = row_names(cells[0])
         sources = [
             REPO / "src" / path
             for cell in cells[1:]
             for path in TICKED_RE.findall(cell)
             if (REPO / "src" / path).is_file()
         ]
-        if not names or not sources:
-            continue
-        name = names[0]
-        literals = source_literals(name, lru_events)
-        for source in sources:
-            text = source.read_text(encoding="utf-8")
-            if not any(literal in text for literal in literals):
-                errors.append(
-                    f"docs/telemetry.md:{number}: `{name}` is not emitted "
-                    f"in {source.relative_to(REPO)}"
-                )
+        for name in names:
+            literals = source_literals(name, lru_events)
+            for source in sources:
+                text = source.read_text(encoding="utf-8")
+                if not any(literal in text for literal in literals):
+                    errors.append(
+                        f"docs/telemetry.md:{number}: `{name}` is not "
+                        f"emitted in {source.relative_to(REPO)}"
+                    )
     return errors
 
 
@@ -348,6 +390,7 @@ def main() -> int:
         + check_one_solve_path()
         + check_no_router()
         + check_one_lru()
+        + check_count_once()
     )
     for err in errors:
         print(f"check_docs: {err}", file=sys.stderr)

@@ -90,7 +90,9 @@ fi
 # concurrency schedules), plus the answer-cache suites (one shared LRU
 # mutated from every submitting thread and tenant session, with
 # hit-serving racing inserts and evictions), plus the util::LruCache suite
-# every cache layer sits on. The binaries run directly (rather than via
+# every cache layer sits on, plus the telemetry suite (registry shards and
+# snapshots read across threads, and the Tallies every component counts
+# into). The binaries run directly (rather than via
 # ctest) so the subset is exact regardless of which gtest case names
 # discovery registered.
 subset=(annealer_test hotpath_test batched_kernel_test qubo_builder_test
@@ -99,7 +101,8 @@ subset=(annealer_test hotpath_test batched_kernel_test qubo_builder_test
         quantum_hotpath_test quantum_conformance_test
         service_test conformance_test corpus_test
         server_test server_stress_test incremental_test
-        canon_test answer_cache_test answer_fuzz_test lru_cache_test)
+        canon_test answer_cache_test answer_fuzz_test lru_cache_test
+        telemetry_test)
 
 for san in address undefined; do
   echo "=== ${san} sanitizer build (build-${san}/) ==="

@@ -147,9 +147,8 @@ std::optional<std::vector<std::uint8_t>> presolve(
       for (const Neighbor& nb : adjacency.neighbors(component[head])) {
         if (seen[nb.index]) continue;
         if (component.size() == kMaxPresolveComponent) {
-          if (telemetry::enabled()) {
-            telemetry::counter("presolve.declined").add();
-          }
+          static const auto declined = telemetry::counter("presolve.declined");
+          declined.add();
           return std::nullopt;
         }
         seen[nb.index] = 1;

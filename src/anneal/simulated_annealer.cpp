@@ -160,8 +160,8 @@ SampleSet sample_on_kernel(const qubo::QuboAdjacency& adjacency,
   span.arg("num_variables", static_cast<double>(n));
   span.arg("num_reads", static_cast<double>(lanes));
   span.arg("num_sweeps", static_cast<double>(params.num_sweeps));
+  static const auto read_energy = telemetry::histogram("anneal.read.energy");
   const bool telemetry_on = telemetry::enabled();
-  telemetry::Histogram read_energy;
   if (telemetry_on) {
     static const auto beta_hot_gauge = telemetry::gauge("anneal.beta.hot");
     static const auto beta_cold_gauge = telemetry::gauge("anneal.beta.cold");
@@ -169,7 +169,6 @@ SampleSet sample_on_kernel(const qubo::QuboAdjacency& adjacency,
       beta_hot_gauge.set(betas.front());
       beta_cold_gauge.set(betas.back());
     }
-    read_energy = telemetry::histogram("anneal.read.energy");
   }
 
   kernel.run(betas, params.early_exit);
@@ -242,15 +241,14 @@ SampleSet SimulatedAnnealer::sample(
   span.arg("num_sweeps", static_cast<double>(params_.num_sweeps));
   span.arg("beta_hot", betas.empty() ? hot : betas.front());
   span.arg("beta_cold", betas.empty() ? cold : betas.back());
+  static const auto read_energy = telemetry::histogram("anneal.read.energy");
   const bool telemetry_on = telemetry::enabled();
   const bool trace_on = telemetry::trace_enabled();
-  telemetry::Histogram read_energy;
   if (telemetry_on) {
     static const auto beta_hot_gauge = telemetry::gauge("anneal.beta.hot");
     static const auto beta_cold_gauge = telemetry::gauge("anneal.beta.cold");
     beta_hot_gauge.set(betas.empty() ? hot : betas.front());
     beta_cold_gauge.set(betas.empty() ? cold : betas.back());
-    read_energy = telemetry::histogram("anneal.read.energy");
   }
 
   const CancelToken* cancel =

@@ -19,8 +19,8 @@
 // tests/server_stress_test.cpp).
 //
 // Telemetry: answer_cache.{hits,misses,insertions,evictions} counters and
-// answer_cache.{bytes,entries} gauges, mirrored deterministically by
-// Stats. save_snapshot/load_snapshot round-trip the cache as text so a
+// answer_cache.{bytes,entries} gauges, counted by the same increments that
+// Stats reports. save_snapshot/load_snapshot round-trip the cache as text so a
 // warmed cache survives daemon restarts.
 #pragma once
 
@@ -83,7 +83,7 @@ class AnswerCache {
   static std::size_t entry_bytes(const std::string& key,
                                  const CachedAnswer& answer);
 
-  /// Deterministic mirror of the answer_cache.* counters and gauges.
+  /// The answer_cache.* counts and occupancy, kept with telemetry off too.
   using Stats = util::CacheStats;
   Stats stats() const;
 

@@ -110,22 +110,17 @@ ScriptResult run_dpllt(const std::vector<smtlib::Command>& commands,
 // Final-status counters let a batch run's sat/unsat/unknown split (and the
 // conjunctive/DPLL(T) routing decision) show up in the telemetry summary.
 void record_script_result(const ScriptResult& result) {
-  if (!telemetry::enabled()) return;
-  telemetry::counter(result.engine == EngineKind::kDpllT
-                         ? "engine.route.dpllt"
-                         : "engine.route.conjunctive")
+  static const auto dpllt = telemetry::counter("engine.route.dpllt");
+  static const auto conjunctive =
+      telemetry::counter("engine.route.conjunctive");
+  static const auto sat = telemetry::counter("engine.verdict.sat");
+  static const auto unsat = telemetry::counter("engine.verdict.unsat");
+  static const auto unknown = telemetry::counter("engine.verdict.unknown");
+  (result.engine == EngineKind::kDpllT ? dpllt : conjunctive).add();
+  (result.status == smtlib::CheckSatStatus::kSat     ? sat
+   : result.status == smtlib::CheckSatStatus::kUnsat ? unsat
+                                                     : unknown)
       .add();
-  switch (result.status) {
-    case smtlib::CheckSatStatus::kSat:
-      telemetry::counter("engine.verdict.sat").add();
-      break;
-    case smtlib::CheckSatStatus::kUnsat:
-      telemetry::counter("engine.verdict.unsat").add();
-      break;
-    case smtlib::CheckSatStatus::kUnknown:
-      telemetry::counter("engine.verdict.unknown").add();
-      break;
-  }
 }
 
 }  // namespace

@@ -86,7 +86,6 @@ anneal::SampleSet EmbeddedSampler::sample_with_stats(
     const qubo::QuboModel& model, EmbeddedSampleStats& stats) const {
   telemetry::Span span("graph.embedded_sample");
   span.arg("num_variables", static_cast<double>(model.num_variables()));
-  const bool telemetry_on = telemetry::enabled();
   const Graph logical = logical_graph(model);
 
   // The cache emits embed.cache.hits/.misses itself; a hit skips
@@ -105,9 +104,9 @@ anneal::SampleSet EmbeddedSampler::sample_with_stats(
         "EmbeddedSampler: could not embed model onto target topology");
   }
 
-  if (telemetry_on) {
-    static const auto chain_length = telemetry::histogram(
-        "graph.chain_length", telemetry::Unit::kCount);
+  static const auto chain_length =
+      telemetry::histogram("graph.chain_length", telemetry::Unit::kCount);
+  if (telemetry::enabled()) {  // Skips the walk over the chains.
     for (const auto& chain : embedding->chains) {
       chain_length.record(static_cast<double>(chain.size()));
     }
@@ -119,11 +118,10 @@ anneal::SampleSet EmbeddedSampler::sample_with_stats(
   const qubo::QuboModel physical =
       embed_model(model, *embedding, chain_strength);
   embed_span.close();
-  if (telemetry_on) {
-    telemetry::gauge("graph.chain_strength").set(chain_strength);
-    telemetry::gauge("graph.physical_variables")
-        .set(static_cast<double>(embedding->total_physical()));
-  }
+  static const auto strength = telemetry::gauge("graph.chain_strength");
+  static const auto qubits = telemetry::gauge("graph.physical_variables");
+  strength.set(chain_strength);
+  qubits.set(static_cast<double>(embedding->total_physical()));
 
   const anneal::SimulatedAnnealer inner(params_.anneal);
   const anneal::SampleSet physical_samples = inner.sample(physical);
@@ -158,18 +156,17 @@ anneal::SampleSet EmbeddedSampler::sample_with_stats(
   }
   logical_samples.aggregate();
   unembed_span.close();
-  if (telemetry_on) {
-    telemetry::counter("graph.chain_checks")
-        .add(static_cast<std::uint64_t>(chain_checks));
-    telemetry::counter("graph.chain_breaks")
-        .add(static_cast<std::uint64_t>(broken_chains));
-    telemetry::counter("graph.discarded_samples")
-        .add(static_cast<std::uint64_t>(discarded));
-    if (chain_checks != 0) {
-      telemetry::histogram("graph.chain_break_rate", telemetry::Unit::kRatio)
-          .record(static_cast<double>(broken_chains) /
-                  static_cast<double>(chain_checks));
-    }
+  static const auto checks = telemetry::counter("graph.chain_checks");
+  static const auto breaks = telemetry::counter("graph.chain_breaks");
+  static const auto discards = telemetry::counter("graph.discarded_samples");
+  static const auto break_rate =
+      telemetry::histogram("graph.chain_break_rate", telemetry::Unit::kRatio);
+  checks.add(static_cast<std::uint64_t>(chain_checks));
+  breaks.add(static_cast<std::uint64_t>(broken_chains));
+  discards.add(static_cast<std::uint64_t>(discarded));
+  if (chain_checks != 0) {
+    break_rate.record(static_cast<double>(broken_chains) /
+                      static_cast<double>(chain_checks));
   }
 
   stats.embedding = std::move(*embedding);

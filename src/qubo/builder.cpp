@@ -1,7 +1,6 @@
 #include "qubo/builder.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "telemetry/telemetry.hpp"
 
@@ -11,11 +10,11 @@ namespace {
 
 using Term = QuboBuilder::Term;
 
-// Records which merge path build() took plus term/density stats; one call
-// per build, gated on mode so the disabled path stays a single branch.
-void record_build(const char* path, std::size_t n, std::size_t m) {
-  if (!telemetry::enabled()) return;
-  telemetry::counter(std::string("qubo.build.path.") + path).add();
+// Records which merge path build() took (`path`, one of the three
+// qubo.build.path.* counters) plus term/density stats; one call per build.
+void record_build(const telemetry::Counter& path, std::size_t n,
+                  std::size_t m) {
+  path.add();
   static const auto terms =
       telemetry::histogram("qubo.build.terms", telemetry::Unit::kCount);
   static const auto variables =
@@ -60,7 +59,8 @@ QuboModel QuboBuilder::build() {
   telemetry::Span span("qubo.build");
   constexpr std::size_t kDenseCells = std::size_t{1} << 20;
   if (m >= 64 && n * n <= kDenseCells && n * n <= 8 * m) {
-    record_build("dense", n, m);
+    static const auto dense = telemetry::counter("qubo.build.path.dense");
+    record_build(dense, n, m);
     std::vector<double> value(n * n, 0.0);
     std::vector<std::uint8_t> seen(n * n, 0);
     std::vector<std::uint32_t> touched;
@@ -94,13 +94,17 @@ QuboModel QuboBuilder::build() {
   // O(m + n); the comparison sort remains as the fallback for sparse
   // streams where the O(n) count arrays would dominate.
   if (m >= 64 && n <= 4 * m) {
-    record_build("counting_sort", n, m);
+    static const auto counting_sort =
+        telemetry::counter("qubo.build.path.counting_sort");
+    record_build(counting_sort, n, m);
     std::vector<Term> tmp(m);
     std::vector<std::size_t> count(n);
     counting_pass(terms_, tmp, count, 0);    // minor key: j
     counting_pass(tmp, terms_, count, 32);   // major key: i
   } else {
-    record_build("stable_sort", n, m);
+    static const auto stable_sort =
+        telemetry::counter("qubo.build.path.stable_sort");
+    record_build(stable_sort, n, m);
     std::stable_sort(
         terms_.begin(), terms_.end(),
         [](const Term& a, const Term& b) { return a.key < b.key; });

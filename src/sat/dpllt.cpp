@@ -2,7 +2,6 @@
 
 #include "sat/tseitin.hpp"
 #include "strqubo/verify.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace qsmt::sat {
 
@@ -92,11 +91,7 @@ DpllTResult DpllTSolver::solve(
       sat.add_clause(std::move(clause));
       ++result.lemmas_retained;
     }
-    context->stats().clauses_retained += result.lemmas_retained;
-    if (telemetry::enabled() && result.lemmas_retained > 0) {
-      telemetry::counter("incremental.clauses.retained")
-          .add(result.lemmas_retained);
-    }
+    context->tallies().clauses_retained.add(result.lemmas_retained);
   }
 
   // When blocking clauses are only approximations of theory conflicts

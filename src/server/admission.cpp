@@ -14,10 +14,8 @@ AdmissionGate::AdmissionGate(std::size_t max_inflight, std::size_t max_waiting)
 }
 
 void AdmissionGate::publish_depth_locked() const {
-  if (telemetry::enabled()) {
-    telemetry::gauge("server.queue.depth")
-        .set(static_cast<double>(line_.size()));
-  }
+  static const auto depth = telemetry::gauge("server.queue.depth");
+  depth.set(static_cast<double>(line_.size()));
 }
 
 AdmissionGate::Outcome AdmissionGate::acquire(
@@ -31,10 +29,7 @@ AdmissionGate::Outcome AdmissionGate::acquire(
     return Outcome::kAdmitted;
   }
   if (line_.size() >= max_waiting_) {
-    ++rejected_;
-    if (telemetry::enabled()) {
-      telemetry::counter("server.admission.rejects").add();
-    }
+    rejected_.add();
     return Outcome::kRejected;
   }
   const std::uint64_t ticket = next_ticket_++;
@@ -90,7 +85,7 @@ AdmissionGate::Stats AdmissionGate::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Stats stats;
   stats.admitted = admitted_;
-  stats.rejected = rejected_;
+  stats.rejected = rejected_.value();
   stats.abandoned = abandoned_;
   stats.inflight = inflight_;
   stats.waiting = line_.size();

@@ -25,6 +25,8 @@
 
 #include <condition_variable>
 
+#include "telemetry/telemetry.hpp"
+
 namespace qsmt::server {
 
 class AdmissionGate {
@@ -74,7 +76,7 @@ class AdmissionGate {
   std::deque<std::uint64_t> line_;
   std::uint64_t next_ticket_ = 0;
   std::uint64_t admitted_ = 0;
-  std::uint64_t rejected_ = 0;
+  telemetry::Tally rejected_{"server.admission.rejects"};
   std::uint64_t abandoned_ = 0;
 };
 

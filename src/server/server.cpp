@@ -73,6 +73,15 @@ Server::Server(ServerOptions options)
 
 Server::~Server() { shutdown(); }
 
+void Server::count_session(telemetry::Tally& event) {
+  static const auto active = telemetry::gauge("server.sessions.active");
+  event.add();
+  // Closed first: every close follows its open, so the difference never
+  // goes negative.
+  const std::uint64_t closed = sessions_closed_.value();
+  active.set(static_cast<double>(sessions_opened_.value() - closed));
+}
+
 SessionOptions Server::session_options(std::uint64_t tenant) const {
   SessionOptions session;
   session.deadline = options_.check_sat_deadline;
@@ -86,10 +95,7 @@ int Server::run_stdio(std::istream& in, std::ostream& out) {
     std::lock_guard<std::mutex> lock(mutex_);
     return next_tenant_++;
   }();
-  sessions_opened_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::enabled()) {
-    telemetry::counter("server.sessions.opened").add();
-  }
+  count_session(sessions_opened_);
   Session session(service_, &gate_, session_options(tenant));
   std::string line;
   while (std::getline(in, line)) {
@@ -101,10 +107,7 @@ int Server::run_stdio(std::istream& in, std::ostream& out) {
   const std::string tail = session.finish();
   if (!tail.empty()) out << tail << std::flush;
   session.disconnect();
-  sessions_closed_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::enabled()) {
-    telemetry::counter("server.sessions.closed").add();
-  }
+  count_session(sessions_closed_);
   return 0;
 }
 
@@ -160,14 +163,7 @@ void Server::start() {
 }
 
 void Server::handle_connection(int fd, std::uint64_t tenant) {
-  const std::uint64_t opened =
-      sessions_opened_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (telemetry::enabled()) {
-    telemetry::counter("server.sessions.opened").add();
-    telemetry::gauge("server.sessions.active")
-        .set(static_cast<double>(
-            opened - sessions_closed_.load(std::memory_order_relaxed)));
-  }
+  count_session(sessions_opened_);
   auto connection = std::make_shared<Connection>();
   connection->fd = fd;
   SessionOptions session_opts = session_options(tenant);
@@ -193,8 +189,7 @@ void Server::handle_connection(int fd, std::uint64_t tenant) {
     decoder.feed({buffer, static_cast<std::size_t>(n)});
     bool exited = false;
     while (auto payload = decoder.next()) {
-      frames_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) telemetry::counter("server.frames").add();
+      frames_.add();
       // Exactly one reply frame per request frame (possibly empty), so
       // clients can pair replies to requests positionally.
       const std::string reply = session.consume(*payload);
@@ -209,10 +204,7 @@ void Server::handle_connection(int fd, std::uint64_t tenant) {
     }
     if (client_gone || exited) break;
     if (decoder.error() != FrameError::kNone) {
-      frame_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        telemetry::counter("server.frame.errors").add();
-      }
+      frame_errors_.add();
       send_all(fd, encode_frame(error_reply(
                        decoder.error() == FrameError::kBadMagic
                            ? "protocol error: bad frame magic"
@@ -223,19 +215,13 @@ void Server::handle_connection(int fd, std::uint64_t tenant) {
   // A vanished client cancels its in-flight work (exactly once — the
   // liveness probe inside check-sat may already have done it).
   if (client_gone) session.disconnect();
-  disconnect_cancels_.fetch_add(session.stats().disconnect_cancels,
-                                std::memory_order_relaxed);
   connection->sever();
   ::close(fd);
-  const std::uint64_t closed =
-      sessions_closed_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (telemetry::enabled()) {
-    telemetry::counter("server.sessions.closed").add();
-    telemetry::gauge("server.sessions.active")
-        .set(static_cast<double>(
-            sessions_opened_.load(std::memory_order_relaxed) - closed));
-  }
   std::lock_guard<std::mutex> lock(mutex_);
+  // Before the close counts, so a reader that sees the session closed sees
+  // its cancellations too.
+  disconnect_cancels_ += session.stats().disconnect_cancels;
+  count_session(sessions_closed_);
   connections_.erase(
       std::find(connections_.begin(), connections_.end(), connection));
 }
@@ -277,12 +263,12 @@ void Server::shutdown() {
 
 Server::Stats Server::stats() const {
   Stats stats;
-  stats.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
-  stats.sessions_closed = sessions_closed_.load(std::memory_order_relaxed);
-  stats.frames = frames_.load(std::memory_order_relaxed);
-  stats.frame_errors = frame_errors_.load(std::memory_order_relaxed);
-  stats.disconnect_cancels =
-      disconnect_cancels_.load(std::memory_order_relaxed);
+  stats.sessions_opened = sessions_opened_.value();
+  stats.sessions_closed = sessions_closed_.value();
+  stats.frames = frames_.value();
+  stats.frame_errors = frame_errors_.value();
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats.disconnect_cancels = disconnect_cancels_;
   return stats;
 }
 

@@ -33,6 +33,7 @@
 #include "server/admission.hpp"
 #include "server/session.hpp"
 #include "service/service.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace qsmt::server {
 
@@ -106,6 +107,9 @@ class Server {
 
   void handle_connection(int fd, std::uint64_t tenant);
   SessionOptions session_options(std::uint64_t tenant) const;
+  /// Counts a session opening or closing (`event`) on either transport and
+  /// publishes server.sessions.active.
+  void count_session(telemetry::Tally& event);
 
   ServerOptions options_;
   service::SolveService service_;
@@ -121,12 +125,13 @@ class Server {
   std::vector<std::thread> threads_;
   std::thread accept_thread_;
   std::uint64_t next_tenant_ = 0;
+  /// Sum of the closed socket sessions' Stats::disconnect_cancels.
+  std::uint64_t disconnect_cancels_ = 0;
 
-  std::atomic<std::uint64_t> sessions_opened_{0};
-  std::atomic<std::uint64_t> sessions_closed_{0};
-  std::atomic<std::uint64_t> frames_{0};
-  std::atomic<std::uint64_t> frame_errors_{0};
-  std::atomic<std::uint64_t> disconnect_cancels_{0};
+  telemetry::Tally sessions_opened_{"server.sessions.opened"};
+  telemetry::Tally sessions_closed_{"server.sessions.closed"};
+  telemetry::Tally frames_{"server.frames"};
+  telemetry::Tally frame_errors_{"server.frame.errors"};
 };
 
 }  // namespace qsmt::server

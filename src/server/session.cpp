@@ -121,11 +121,9 @@ class Session::Driver final : public smtlib::SmtDriver {
       session.stats_.solve_seconds_total += seconds;
       if (result.answer_cache_hit) ++session.stats_.answer_hits;
     }
-    if (telemetry::enabled()) {
-      telemetry::histogram("server.checksat.seconds",
-                           telemetry::Unit::kSeconds)
-          .record(seconds);
-    }
+    static const auto checksat_seconds = telemetry::histogram(
+        "server.checksat.seconds", telemetry::Unit::kSeconds);
+    checksat_seconds.record(seconds);
     return record;
   }
 
@@ -191,10 +189,7 @@ void Session::disconnect() {
     // probe, the reader loop, and the server shutdown get here.
     in_flight_->cancel();
     in_flight_cancelled_ = true;
-    ++stats_.disconnect_cancels;
-    if (telemetry::enabled()) {
-      telemetry::counter("server.disconnect.cancelled").add();
-    }
+    disconnect_cancels_.add();
   }
 }
 
@@ -215,16 +210,15 @@ std::string Session::finish() {
 
 Session::Stats Session::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats stats = stats_;
+  stats.commands = commands_.value();
+  stats.disconnect_cancels = disconnect_cancels_.value();
+  return stats;
 }
 
 std::string Session::run_command(const std::string& text) {
   std::string out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.commands;
-  }
-  if (telemetry::enabled()) telemetry::counter("server.commands").add();
+  commands_.add();
   try {
     const std::vector<smtlib::Command> commands = smtlib::parse_script(text);
     for (const smtlib::Command& command : commands) {

@@ -32,6 +32,7 @@
 
 #include "server/protocol.hpp"
 #include "service/service.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace qsmt::server {
 
@@ -121,7 +122,10 @@ class Session {
   bool disconnected_ = false;
   bool in_flight_cancelled_ = false;
   std::unique_ptr<CancelSource> in_flight_;
+  /// Guarded by mutex_, except the two counts the Tallies below keep.
   Stats stats_;
+  telemetry::Tally commands_{"server.commands"};
+  telemetry::Tally disconnect_cancels_{"server.disconnect.cancelled"};
 };
 
 }  // namespace qsmt::server

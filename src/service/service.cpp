@@ -181,6 +181,7 @@ struct SolveService::Impl {
             "SolveService: portfolio member '" + member.name +
             "' has no sampler factory");
       }
+      rung_wins.push_back(telemetry::counter("service.winner." + member.name));
     }
     if (options.num_workers == 0) options.num_workers = default_worker_count();
     workers.reserve(options.num_workers);
@@ -248,15 +249,9 @@ struct SolveService::Impl {
         if (std::optional<canon::CachedAnswer> cached =
                 options.answer_cache->lookup(job->answer_key)) {
           if (serve_cached(*job, *cached)) return future;
-          stats_answer_fallbacks.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry::enabled()) {
-            telemetry::counter("service.answer.fallbacks").add();
-          }
+          answer_fallbacks.add();
         } else {
-          stats_answer_misses.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry::enabled()) {
-            telemetry::counter("service.answer.misses").add();
-          }
+          answer_misses.add();
         }
       }
     }
@@ -299,24 +294,15 @@ struct SolveService::Impl {
       return future;
     }
     queue_cv.notify_one();
-    count_submitted();
+    submitted.add();
     return future;
   }
 
-  void count_submitted() {
-    stats_submitted.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      telemetry::counter("service.jobs.submitted").add();
-    }
-  }
-
   void record_wait(Job& job, double seconds) {
+    static const auto wait = telemetry::histogram(
+        "service.job.wait_seconds", telemetry::Unit::kSeconds);
     job.queue_seconds = seconds;
-    if (telemetry::enabled()) {
-      telemetry::histogram("service.job.wait_seconds",
-                           telemetry::Unit::kSeconds)
-          .record(seconds);
-    }
+    wait.record(seconds);
   }
 
   /// The exact stages of a conjunction job: the model build (or its model
@@ -334,7 +320,7 @@ struct SolveService::Impl {
       if (!solved || !solved->satisfied) return false;
     }
     job.attempts = 1;
-    count_submitted();
+    submitted.add();
     record_wait(job, 0.0);
     claim_and_finish(job, [&](JobResult& result) {
       if (!solved) {
@@ -346,7 +332,7 @@ struct SolveService::Impl {
       result.text = solved->text;
       result.position = solved->position;
       result.winner = "presolve";
-      record_winner(result.winner);
+      presolve_wins.add();
     });
     return true;
   }
@@ -376,10 +362,7 @@ struct SolveService::Impl {
     state->base = std::move(pipeline.options);
     state->result.stages.reserve(state->stages.size());
     std::future<PipelineResult> future = state->promise.get_future();
-    stats_pipelines.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      telemetry::counter("route.chain.pipelines").add();
-    }
+    pipelines.add();
     if (state->stages.empty()) {
       state->result.all_sat = true;
       state->promise.set_value(std::move(state->result));
@@ -427,14 +410,10 @@ struct SolveService::Impl {
       // Exactly one bump per chained hop — tests pin this against the
       // stage count (tests/service_test.cpp).
       ++state->result.chained_warm_starts;
-      stats_chain_warm_starts.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        telemetry::counter("route.chain.warm_starts").add();
-      }
+      chain_warm_starts.add();
     }
-    if (telemetry::enabled()) {
-      telemetry::counter("route.chain.stages").add();
-    }
+    static const auto stages = telemetry::counter("route.chain.stages");
+    stages.add();
     // The stage's own future is intentionally dropped: its result arrives
     // through the on_complete hook below (exactly once, even when the
     // service is stopping — enqueue resolves rejected jobs inline).
@@ -494,25 +473,19 @@ struct SolveService::Impl {
                          .count());
     const CancelToken token = job.cancel.token();
     for (std::size_t rung = 0; rung < options.portfolio.size(); ++rung) {
-      const PortfolioMember& member = options.portfolio[rung];
       for (std::size_t attempt = 0; attempt <= options.max_verify_retries;
            ++attempt) {
         if (token.cancelled()) return stop_cancelled(job);
-        if (attempt > 0) {
-          stats_retries.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry::enabled()) {
-            telemetry::counter("service.retry.attempts").add();
-          }
-        }
+        if (attempt > 0) retries.add();
         ++job.attempts;
         if (job.attempts == 1 && job.prepared) {
-          if (try_warm_start(job, member, *job.prepared)) return;
+          if (try_warm_start(job, rung, *job.prepared)) return;
           if (token.cancelled()) return stop_cancelled(job);
         }
         const std::uint64_t seed = mix_seed(
             mix_seed(job.options.seed, rung + 1), attempt + 1);
         const Attempt outcome =
-            sample_once(job, member, seed, token, job.prepared.get());
+            sample_once(job, rung, seed, token, job.prepared.get());
         if (outcome == Attempt::kDecided) return;
         if (outcome == Attempt::kRungFailed) break;
       }
@@ -527,9 +500,10 @@ struct SolveService::Impl {
   /// verified verdict. Nothing may propagate out of a worker thread — an
   /// escaped exception would std::terminate the whole service — so a
   /// throwing sampler is recorded and fails only its own rung.
-  Attempt sample_once(Job& job, const PortfolioMember& member,
-                      std::uint64_t seed, const CancelToken& token,
+  Attempt sample_once(Job& job, std::size_t rung, std::uint64_t seed,
+                      const CancelToken& token,
                       const strqubo::PreparedConstraint* prepared) {
+    const PortfolioMember& member = options.portfolio[rung];
     std::unique_ptr<anneal::Sampler> sampler;
     try {
       sampler = member.make(seed, token);
@@ -554,7 +528,7 @@ struct SolveService::Impl {
         // Inside the claim so the increment is sequenced before the
         // promise resolves — a caller snapshotting telemetry right after
         // .get() must see this job's winner.
-        record_winner(member.name);
+        rung_wins[rung].add();
       });
       return Attempt::kDecided;
     }
@@ -581,7 +555,7 @@ struct SolveService::Impl {
       result.model_value = solved.model_value;
       result.notes = solved.notes;
       result.winner = member.name;
-      record_winner(member.name);
+      rung_wins[rung].add();
     });
     return Attempt::kDecided;
   }
@@ -593,10 +567,7 @@ struct SolveService::Impl {
                     const std::string& message) {
     job.error_notes.push_back("portfolio member '" + member.name +
                               "' failed: " + message);
-    stats_member_errors.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      telemetry::counter("service.member.errors").add();
-    }
+    member_errors.add();
     return Attempt::kRungFailed;
   }
 
@@ -606,25 +577,25 @@ struct SolveService::Impl {
   /// full-budget solve and is credited to rung 0; a witness that does not
   /// fit the model is ignored, and any miss falls back to the ladder.
   /// Returns true when it decided the job.
-  bool try_warm_start(Job& job, const PortfolioMember& member,
+  bool try_warm_start(Job& job, std::size_t rung,
                       const strqubo::PreparedConstraint& prepared) {
     if (!job.options.warm_start.has_value()) return false;
     const std::optional<strqubo::SolveResult> solved = strqubo::warm_refine(
         prepared, *job.options.warm_start, mix_seed(job.options.seed, 0x77a7));
     if (!solved) return false;
-    stats_warm_starts.fetch_add(1, std::memory_order_relaxed);
+    warm_starts.add();
     if (!solved->satisfied) return false;
     claim_and_finish(job, [&](JobResult& result) {
       result.status = smtlib::CheckSatStatus::kSat;
       result.text = solved->text;
       result.position = solved->position;
-      result.winner = member.name;
+      result.winner = options.portfolio[rung].name;
       result.notes.push_back("warm start");
-      record_winner(member.name);
+      rung_wins[rung].add();
       // Inside the claim so the increment is sequenced before the promise
       // resolves (a caller snapshotting stats right after .get() must see
       // this hit).
-      stats_warm_hits.fetch_add(1, std::memory_order_relaxed);
+      warm_hits.add();
     });
     return true;
   }
@@ -696,10 +667,7 @@ struct SolveService::Impl {
   /// was queued, between attempts, or mid-sweep.
   void stop_cancelled(Job& job) {
     job.cancelled = true;
-    stats_cancelled.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      telemetry::counter("service.member.cancelled").add();
-    }
+    cancelled.add();
     finish_unverified(job);
   }
 
@@ -712,10 +680,7 @@ struct SolveService::Impl {
       result.timed_out = job.has_deadline && job.cancelled;
       if (result.timed_out) {
         result.notes.push_back("deadline expired");
-        stats_timeouts.fetch_add(1, std::memory_order_relaxed);
-        if (telemetry::enabled()) {
-          telemetry::counter("service.job.timeouts").add();
-        }
+        timeouts.add();
       } else {
         result.notes.push_back(
             "no portfolio member produced a verified model");
@@ -804,11 +769,8 @@ struct SolveService::Impl {
       job.external_cancel = true;
       job.cancel.cancel();
     }
-    count_submitted();
-    stats_answer_hits.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      telemetry::counter("service.answer.hits").add();
-    }
+    submitted.add();
+    answer_hits.add();
     complete(job, std::move(result));
     return true;
   }
@@ -868,12 +830,10 @@ struct SolveService::Impl {
     // Check the verdict into the answer cache before the promise resolves:
     // a caller that resubmits an alpha-variant right after .get() must hit.
     maybe_insert_answer(job, result);
-    stats_completed.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      telemetry::counter("service.jobs.completed").add();
-      telemetry::histogram("service.job.seconds", telemetry::Unit::kSeconds)
-          .record(result.solve_seconds);
-    }
+    static const auto seconds =
+        telemetry::histogram("service.job.seconds", telemetry::Unit::kSeconds);
+    completed.add();
+    seconds.record(result.solve_seconds);
     // The pipeline-chaining hook: runs on the completing worker with the
     // final result, before the promise resolves, so a chained next stage
     // is already enqueued by the time any waiter wakes.
@@ -881,17 +841,9 @@ struct SolveService::Impl {
     job.promise.set_value(std::move(result));
   }
 
-  void record_winner(const std::string& name) {
-    if (telemetry::enabled()) {
-      telemetry::counter("service.winner." + name).add();
-    }
-  }
-
   void publish_queue_depth_locked() {
-    if (telemetry::enabled()) {
-      telemetry::gauge("service.queue.depth")
-          .set(static_cast<double>(queue.size()));
-    }
+    static const auto depth = telemetry::gauge("service.queue.depth");
+    depth.set(static_cast<double>(queue.size()));
   }
 
   ServiceOptions options;
@@ -909,19 +861,24 @@ struct SolveService::Impl {
                  std::shared_ptr<const strqubo::PreparedConstraint>>
       model_cache{"service.model_cache", kModelCacheCapacity};
 
-  std::atomic<std::uint64_t> stats_submitted{0};
-  std::atomic<std::uint64_t> stats_completed{0};
-  std::atomic<std::uint64_t> stats_timeouts{0};
-  std::atomic<std::uint64_t> stats_cancelled{0};
-  std::atomic<std::uint64_t> stats_member_errors{0};
-  std::atomic<std::uint64_t> stats_retries{0};
-  std::atomic<std::uint64_t> stats_warm_starts{0};
-  std::atomic<std::uint64_t> stats_warm_hits{0};
-  std::atomic<std::uint64_t> stats_pipelines{0};
-  std::atomic<std::uint64_t> stats_chain_warm_starts{0};
-  std::atomic<std::uint64_t> stats_answer_hits{0};
-  std::atomic<std::uint64_t> stats_answer_misses{0};
-  std::atomic<std::uint64_t> stats_answer_fallbacks{0};
+  /// service.winner.<member> per rung, and for jobs the presolve decided.
+  std::vector<telemetry::Counter> rung_wins;
+  const telemetry::Counter presolve_wins =
+      telemetry::counter("service.winner.presolve");
+
+  telemetry::Tally submitted{"service.jobs.submitted"};
+  telemetry::Tally completed{"service.jobs.completed"};
+  telemetry::Tally timeouts{"service.job.timeouts"};
+  telemetry::Tally cancelled{"service.member.cancelled"};
+  telemetry::Tally member_errors{"service.member.errors"};
+  telemetry::Tally retries{"service.retry.attempts"};
+  telemetry::Tally warm_starts{"incremental.warm.starts"};
+  telemetry::Tally warm_hits{"incremental.warm.hits"};
+  telemetry::Tally pipelines{"route.chain.pipelines"};
+  telemetry::Tally chain_warm_starts{"route.chain.warm_starts"};
+  telemetry::Tally answer_hits{"service.answer.hits"};
+  telemetry::Tally answer_misses{"service.answer.misses"};
+  telemetry::Tally answer_fallbacks{"service.answer.fallbacks"};
 };
 
 SolveService::SolveService(ServiceOptions options)
@@ -987,24 +944,19 @@ std::size_t SolveService::num_workers() const noexcept {
 
 SolveService::Stats SolveService::stats() const noexcept {
   Stats stats;
-  stats.jobs_submitted = impl_->stats_submitted.load(std::memory_order_relaxed);
-  stats.jobs_completed = impl_->stats_completed.load(std::memory_order_relaxed);
-  stats.jobs_timed_out = impl_->stats_timeouts.load(std::memory_order_relaxed);
-  stats.members_cancelled =
-      impl_->stats_cancelled.load(std::memory_order_relaxed);
-  stats.member_errors =
-      impl_->stats_member_errors.load(std::memory_order_relaxed);
-  stats.verify_retries = impl_->stats_retries.load(std::memory_order_relaxed);
-  stats.warm_starts = impl_->stats_warm_starts.load(std::memory_order_relaxed);
-  stats.warm_hits = impl_->stats_warm_hits.load(std::memory_order_relaxed);
-  stats.pipelines = impl_->stats_pipelines.load(std::memory_order_relaxed);
-  stats.chain_warm_starts =
-      impl_->stats_chain_warm_starts.load(std::memory_order_relaxed);
-  stats.answer_hits = impl_->stats_answer_hits.load(std::memory_order_relaxed);
-  stats.answer_misses =
-      impl_->stats_answer_misses.load(std::memory_order_relaxed);
-  stats.answer_fallbacks =
-      impl_->stats_answer_fallbacks.load(std::memory_order_relaxed);
+  stats.jobs_submitted = impl_->submitted.value();
+  stats.jobs_completed = impl_->completed.value();
+  stats.jobs_timed_out = impl_->timeouts.value();
+  stats.members_cancelled = impl_->cancelled.value();
+  stats.member_errors = impl_->member_errors.value();
+  stats.verify_retries = impl_->retries.value();
+  stats.warm_starts = impl_->warm_starts.value();
+  stats.warm_hits = impl_->warm_hits.value();
+  stats.pipelines = impl_->pipelines.value();
+  stats.chain_warm_starts = impl_->chain_warm_starts.value();
+  stats.answer_hits = impl_->answer_hits.value();
+  stats.answer_misses = impl_->answer_misses.value();
+  stats.answer_fallbacks = impl_->answer_fallbacks.value();
   const util::CacheStats models = impl_->model_cache.stats();
   stats.model_cache_hits = models.hits;
   stats.model_cache_misses = models.misses;

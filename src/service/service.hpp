@@ -254,7 +254,9 @@ class SolveService {
 
   std::size_t num_workers() const noexcept;
 
-  /// Monotonic whole-service counters (tests, monitoring).
+  /// Monotonic whole-service counters (tests, monitoring). Each count is
+  /// a telemetry::Tally, so the same increment feeds the service.*,
+  /// route.chain.* and incremental.warm.* counters of docs/telemetry.md.
   struct Stats {
     std::uint64_t jobs_submitted = 0;
     std::uint64_t jobs_completed = 0;
@@ -291,8 +293,8 @@ class SolveService {
     std::uint64_t answer_hits = 0;
     std::uint64_t answer_misses = 0;
     std::uint64_t answer_fallbacks = 0;
-    /// Prepared-model LRU occupancy (mirrors the
-    /// service.model_cache.{entries,bytes} gauges).
+    /// Prepared-model LRU occupancy, also published as the
+    /// service.model_cache.{entries,bytes} gauges.
     std::uint64_t model_cache_entries = 0;
     std::uint64_t model_cache_bytes = 0;
   };

@@ -46,18 +46,13 @@ const std::string* find_undeclared(const TermPtr& term,
 // One counter per verdict so a run's sat/unsat/unknown split shows up in the
 // summary table without post-processing.
 void record_verdict(CheckSatStatus status) {
-  if (!telemetry::enabled()) return;
-  switch (status) {
-    case CheckSatStatus::kSat:
-      telemetry::counter("smtlib.verdict.sat").add();
-      break;
-    case CheckSatStatus::kUnsat:
-      telemetry::counter("smtlib.verdict.unsat").add();
-      break;
-    case CheckSatStatus::kUnknown:
-      telemetry::counter("smtlib.verdict.unknown").add();
-      break;
-  }
+  static const auto sat = telemetry::counter("smtlib.verdict.sat");
+  static const auto unsat = telemetry::counter("smtlib.verdict.unsat");
+  static const auto unknown = telemetry::counter("smtlib.verdict.unknown");
+  (status == CheckSatStatus::kSat     ? sat
+   : status == CheckSatStatus::kUnsat ? unsat
+                                      : unknown)
+      .add();
 }
 
 std::string status_name(CheckSatStatus status) {
@@ -81,11 +76,11 @@ PresolveResult presolve_check_sat(
   result.query = compile_assertions(assertions, declared);
   compile_span.close();
   const CompiledQuery& query = result.query;
-  if (telemetry::enabled()) {
-    telemetry::counter("smtlib.check_sat.calls").add();
-    telemetry::counter("smtlib.check_sat.constraints")
-        .add(static_cast<std::uint64_t>(query.constraints.size()));
-  }
+  static const auto calls = telemetry::counter("smtlib.check_sat.calls");
+  static const auto constraints =
+      telemetry::counter("smtlib.check_sat.constraints");
+  calls.add();
+  constraints.add(static_cast<std::uint64_t>(query.constraints.size()));
   record.variable = query.variable;
   record.num_constraints = query.constraints.size();
   record.notes = query.unsupported;
@@ -121,9 +116,9 @@ PresolveResult presolve_check_sat(
   if (certificate.proven) {
     record.status = CheckSatStatus::kUnsat;
     record.notes.push_back("certified: " + certificate.reason);
-    if (telemetry::enabled()) {
-      telemetry::counter("smtlib.check_sat.certified_unsat").add();
-    }
+    static const auto certified =
+        telemetry::counter("smtlib.check_sat.certified_unsat");
+    certified.add();
     result.decided = true;
     record_verdict(record.status);
     return result;

@@ -34,9 +34,8 @@ ConjunctionResult solve_stages(
     result.solved = true;
     result.value = std::move(value);
     if (context != nullptr) context->note_witness(result.value);
-    if (telemetry::enabled()) {
-      telemetry::counter("smtlib.conjunction.solved").add();
-    }
+    static const auto count = telemetry::counter("smtlib.conjunction.solved");
+    count.add();
     return result;
   };
 
@@ -49,10 +48,7 @@ ConjunctionResult solve_stages(
       strenc::num_variables(previous->size()) ==
           strqubo::constraint_num_variables(constraints.front()) &&
       strqubo::verify_conjunction(constraints, *previous, accept)) {
-    ++context->stats().witness_reuses;
-    if (telemetry::enabled()) {
-      telemetry::counter("incremental.witness.reuse").add();
-    }
+    context->tallies().witness_reuses.add();
     return solved(*previous);  // No model was assembled.
   }
 
@@ -60,34 +56,28 @@ ConjunctionResult solve_stages(
       constraints, options,
       context != nullptr ? &context->fragments() : nullptr);
   result.num_qubo_variables = prepared.model.num_variables();
-  if (telemetry::enabled()) {
-    telemetry::gauge("smtlib.qubo_variables")
-        .set(static_cast<double>(result.num_qubo_variables));
-  }
+  static const auto variables = telemetry::gauge("smtlib.qubo_variables");
+  variables.set(static_cast<double>(result.num_qubo_variables));
   if (const auto presolved = strqubo::presolve(prepared, accept);
       presolved && presolved->satisfied) {
     return solved(*presolved->text);
   }
   if (previous != nullptr) {
     // The n-th warm start of a context draws seed mix_seed(0, n).
-    IncrementalStats& stats = context->stats();
+    SolveContext::Tallies& tallies = context->tallies();
     if (const auto refined = strqubo::warm_refine(
-            prepared, *previous, mix_seed(0, stats.warm_starts + 1), accept)) {
-      ++stats.warm_starts;
+            prepared, *previous, mix_seed(0, tallies.warm_starts.value() + 1),
+            accept)) {
+      tallies.warm_starts.add();
       if (refined->satisfied) {
-        ++stats.warm_hits;
+        tallies.warm_hits.add();
         return solved(*refined->text);
       }
     }
   }
 
   // Cold: the caller's full-budget sampler.
-  if (context != nullptr) {
-    ++context->stats().cold_starts;
-    if (telemetry::enabled()) {
-      telemetry::counter("incremental.cold.starts").add();
-    }
-  }
+  if (context != nullptr) context->tallies().cold_starts.add();
   const anneal::SampleSet samples = strqubo::sample(sampler, prepared);
   if (samples.empty()) {
     result.note = "sampler returned no samples";
@@ -99,9 +89,9 @@ ConjunctionResult solve_stages(
   verify_span.close();
   if (verdict.satisfied) return solved(*verdict.text);
   result.note = "no sample satisfied every conjunct";
-  if (telemetry::enabled()) {
-    telemetry::counter("smtlib.conjunction.unsolved").add();
-  }
+  static const auto unsolved =
+      telemetry::counter("smtlib.conjunction.unsolved");
+  unsolved.add();
   return result;
 }
 
@@ -143,6 +133,16 @@ void SolveContext::note_witness(std::string value) {
     return;
   }
   witnesses_.emplace_back(depth_, std::move(value));
+}
+
+IncrementalStats SolveContext::stats() const noexcept {
+  IncrementalStats stats;
+  stats.witness_reuses = tallies_.witness_reuses.value();
+  stats.warm_starts = tallies_.warm_starts.value();
+  stats.warm_hits = tallies_.warm_hits.value();
+  stats.cold_starts = tallies_.cold_starts.value();
+  stats.clauses_retained = tallies_.clauses_retained.value();
+  return stats;
 }
 
 const std::string* SolveContext::last_witness() const {

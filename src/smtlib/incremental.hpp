@@ -13,8 +13,7 @@
 //    keyed to the push/pop stack: a (pop) invalidates only the witnesses
 //    and lemmas recorded in the frames it removes. Holds the last verified
 //    witness (warm-start seed), the retained exact theory lemmas
-//    (ClauseMemory), and deterministic per-context counters mirroring the
-//    incremental.* telemetry.
+//    (ClauseMemory), and the context's incremental.* counters.
 //  * solve_conjunction_incremental — the hot re-solve: try the remembered
 //    witness outright, then the shared solve stages (strqubo/solver.hpp)
 //    with the warm refine seeded from it. Every answer is classically
@@ -34,6 +33,7 @@
 #include "strqubo/builders.hpp"
 #include "strqubo/constraint.hpp"
 #include "strqubo/solver.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace qsmt::smtlib {
 
@@ -71,8 +71,8 @@ class ClauseMemory {
   std::vector<TheoryLemma> lemmas_;
 };
 
-/// Deterministic per-context mirror of the incremental.* counters, so
-/// tests and benches can assert cache behaviour without telemetry.
+/// One context's incremental.* counts (SolveContext::stats()), kept with
+/// telemetry off too, so tests and benches can assert cache behaviour.
 struct IncrementalStats {
   std::uint64_t witness_reuses = 0;   ///< Old witness still verified.
   std::uint64_t warm_starts = 0;      ///< Reverse-anneal passes attempted.
@@ -109,8 +109,16 @@ class SolveContext {
   /// Full reset — the (reset) command and tests.
   void clear();
 
-  IncrementalStats& stats() noexcept { return stats_; }
-  const IncrementalStats& stats() const noexcept { return stats_; }
+  /// Each fact the stats report, counted once into both.
+  struct Tallies {
+    telemetry::Tally witness_reuses{"incremental.witness.reuse"};
+    telemetry::Tally warm_starts{"incremental.warm.starts"};
+    telemetry::Tally warm_hits{"incremental.warm.hits"};
+    telemetry::Tally cold_starts{"incremental.cold.starts"};
+    telemetry::Tally clauses_retained{"incremental.clauses.retained"};
+  };
+  Tallies& tallies() noexcept { return tallies_; }
+  IncrementalStats stats() const noexcept;
 
  private:
   std::shared_ptr<FragmentCache> fragments_;
@@ -118,7 +126,7 @@ class SolveContext {
   /// (depth, witness), shallowest first; pops truncate from the back.
   std::vector<std::pair<std::size_t, std::string>> witnesses_;
   ClauseMemory clauses_;
-  IncrementalStats stats_;
+  Tallies tallies_;
 };
 
 /// Result of a conjunction solve (cold or incremental). Declared here —

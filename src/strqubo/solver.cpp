@@ -25,10 +25,9 @@ constexpr anneal::ReverseAnnealerParams kWarmRefine{
     .num_reads = 8, .num_sweeps = 64, .reheat_fraction = 0.35};
 
 void record_solve_verdict(bool satisfied) {
-  if (!telemetry::enabled()) return;
-  telemetry::counter(satisfied ? "strqubo.solve.satisfied"
-                               : "strqubo.solve.unsatisfied")
-      .add();
+  static const auto sat = telemetry::counter("strqubo.solve.satisfied");
+  static const auto unsat = telemetry::counter("strqubo.solve.unsatisfied");
+  (satisfied ? sat : unsat).add();
 }
 
 /// Sums per-conjunct blocks into one model: string bits share indices,
@@ -181,6 +180,9 @@ RetryResult solve_with_retries(const Constraint& constraint,
   // model and its CSR adjacency once and reuse them across attempts.
   const PreparedConstraint prepared = prepare(constraint, options);
 
+  static const auto attempts = telemetry::counter("strqubo.retry.attempts");
+  static const auto final_sweeps = telemetry::histogram(
+      "strqubo.retry.final_sweeps", telemetry::Unit::kCount);
   RetryResult retry;
   std::size_t sweeps = params.initial_sweeps;
   for (std::size_t attempt = 0; attempt < params.max_attempts; ++attempt) {
@@ -193,17 +195,12 @@ RetryResult solve_with_retries(const Constraint& constraint,
     retry.result = solver.solve(prepared);
     retry.final_sweeps = sweeps;
     ++retry.attempts;
-    if (telemetry::enabled()) {
-      telemetry::counter("strqubo.retry.attempts").add();
-    }
+    attempts.add();
     if (retry.result.satisfied) break;
     sweeps *= 2;
   }
   retry.result.build_seconds = prepared.build_seconds;
-  if (telemetry::enabled()) {
-    telemetry::histogram("strqubo.retry.final_sweeps", telemetry::Unit::kCount)
-        .record(static_cast<double>(retry.final_sweeps));
-  }
+  final_sweeps.record(static_cast<double>(retry.final_sweeps));
   return retry;
 }
 
@@ -328,11 +325,9 @@ std::optional<SolveResult> presolve(const PreparedConstraint& prepared,
   const double energy = prepared.adjacency.energy(*bits);
   ground.add(std::move(*bits), energy);
   SolveResult solved = decode_and_verify(prepared.conjuncts, ground, accept);
-  if (telemetry::enabled()) {
-    telemetry::counter(solved.satisfied ? "presolve.decided"
-                                        : "presolve.unverified")
-        .add();
-  }
+  static const auto decided = telemetry::counter("presolve.decided");
+  static const auto unverified = telemetry::counter("presolve.unverified");
+  (solved.satisfied ? decided : unverified).add();
   return solved;
 }
 
@@ -344,20 +339,13 @@ std::optional<SolveResult> warm_refine(const PreparedConstraint& prepared,
       !strenc::is_ascii7(witness)) {
     return std::nullopt;
   }
-  if (telemetry::enabled()) {
-    telemetry::counter("incremental.warm.starts").add();
-  }
   std::vector<std::uint8_t> initial = strenc::encode_string(witness);
   initial.resize(prepared.model.num_variables(), 0);
   anneal::ReverseAnnealerParams params = kWarmRefine;
   params.seed = seed;
   const anneal::ReverseAnnealer refiner(std::move(initial), params);
-  SolveResult solved = decode_and_verify(
-      prepared.conjuncts, refiner.sample(prepared.adjacency), accept);
-  if (solved.satisfied && telemetry::enabled()) {
-    telemetry::counter("incremental.warm.hits").add();
-  }
-  return solved;
+  return decode_and_verify(prepared.conjuncts,
+                           refiner.sample(prepared.adjacency), accept);
 }
 
 }  // namespace qsmt::strqubo

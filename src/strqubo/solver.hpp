@@ -80,10 +80,10 @@ class FragmentCache {
 
   std::size_t size() const;
   /// Retained footprint (LRU nodes, keys and block coefficient storage),
-  /// the value mirrored into the incremental.fragment.bytes gauge.
+  /// the value published as the incremental.fragment.bytes gauge.
   std::size_t bytes() const;
 
-  /// Mirror of the incremental.fragment.* counters and gauges.
+  /// The incremental.fragment.* counts and occupancy.
   using Stats = util::CacheStats;
   Stats stats() const;
 
@@ -204,8 +204,9 @@ std::optional<SolveResult> presolve(const PreparedConstraint& prepared,
 /// model with every read seeded from a previously verified `witness`
 /// (auxiliary bits start at 0), then the verify stage. Returns nullopt
 /// without running when `witness` is not 7-bit ASCII or does not encode to
-/// exactly `prepared.string_bits` bits; otherwise the verdict (counted
-/// incremental.warm.starts, and incremental.warm.hits when it verified).
+/// exactly `prepared.string_bits` bits; otherwise the verdict. The caller
+/// counts the pass (incremental.warm.starts, and incremental.warm.hits when
+/// it decided the query): one fact, counted where its stats() reports it.
 std::optional<SolveResult> warm_refine(const PreparedConstraint& prepared,
                                        const std::string& witness,
                                        std::uint64_t seed,

@@ -22,6 +22,9 @@
 //   static const auto verdicts = telemetry::counter("engine.verdict.sat");
 //   verdicts.add();
 //
+//   telemetry::Tally hits_{"service.answer.hits"};  // a fact stats() reports
+//   hits_.add();                                    // ... and hits_.value()
+//
 //   telemetry::Span span("smtlib.compile");   // RAII stage timing
 //   span.arg("constraints", n);               // kept in trace mode
 //
@@ -30,6 +33,8 @@
 // bench/hotpath_bench.cpp.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -64,6 +69,28 @@ Registry& registry();
 Counter counter(std::string_view name, Unit unit = Unit::kCount);
 Gauge gauge(std::string_view name, Unit unit = Unit::kNone);
 Histogram histogram(std::string_view name, Unit unit = Unit::kNone);
+
+/// One fact a component both reports from its own stats() and exports,
+/// counted once: add() bumps this instance's total and the global counter
+/// `name`, whose handle is interned here, at construction. The export
+/// follows the QSMT_TELEMETRY gate; value() counts regardless, and reset()
+/// leaves it alone, so a stats() built from it stays monotonic.
+class Tally {
+ public:
+  explicit Tally(std::string_view name) : counter_(counter(name)) {}
+
+  void add(std::uint64_t n = 1) noexcept {
+    value_.fetch_add(n, std::memory_order_relaxed);
+    counter_.add(n);
+  }
+  std::uint64_t value() const noexcept {
+    return value_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  Counter counter_;
+  std::atomic<std::uint64_t> value_{0};
+};
 
 /// Writes the global registry's summary table to `out` (nothing when no
 /// metric has data).

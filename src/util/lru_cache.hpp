@@ -4,10 +4,11 @@
 // Thread-safe behind one mutex. It owns the recency list, a hash index that
 // views each node's own key (a key is stored once), an entry cap, an
 // optional byte cap (at least one entry is always kept), and the hit /
-// miss / insertion / eviction counters. Each instance emits
-// <prefix>.{hits,misses,insertions,evictions} counters and
-// <prefix>.{entries,bytes} gauges under the prefix it is built with, and
-// stats() mirrors them exactly (docs/caching.md, "LRU mechanics").
+// miss / insertion / eviction counts. Each count is a telemetry::Tally, so
+// one increment feeds both stats() and the <prefix>.{hits,misses,
+// insertions,evictions} counters under the prefix the cache is built with;
+// the <prefix>.{entries,bytes} gauges publish the occupancy stats() reads
+// (docs/caching.md, "LRU mechanics").
 //
 // Byte accounting: an entry costs kNodeBytes (its list node: the entry and
 // two links; its index node: next link, key view, list iterator, cached
@@ -33,7 +34,7 @@
 
 namespace qsmt::util {
 
-/// Deterministic mirror of one cache's counters and occupancy gauges.
+/// One cache's counts and occupancy, kept with telemetry off too.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -97,12 +98,13 @@ class LruCache {
            std::size_t max_bytes = std::numeric_limits<std::size_t>::max())
       : max_entries_(max_entries == 0 ? 1 : max_entries),
         max_bytes_(max_bytes),
-        hits_name_(metric_name(metric_prefix, "hits")),
-        misses_name_(metric_name(metric_prefix, "misses")),
-        insertions_name_(metric_name(metric_prefix, "insertions")),
-        evictions_name_(metric_name(metric_prefix, "evictions")),
-        entries_name_(metric_name(metric_prefix, "entries")),
-        bytes_name_(metric_name(metric_prefix, "bytes")) {}
+        hits_(metric_name(metric_prefix, "hits")),
+        misses_(metric_name(metric_prefix, "misses")),
+        insertions_(metric_name(metric_prefix, "insertions")),
+        evictions_(metric_name(metric_prefix, "evictions")),
+        entries_gauge_(telemetry::gauge(metric_name(metric_prefix, "entries"))),
+        bytes_gauge_(telemetry::gauge(metric_name(metric_prefix, "bytes"),
+                                      telemetry::Unit::kBytes)) {}
 
   /// A copy of the value cached under `key`, which becomes most recent, or
   /// nullopt. Counts a hit or a miss.
@@ -110,11 +112,11 @@ class LruCache {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(view(key));
     if (it == index_.end()) {
-      count(stats_.misses, misses_name_);
+      misses_.add();
       return std::nullopt;
     }
     lru_.splice(lru_.begin(), lru_, it->second);
-    count(stats_.hits, hits_name_);
+    hits_.add();
     return it->second->value;
   }
 
@@ -137,7 +139,7 @@ class LruCache {
       index_.emplace(view(lru_.front().key), lru_.begin());
       bytes_ += kNodeBytes + heap_bytes;
     }
-    count(stats_.insertions, insertions_name_);
+    insertions_.add();
     evict_to_caps_locked();
     publish_occupancy_locked();
     return true;
@@ -183,7 +185,11 @@ class LruCache {
 
   CacheStats stats() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    CacheStats stats = stats_;
+    CacheStats stats;
+    stats.hits = hits_.value();
+    stats.misses = misses_.value();
+    stats.insertions = insertions_.value();
+    stats.evictions = evictions_.value();
     stats.entries = lru_.size();
     stats.bytes = bytes_;
     return stats;
@@ -225,42 +231,34 @@ class LruCache {
     return name;
   }
 
-  static void count(std::uint64_t& stat, const std::string& name) {
-    ++stat;
-    if (telemetry::enabled()) telemetry::counter(name).add();
-  }
-
   void evict_to_caps_locked() {
     while (lru_.size() > 1 &&
            (lru_.size() > max_entries_ || bytes_ > max_bytes_)) {
       bytes_ -= kNodeBytes + lru_.back().heap_bytes;
       index_.erase(view(lru_.back().key));
       lru_.pop_back();
-      count(stats_.evictions, evictions_name_);
+      evictions_.add();
     }
   }
 
   void publish_occupancy_locked() const {
-    if (!telemetry::enabled()) return;
-    telemetry::gauge(entries_name_).set(static_cast<double>(lru_.size()));
-    telemetry::gauge(bytes_name_, telemetry::Unit::kBytes)
-        .set(static_cast<double>(bytes_));
+    entries_gauge_.set(static_cast<double>(lru_.size()));
+    bytes_gauge_.set(static_cast<double>(bytes_));
   }
 
   const std::size_t max_entries_;
   const std::size_t max_bytes_;
-  const std::string hits_name_;
-  const std::string misses_name_;
-  const std::string insertions_name_;
-  const std::string evictions_name_;
-  const std::string entries_name_;
-  const std::string bytes_name_;
+  telemetry::Tally hits_;
+  telemetry::Tally misses_;
+  telemetry::Tally insertions_;
+  telemetry::Tally evictions_;
+  const telemetry::Gauge entries_gauge_;
+  const telemetry::Gauge bytes_gauge_;
 
   mutable std::mutex mutex_;
   List lru_;  // Front = most recently used.
   std::unordered_map<KeyView, typename List::iterator, ViewHash, ViewEqual>
       index_;
-  CacheStats stats_;  // Counters only; stats() fills in the occupancy.
   std::size_t bytes_ = 0;
 };
 

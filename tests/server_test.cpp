@@ -25,6 +25,7 @@
 #include "server/server.hpp"
 #include "server/session.hpp"
 #include "service/service.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -614,6 +615,45 @@ TEST(ServerStdio, ServesScriptsAndFlushesPerCommand) {
   EXPECT_EQ(out.str(), "sat\n((x \"ok\"))\n");
   EXPECT_EQ(node.stats().sessions_opened, 1u);
   EXPECT_EQ(node.stats().sessions_closed, 1u);
+}
+
+// Stdio input that records the server.sessions.active gauge whenever the
+// session asks for more input, i.e. while the session is open.
+class ActiveSessionsProbe : public std::stringbuf {
+ public:
+  using std::stringbuf::stringbuf;
+  double seen = -1.0;
+
+ protected:
+  int_type underflow() override {
+    const telemetry::Snapshot snapshot = telemetry::registry().snapshot();
+    const telemetry::GaugeStat* active =
+        snapshot.gauge("server.sessions.active");
+    if (active != nullptr && active->set) seen = active->value;
+    return std::stringbuf::underflow();
+  }
+};
+
+// The stdio transport publishes server.sessions.active like the socket
+// one: 1 while its session reads input, 0 once the session has closed.
+TEST(ServerStdio, PublishesActiveSessionsGauge) {
+  telemetry::set_mode(telemetry::Mode::kSummary);
+  telemetry::reset();
+  server::ServerOptions options;
+  options.service = exact_service();
+  server::Server node(options);
+  ActiveSessionsProbe input("(declare-const x String)\n(check-sat)\n");
+  std::istream in(&input);
+  std::ostringstream out;
+  EXPECT_EQ(node.run_stdio(in, out), 0);
+  EXPECT_EQ(out.str(), "sat\n");
+  EXPECT_EQ(input.seen, 1.0);
+  const telemetry::Snapshot snapshot = telemetry::registry().snapshot();
+  const telemetry::GaugeStat* active = snapshot.gauge("server.sessions.active");
+  ASSERT_NE(active, nullptr);
+  EXPECT_TRUE(active->set);
+  EXPECT_EQ(active->value, 0.0);
+  telemetry::set_mode(telemetry::Mode::kOff);
 }
 
 // A 50,000-deep boolean term used to overflow the stack in the reader; it

@@ -95,7 +95,8 @@ TEST(Registry, GaugeIsLastWriteWinsAcrossThreads) {
   // The joined thread's set happened-after the first: its sequence number
   // is higher, so the merge must pick it even though the writes live in
   // different shards.
-  const GaugeStat* stat = registry.snapshot().gauge("level");
+  const Snapshot snapshot = registry.snapshot();
+  const GaugeStat* stat = snapshot.gauge("level");
   ASSERT_NE(stat, nullptr);
   EXPECT_TRUE(stat->set);
   EXPECT_DOUBLE_EQ(stat->value, 2.0);
@@ -122,6 +123,66 @@ TEST(Registry, DisabledRegistryDropsWrites) {
   registry.set_enabled(true);
   c.add();
   EXPECT_EQ(registry.snapshot().counter("c")->value, 1u);
+}
+
+TEST(Tally, ConcurrentAddsMatchTheGlobalCounter) {
+  set_mode(Mode::kSummary);
+  reset();
+  Tally tally("tally.concurrent");
+  constexpr int kThreads = 4;
+  constexpr int kAddsPerThread = 5000;
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&tally] {
+      for (int i = 0; i < kAddsPerThread; ++i) tally.add();
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(tally.value(), static_cast<std::uint64_t>(kThreads) *
+                               kAddsPerThread);
+  const Snapshot snapshot = registry().snapshot();
+  ASSERT_NE(snapshot.counter("tally.concurrent"), nullptr);
+  EXPECT_EQ(snapshot.counter("tally.concurrent")->value, tally.value());
+}
+
+TEST(Tally, CountsWithTelemetryOffWhileTheGlobalCounterStaysZero) {
+  set_mode(Mode::kOff);
+  reset();
+  Tally tally("tally.off");
+  tally.add(3);
+  EXPECT_EQ(tally.value(), 3u);
+  const Snapshot snapshot = registry().snapshot();
+  ASSERT_NE(snapshot.counter("tally.off"), nullptr);
+  EXPECT_EQ(snapshot.counter("tally.off")->value, 0u);
+  EXPECT_TRUE(snapshot.empty());
+}
+
+TEST(Tally, InstancesSharingANameKeepSeparateValuesAndSumGlobally) {
+  set_mode(Mode::kSummary);
+  reset();
+  Tally first("tally.shared");
+  Tally second("tally.shared");
+  first.add(2);
+  second.add(5);
+  EXPECT_EQ(first.value(), 2u);
+  EXPECT_EQ(second.value(), 5u);
+  const Snapshot snapshot = registry().snapshot();
+  ASSERT_NE(snapshot.counter("tally.shared"), nullptr);
+  EXPECT_EQ(snapshot.counter("tally.shared")->value, 7u);
+}
+
+TEST(Tally, ResetLeavesValueUnchanged) {
+  set_mode(Mode::kSummary);
+  reset();
+  Tally tally("tally.reset");
+  tally.add(4);
+  reset();
+  EXPECT_EQ(tally.value(), 4u);
+  EXPECT_EQ(registry().snapshot().counter("tally.reset")->value, 0u);
+  tally.add();
+  EXPECT_EQ(tally.value(), 5u);
+  EXPECT_EQ(registry().snapshot().counter("tally.reset")->value, 1u);
 }
 
 TEST(Span, NestedSpansExportOrderedTraceEvents) {
