@@ -11,9 +11,12 @@
 //      EmbeddingCache hit for the same logical graph.
 //   3. Portfolio: which rung decides each job on the default sa-only ladder
 //      vs quantum_portfolio (sa-fast, then pimc-light, then embedded with a
-//      shared embedding cache), over presolve-declined jobs
-//      (presolve_declined.hpp) so every gated job reaches the samplers. The
-//      quantum rungs must decide at least one job.
+//      shared embedding cache), over jobs the exact presolve does not
+//      decide, so every gated job reaches the samplers: presolve-declined
+//      jobs (presolve_declined.hpp), which sa-fast verifies, and regex
+//      classes under the paper's averaged encoding, whose presolved ground
+//      state often fails verification and which sa-fast often cannot
+//      verify either. The quantum rungs must decide at least one job.
 //
 // Writes BENCH_quantum.json in the CWD (run from the repo root to refresh
 // the tracked baseline). `--smoke` runs a seconds-scale correctness pass
@@ -26,6 +29,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "anneal/pimc.hpp"
@@ -36,6 +40,7 @@
 #include "service/quantum_portfolio.hpp"
 #include "strqubo/builders.hpp"
 #include "strqubo/constraint.hpp"
+#include "strqubo/solver.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
@@ -107,34 +112,53 @@ KernelRow bench_kernel(const std::string& name, const qubo::QuboModel& model,
   return row;
 }
 
+// Jobs decided by each rung, in ladder order, then by the presolve, then
+// by nobody.
 struct WinTable {
-  std::size_t jobs = 0;
-  std::size_t sa_wins = 0;
-  std::size_t pimc_wins = 0;
-  std::size_t embedded_wins = 0;
+  std::vector<std::pair<std::string, std::size_t>> rungs;
   std::size_t presolved = 0;
   std::size_t undecided = 0;
+
+  std::size_t non_sa_wins() const {
+    std::size_t wins = 0;
+    for (const auto& [name, count] : rungs) {
+      if (name.rfind("sa", 0) != 0) wins += count;
+    }
+    return wins;
+  }
+
+  /// `"name": count` pairs, `separator` apart.
+  std::string counts(const char* quote, const char* separator) const {
+    std::string out;
+    for (const auto& [name, count] : rungs) {
+      out += quote + name + quote + separator + std::to_string(count) + ", ";
+    }
+    return out + quote + "presolve" + quote + separator +
+           std::to_string(presolved) + ", " + quote + "undecided" + quote +
+           separator + std::to_string(undecided);
+  }
 };
 
 WinTable race(std::vector<service::PortfolioMember> portfolio,
               const std::vector<strqubo::Constraint>& constraints) {
+  WinTable table;
+  for (const service::PortfolioMember& member : portfolio) {
+    table.rungs.emplace_back(member.name, 0);
+  }
   service::ServiceOptions options;
   options.num_workers = 8;
   options.portfolio = std::move(portfolio);
   service::SolveService service(options);
   service::JobOptions job;
   job.seed = 19;
-  WinTable table;
-  table.jobs = constraints.size();
   for (const auto& result : service.solve_constraints(constraints, job)) {
+    const auto rung = std::find_if(
+        table.rungs.begin(), table.rungs.end(),
+        [&](const auto& entry) { return entry.first == result.winner; });
     if (bench::presolved(result)) {
       ++table.presolved;
-    } else if (result.winner.rfind("sa", 0) == 0) {
-      ++table.sa_wins;
-    } else if (result.winner.rfind("pimc", 0) == 0) {
-      ++table.pimc_wins;
-    } else if (result.winner.rfind("embedded", 0) == 0) {
-      ++table.embedded_wins;
+    } else if (rung != table.rungs.end()) {
+      ++rung->second;
     } else {
       ++table.undecided;
     }
@@ -142,19 +166,49 @@ WinTable race(std::vector<service::PortfolioMember> portfolio,
   return table;
 }
 
-// Presolve-declined batch: two draws from each family of
-// presolve_declined.hpp (not-contains windows, bounded-length selectors,
-// includes over a long text), every copy drawn from the same stream so graph
-// shapes repeat and the embedded rung's shared cache warms up — the
-// structure Abel et al. exploit on hardware annealers. The exact presolve
-// decides small-component models without sampling, so a batch it could
-// decide would measure the presolve, not the rungs.
+// One regex job `x[yz]+` at `length` (three distinct letters from a–e, so
+// the class has two members) that the exact presolve leaves to the ladder.
+// Under the paper's averaged class encoding (§4.11, the default
+// BuildOptions) the ground state often decodes to a string outside the
+// class; the presolve's answer then fails verification, and sa-fast often
+// fails too. Draws until one such job turns up (nullopt after 64 draws).
+std::optional<strqubo::Constraint> averaged_class_case(std::size_t length,
+                                                       Xoshiro256& rng) {
+  for (std::size_t draw = 0; draw < 64; ++draw) {
+    std::string letters = "abcde";
+    for (std::size_t i = 0; i < 3; ++i) {
+      std::swap(letters[i], letters[i + rng.below(letters.size() - i)]);
+    }
+    const strqubo::Constraint job = strqubo::RegexMatch{
+        std::string{letters[0], '[', letters[1], letters[2], ']', '+'},
+        length};
+    const auto presolved = strqubo::presolve(strqubo::prepare(job));
+    if (!presolved || !presolved->satisfied) return job;
+  }
+  return std::nullopt;
+}
+
+// Each copy adds two draws from each family of presolve_declined.hpp
+// (not-contains windows, bounded-length selectors, includes over a long
+// text), all copies from the same stream so graph shapes repeat and the
+// embedded rung's shared cache warms up — the structure Abel et al.
+// exploit on hardware annealers — and one averaged-class regex job at each
+// length 4–8 that the presolve does not decide, with fresh letters per
+// copy. The exact presolve decides small-component models without
+// sampling, so a batch it could decide would measure the presolve, not the
+// rungs.
 std::vector<strqubo::Constraint> quantum_workloads(std::size_t copies) {
   std::vector<strqubo::Constraint> batch;
   for (std::size_t c = 0; c < copies; ++c) {
     Xoshiro256 rng(0x9a7e, 3);
     for (std::size_t kind = 0; kind < 6; ++kind) {
       batch.push_back(bench::declined_case(kind, rng));
+    }
+    Xoshiro256 regex_rng(0x4e6e, c);
+    for (std::size_t length = 4; length <= 8; ++length) {
+      if (auto job = averaged_class_case(length, regex_rng)) {
+        batch.push_back(std::move(*job));
+      }
     }
   }
   return batch;
@@ -244,16 +298,11 @@ int main(int argc, char** argv) {
   const auto batch = quantum_workloads(smoke ? 1 : 6);
   const WinTable before = race(service::default_portfolio(), batch);
   const WinTable after = race(service::quantum_portfolio(target), batch);
-  const std::size_t non_sa_wins = after.pimc_wins + after.embedded_wins;
+  const std::size_t non_sa_wins = after.non_sa_wins();
   std::cout << "quantum_bench: deciding rung over " << batch.size()
-            << " presolve-declined jobs\n"
-            << "  before (sa-fast > sa-deep):             sa "
-            << before.sa_wins << ", presolve " << before.presolved
-            << ", undecided " << before.undecided << "\n"
-            << "  after  (sa-fast > pimc-light > embedded): sa "
-            << after.sa_wins << ", pimc " << after.pimc_wins << ", embedded "
-            << after.embedded_wins << ", presolve " << after.presolved
-            << ", undecided " << after.undecided << "\n";
+            << " jobs the presolve does not decide\n"
+            << "  before: " << before.counts("", " ") << "\n"
+            << "  after:  " << after.counts("", " ") << "\n";
 
   if (!smoke) {
     std::ofstream out("BENCH_quantum.json");
@@ -283,15 +332,10 @@ int main(int argc, char** argv) {
         << "    \"bit_identical\": " << (warm_ok ? "true" : "false")
         << "\n  },\n";
     out << "  \"portfolio\": {\n    \"jobs\": " << batch.size() << ",\n"
-        << "    \"before\": {\"sa_wins\": " << before.sa_wins
-        << ", \"non_sa_wins\": 0, \"presolved\": " << before.presolved
-        << ", \"undecided\": " << before.undecided << "},\n"
-        << "    \"after\": {\"sa_wins\": " << after.sa_wins
-        << ", \"pimc_wins\": " << after.pimc_wins
-        << ", \"embedded_wins\": " << after.embedded_wins
-        << ", \"non_sa_wins\": " << non_sa_wins
-        << ", \"presolved\": " << after.presolved
-        << ", \"undecided\": " << after.undecided << "}\n  }\n}\n";
+        << "    \"before\": {" << before.counts("\"", ": ")
+        << ", \"non_sa_wins\": " << before.non_sa_wins() << "},\n"
+        << "    \"after\": {" << after.counts("\"", ": ")
+        << ", \"non_sa_wins\": " << non_sa_wins << "}\n  }\n}\n";
   }
 
   // Correctness gates apply in every mode; perf gates only in full mode

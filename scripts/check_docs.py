@@ -61,11 +61,16 @@ docs/*.md, plus any root-level markdown they link to):
     src/strqubo/solver.cpp, which the driver, the service and the daemon
     all call. Comment lines are skipped, so prose may still name them.
 
-11. No router: no file under src/, tests/, bench/ or examples/, and no
-    documentation file, may mention `route::`, `tenant_routing` or
-    `docs/routing.md`. The escalation ladder tries one rung at a time, so
-    a job holds one worker by construction and the adaptive router it
-    replaced is gone.
+11. Deleted names stay deleted: no file under src/, tests/, bench/ or
+    examples/, and no documentation file, may mention
+    - `route::`, `tenant_routing` or `docs/routing.md`. The escalation
+      ladder tries one rung at a time, so a job holds one worker by
+      construction and the adaptive router it replaced is gone;
+    - a `route.*` metric name (`engine.route.*` is another prefix): the
+      router and the service pipelines counted the last of them;
+    - `submit_pipeline` or `PipelineJob`. A service job yields one
+      verdict and runs no caller code on completion; the paper's
+      sequential combination is strqubo::Pipeline, in-process.
 
 12. One LRU: no file under src/ other than src/util/lru_cache.hpp may
     use `std::list<` or `.splice(`. Every cache layer is a util::LruCache,
@@ -106,7 +111,14 @@ SERVICE_FUNC_RE = re.compile(
 )
 
 OPENMP_RE = re.compile(r"#\s*pragma\s+omp\b|<omp\.h>|OpenMP::")
-ROUTER_RE = re.compile(r"route::|tenant_routing|docs/routing\.md")
+DELETED_NAMES = {
+    "the adaptive router is gone; the escalation ladder replaced it":
+        re.compile(r"route::|tenant_routing|docs/routing\.md"),
+    "no route.* metric remains; the router and the service pipelines "
+    "that counted them are gone": re.compile(r"(?<![\w.])route\.[a-z_]"),
+    "the service's pipeline job kind is gone; strqubo::Pipeline chains "
+    "stages in-process": re.compile(r"\bsubmit_pipeline\b|\bPipelineJob\b"),
+}
 ONE_PATH_RES = {
     "anneal::presolve(": re.compile(r"anneal::presolve\("),
     "ReverseAnnealer construction": re.compile(
@@ -252,17 +264,16 @@ def check_one_scheduler() -> list:
     return errors
 
 
-def check_no_router() -> list:
+def check_deleted_names() -> list:
     errors = []
     paths = [p for top in CODE_DIRS for p in files_under(top)] + DOC_FILES
     for path in paths:
         text = path.read_text(encoding="utf-8", errors="replace")
         for number, line in enumerate(text.splitlines(), 1):
-            if ROUTER_RE.search(line):
-                errors.append(
-                    f"{path.relative_to(REPO)}:{number}: the adaptive router "
-                    "is gone; the escalation ladder replaced it"
-                )
+            for reason, pattern in DELETED_NAMES.items():
+                if pattern.search(line):
+                    errors.append(
+                        f"{path.relative_to(REPO)}:{number}: {reason}")
     return errors
 
 
@@ -388,7 +399,7 @@ def main() -> int:
         + check_one_scheduler()
         + check_telemetry_sources()
         + check_one_solve_path()
-        + check_no_router()
+        + check_deleted_names()
         + check_one_lru()
         + check_count_once()
     )

@@ -7,20 +7,6 @@
 
 namespace qsmt::service {
 
-PortfolioMember parallel_tempering_member(std::string name,
-                                          anneal::ParallelTemperingParams base) {
-  PortfolioMember member;
-  member.name = std::move(name);
-  member.make = [base](std::uint64_t seed,
-                       CancelToken cancel) -> std::unique_ptr<anneal::Sampler> {
-    anneal::ParallelTemperingParams params = base;
-    params.seed = seed;
-    params.cancel = std::move(cancel);
-    return std::make_unique<anneal::ParallelTempering>(params);
-  };
-  return member;
-}
-
 PortfolioMember path_integral_member(std::string name,
                                      anneal::PathIntegralParams base) {
   PortfolioMember member;

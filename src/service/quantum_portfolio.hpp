@@ -1,22 +1,17 @@
-// qsmt::service — quantum and replica-exchange rungs for the escalation
-// ladder. Kept apart from the serving core so qsmt_service does not link
-// the hardware-graph layer: only callers that put quantum samplers on the
-// ladder (the quantum bench, the embedding-cache tests) pull in qsmt_graph.
+// qsmt::service — quantum rungs for the escalation ladder. Kept apart from
+// the serving core so qsmt_service does not link the hardware-graph layer:
+// only callers that put quantum samplers on the ladder (the quantum bench,
+// the embedding-cache tests) pull in qsmt_graph.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "anneal/pimc.hpp"
-#include "anneal/tempering.hpp"
 #include "graph/embedded_sampler.hpp"
 #include "service/service.hpp"
 
 namespace qsmt::service {
-
-/// Parallel-tempering (replica exchange) rung.
-PortfolioMember parallel_tempering_member(
-    std::string name, anneal::ParallelTemperingParams base = {});
 
 /// Path-integral (simulated quantum annealing) rung.
 PortfolioMember path_integral_member(std::string name,

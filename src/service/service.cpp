@@ -144,7 +144,6 @@ struct SolveService::Impl {
     std::shared_ptr<const strqubo::PreparedConstraint> prepared;
     JobOptions options;
     SteadyClock::time_point enqueued;
-    bool has_deadline = false;
     CancelSource cancel;
     std::promise<JobResult> promise;
     /// Owner election: the task (or the shutdown path) that flips this from
@@ -164,11 +163,6 @@ struct SolveService::Impl {
     /// Caller adopted an external CancelSource (claim_and_finish must
     /// always cancel so the caller's other handles observe the verdict).
     bool external_cancel = false;
-    /// Invoked in complete() after the result is filled, just before the
-    /// promise resolves, on whichever thread decided the job (a worker, or
-    /// the submitter for a job decided at submission) — the
-    /// pipeline-chaining hook.
-    std::function<void(const JobResult&)> on_complete;
   };
 
   explicit Impl(ServiceOptions opts)
@@ -207,10 +201,8 @@ struct SolveService::Impl {
 
   std::future<JobResult> enqueue(
       std::variant<std::vector<strqubo::Constraint>, std::string> payload,
-      JobOptions job_options,
-      std::function<void(const JobResult&)> on_complete = {}) {
+      JobOptions job_options) {
     auto job = std::make_shared<Job>();
-    job->on_complete = std::move(on_complete);
     job->payload = std::move(payload);
     const auto* conjuncts =
         std::get_if<std::vector<strqubo::Constraint>>(&job->payload);
@@ -240,11 +232,9 @@ struct SolveService::Impl {
           job->canonical = std::move(canonical);
         }
       }
-      std::chrono::nanoseconds effective = job->options.deadline;
-      if (effective.count() == 0) effective = options.default_deadline;
       const bool already_cancelled =
           job->options.cancel && job->options.cancel->token().cancelled();
-      if (!job->answer_key.empty() && effective.count() >= 0 &&
+      if (!job->answer_key.empty() && job->options.deadline.count() >= 0 &&
           !already_cancelled) {
         if (std::optional<canon::CachedAnswer> cached =
                 options.answer_cache->lookup(job->answer_key)) {
@@ -263,11 +253,8 @@ struct SolveService::Impl {
       job->cancel = *job->options.cancel;
       job->external_cancel = true;
     }
-    std::chrono::nanoseconds deadline = job->options.deadline;
-    if (deadline.count() == 0) deadline = options.default_deadline;
-    if (deadline.count() != 0) {
-      job->has_deadline = true;
-      job->cancel.set_deadline_after(deadline);
+    if (job->options.deadline.count() != 0) {
+      job->cancel.set_deadline_after(job->options.deadline);
     }
     // The exact stages run here, on the submitting thread, so a job they
     // decide never waits for a worker. A job whose token already fired
@@ -276,22 +263,15 @@ struct SolveService::Impl {
         decide_at_submission(*job)) {
       return future;
     }
-    bool rejected = false;
     {
       std::lock_guard<std::mutex> lock(queue_mutex);
       if (stopping) {
-        rejected = true;
-      } else {
-        // One task per job: it climbs the whole ladder on one worker.
-        queue.push_back(job);
-        publish_queue_depth_locked();
+        resolve_unrun(*job, "service stopped before solve");
+        return future;
       }
-    }
-    if (rejected) {
-      // Outside the queue lock: resolving runs the job's on_complete hook,
-      // and a pipeline's hook re-enters enqueue() for the next stage.
-      resolve_unrun(*job, "service stopped before solve");
-      return future;
+      // One task per job: it climbs the whole ladder on one worker.
+      queue.push_back(job);
+      publish_queue_depth_locked();
     }
     queue_cv.notify_one();
     submitted.add();
@@ -335,108 +315,6 @@ struct SolveService::Impl {
       presolve_wins.add();
     });
     return true;
-  }
-
-  /// In-flight state of one solution-chained pipeline. Stages run strictly
-  /// sequentially (stage N+1 is requested from stage N's on_complete hook),
-  /// so `result` is touched by one thread at a time, with happens-before
-  /// through `mutex`.
-  struct PipelineState {
-    std::vector<strqubo::Constraint> stages;
-    JobOptions base;
-    std::promise<PipelineResult> promise;
-    PipelineResult result;
-    /// Guards the two fields below. A stage decided at submission completes
-    /// inside enqueue(), so its hook requests the next stage while the
-    /// thread that submitted it is still in submit_stage: the request is
-    /// parked here and that thread's loop submits it, instead of nesting
-    /// one more enqueue per stage on its stack.
-    std::mutex mutex;
-    std::optional<std::pair<std::size_t, std::optional<std::string>>> next;
-    bool submitting = false;
-  };
-
-  std::future<PipelineResult> submit_pipeline(PipelineJob pipeline) {
-    auto state = std::make_shared<PipelineState>();
-    state->stages = std::move(pipeline.stages);
-    state->base = std::move(pipeline.options);
-    state->result.stages.reserve(state->stages.size());
-    std::future<PipelineResult> future = state->promise.get_future();
-    pipelines.add();
-    if (state->stages.empty()) {
-      state->result.all_sat = true;
-      state->promise.set_value(std::move(state->result));
-      return future;
-    }
-    submit_stage(state, 0, state->base.warm_start);
-    return future;
-  }
-
-  /// Requests pipeline stage `index`: submits it, unless another frame of
-  /// this pipeline is already submitting, whose loop then takes it over.
-  void submit_stage(const std::shared_ptr<PipelineState>& state,
-                    std::size_t index, std::optional<std::string> warm) {
-    {
-      std::lock_guard<std::mutex> lock(state->mutex);
-      state->next.emplace(index, std::move(warm));
-      if (state->submitting) return;
-      state->submitting = true;
-    }
-    for (;;) {
-      std::pair<std::size_t, std::optional<std::string>> next;
-      {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        if (!state->next) {
-          state->submitting = false;
-          return;
-        }
-        next = std::move(*state->next);
-        state->next.reset();
-      }
-      enqueue_stage(state, next.first, std::move(next.second));
-    }
-  }
-
-  /// Enqueues pipeline stage `index`. `warm` is the previous stage's
-  /// verified witness (or the caller's own warm_start for stage 0); it
-  /// rides the ordinary JobOptions::warm_start reverse-anneal plumbing, so
-  /// chaining changes where a stage starts, never what it can answer.
-  void enqueue_stage(const std::shared_ptr<PipelineState>& state,
-                     std::size_t index, std::optional<std::string> warm) {
-    JobOptions stage_options = state->base;
-    stage_options.seed = mix_seed(state->base.seed, index);
-    stage_options.warm_start = std::move(warm);
-    if (index > 0 && stage_options.warm_start.has_value()) {
-      // Exactly one bump per chained hop — tests pin this against the
-      // stage count (tests/service_test.cpp).
-      ++state->result.chained_warm_starts;
-      chain_warm_starts.add();
-    }
-    static const auto stages = telemetry::counter("route.chain.stages");
-    stages.add();
-    // The stage's own future is intentionally dropped: its result arrives
-    // through the on_complete hook below (exactly once, even when the
-    // service is stopping — enqueue resolves rejected jobs inline).
-    enqueue(std::vector{state->stages[index]}, std::move(stage_options),
-            [this, state, index](const JobResult& result) {
-              state->result.stages.push_back(result);
-              const std::size_t next = index + 1;
-              if (next < state->stages.size()) {
-                std::optional<std::string> chained;
-                if (result.status == smtlib::CheckSatStatus::kSat &&
-                    result.text.has_value()) {
-                  chained = result.text;
-                }
-                submit_stage(state, next, std::move(chained));
-                return;
-              }
-              bool all_sat = true;
-              for (const JobResult& stage : state->result.stages) {
-                all_sat &= stage.status == smtlib::CheckSatStatus::kSat;
-              }
-              state->result.all_sat = all_sat;
-              state->promise.set_value(std::move(state->result));
-            });
   }
 
   void worker_loop() {
@@ -677,7 +555,7 @@ struct SolveService::Impl {
   /// merely expired afterwards.
   void finish_unverified(Job& job) {
     claim_and_finish(job, [&](JobResult& result) {
-      result.timed_out = job.has_deadline && job.cancelled;
+      result.timed_out = job.options.deadline.count() != 0 && job.cancelled;
       if (result.timed_out) {
         result.notes.push_back("deadline expired");
         timeouts.add();
@@ -693,17 +571,17 @@ struct SolveService::Impl {
 
   /// Confirms one answer-cache hit against this job's own payload and, on
   /// success, resolves the job on the submitting thread: no task is
-  /// queued, winner is "answer-cache", attempts stay zero, and the
-  /// pipeline/on_complete plumbing fires through the ordinary complete()
-  /// path. Exactly ONE classical verification guards every served witness:
-  /// verify_conjunction (every conjunct) / verify_position (a lone
-  /// Includes) for conjunction jobs, a compile of the
-  /// job's ORIGINAL assertions plus per-constraint verify_string for
-  /// script-sat hits. Script-unsat hits are served on key identity alone —
-  /// the full-string canonical key proves the hit is an alpha-variant of
-  /// the formula whose cold unsat was exact/certified. Returns false (job
-  /// untouched, cold solve proceeds) on any mismatch, so a stale or
-  /// poisoned entry costs one cheap check, never a wrong verdict.
+  /// queued, winner is "answer-cache", attempts stay zero, and the job
+  /// completes through the ordinary complete() path. Exactly ONE classical
+  /// verification guards every served witness: verify_conjunction (every
+  /// conjunct) / verify_position (a lone Includes) for conjunction jobs, a
+  /// compile of the job's ORIGINAL assertions plus per-constraint
+  /// verify_string for script-sat hits. Script-unsat hits are served on key
+  /// identity alone — the full-string canonical key proves the hit is an
+  /// alpha-variant of the formula whose cold unsat was exact/certified.
+  /// Returns false (job untouched, cold solve proceeds) on any mismatch, so
+  /// a stale or poisoned entry costs one cheap check, never a wrong
+  /// verdict.
   bool serve_cached(Job& job, const canon::CachedAnswer& answer) {
     JobResult result;
     if (const auto* conjuncts =
@@ -834,10 +712,6 @@ struct SolveService::Impl {
         telemetry::histogram("service.job.seconds", telemetry::Unit::kSeconds);
     completed.add();
     seconds.record(result.solve_seconds);
-    // The pipeline-chaining hook: runs on the completing worker with the
-    // final result, before the promise resolves, so a chained next stage
-    // is already enqueued by the time any waiter wakes.
-    if (job.on_complete) job.on_complete(result);
     job.promise.set_value(std::move(result));
   }
 
@@ -874,8 +748,6 @@ struct SolveService::Impl {
   telemetry::Tally retries{"service.retry.attempts"};
   telemetry::Tally warm_starts{"incremental.warm.starts"};
   telemetry::Tally warm_hits{"incremental.warm.hits"};
-  telemetry::Tally pipelines{"route.chain.pipelines"};
-  telemetry::Tally chain_warm_starts{"route.chain.warm_starts"};
   telemetry::Tally answer_hits{"service.answer.hits"};
   telemetry::Tally answer_misses{"service.answer.misses"};
   telemetry::Tally answer_fallbacks{"service.answer.fallbacks"};
@@ -933,11 +805,6 @@ std::vector<JobResult> SolveService::solve_scripts(
   return results;
 }
 
-std::future<PipelineResult> SolveService::submit_pipeline(
-    PipelineJob pipeline) {
-  return impl_->submit_pipeline(std::move(pipeline));
-}
-
 std::size_t SolveService::num_workers() const noexcept {
   return impl_->workers.size();
 }
@@ -952,8 +819,6 @@ SolveService::Stats SolveService::stats() const noexcept {
   stats.verify_retries = impl_->retries.value();
   stats.warm_starts = impl_->warm_starts.value();
   stats.warm_hits = impl_->warm_hits.value();
-  stats.pipelines = impl_->pipelines.value();
-  stats.chain_warm_starts = impl_->chain_warm_starts.value();
   stats.answer_hits = impl_->answer_hits.value();
   stats.answer_misses = impl_->answer_misses.value();
   stats.answer_fallbacks = impl_->answer_fallbacks.value();

@@ -106,8 +106,6 @@ struct ServiceOptions {
   std::vector<PortfolioMember> portfolio;
   /// Extra reseeded attempts per rung after a failed verification.
   std::size_t max_verify_retries = 2;
-  /// Deadline applied to jobs that do not set their own (0 = none).
-  std::chrono::nanoseconds default_deadline{0};
   /// Canonical answer cache (docs/caching.md). When set, every job is
   /// looked up at submission, before any task is queued, under its
   /// alpha-equivalence canonical key (src/canon): a hit whose remapped
@@ -125,8 +123,8 @@ struct ServiceOptions {
 };
 
 struct JobOptions {
-  /// Per-job deadline from submission (0 = service default; negative =
-  /// already expired, resolves kUnknown/timed_out without sampling).
+  /// Per-job deadline from submission (0 = none; negative = already
+  /// expired, resolves kUnknown/timed_out without sampling).
   std::chrono::nanoseconds deadline{0};
   /// Master seed for this job's sampler streams.
   std::uint64_t seed = 0;
@@ -185,30 +183,6 @@ struct JobResult {
   double solve_seconds = 0.0;
 };
 
-/// Solution-chained multi-constraint pipeline (the paper's §5 sequential
-/// workload as a first-class scheduling object): stage N+1 is submitted when
-/// stage N completes, warm-started (reverse-annealed, PR 8 plumbing) from
-/// stage N's verified witness instead of starting cold. Stages that fail to
-/// produce a witness chain nothing — the next stage runs cold — and the
-/// pipeline always runs every stage. `options` applies to every stage;
-/// stage i's seed is mix_seed(options.seed, i), so a pipeline's stages stay
-/// independent streams. An explicit per-stage warm_start in `options`
-/// applies to stage 0 only.
-struct PipelineJob {
-  std::vector<strqubo::Constraint> stages;
-  JobOptions options;
-};
-
-struct PipelineResult {
-  /// One JobResult per stage, pipeline order.
-  std::vector<JobResult> stages;
-  /// Every stage decided kSat.
-  bool all_sat = false;
-  /// Stages whose submission carried the previous stage's witness as a
-  /// warm start (route.chain.warm_starts counts the same events).
-  std::size_t chained_warm_starts = 0;
-};
-
 class SolveService {
  public:
   explicit SolveService(ServiceOptions options = {});
@@ -246,17 +220,11 @@ class SolveService {
   std::vector<JobResult> solve_scripts(const std::vector<std::string>& scripts,
                                        JobOptions options = {});
 
-  /// Enqueues a solution-chained pipeline: stage N+1 is submitted from
-  /// stage N's completion, warm-started from its witness when one exists.
-  /// The future resolves when the last stage does. An empty pipeline
-  /// resolves immediately (all_sat vacuously true).
-  std::future<PipelineResult> submit_pipeline(PipelineJob pipeline);
-
   std::size_t num_workers() const noexcept;
 
   /// Monotonic whole-service counters (tests, monitoring). Each count is
-  /// a telemetry::Tally, so the same increment feeds the service.*,
-  /// route.chain.* and incremental.warm.* counters of docs/telemetry.md.
+  /// a telemetry::Tally, so the same increment feeds the service.* and
+  /// incremental.warm.* counters of docs/telemetry.md.
   struct Stats {
     std::uint64_t jobs_submitted = 0;
     std::uint64_t jobs_completed = 0;
@@ -279,11 +247,6 @@ class SolveService {
     /// decided the job.
     std::uint64_t warm_starts = 0;
     std::uint64_t warm_hits = 0;
-    /// Pipelines submitted via submit_pipeline.
-    std::uint64_t pipelines = 0;
-    /// Pipeline stages submitted with the previous stage's witness chained
-    /// in as a warm start (one per hop whose upstream produced a witness).
-    std::uint64_t chain_warm_starts = 0;
     /// Answer-cache dispositions (ServiceOptions::answer_cache), counted
     /// exactly once per job: jobs served straight from a verified cache
     /// hit / jobs whose canonical key missed / hits whose witness failed

@@ -6,12 +6,10 @@
 
 #include "anneal/exact.hpp"
 #include "anneal/reverse.hpp"
-#include "anneal/simulated_annealer.hpp"
 #include "strenc/ascii7.hpp"
 #include "strqubo/verify.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/require.hpp"
-#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace qsmt::strqubo {
@@ -167,41 +165,6 @@ std::optional<std::size_t> decode_includes_position(
     if (bits[i]) return i;
   }
   return std::nullopt;
-}
-
-RetryResult solve_with_retries(const Constraint& constraint,
-                               const RetryParams& params,
-                               const BuildOptions& options) {
-  require(params.max_attempts >= 1,
-          "solve_with_retries: max_attempts must be >= 1");
-  require(params.initial_sweeps >= 1 && params.num_reads >= 1,
-          "solve_with_retries: need positive reads and sweeps");
-  // Every attempt re-samples the same QUBO at a doubled budget; build the
-  // model and its CSR adjacency once and reuse them across attempts.
-  const PreparedConstraint prepared = prepare(constraint, options);
-
-  static const auto attempts = telemetry::counter("strqubo.retry.attempts");
-  static const auto final_sweeps = telemetry::histogram(
-      "strqubo.retry.final_sweeps", telemetry::Unit::kCount);
-  RetryResult retry;
-  std::size_t sweeps = params.initial_sweeps;
-  for (std::size_t attempt = 0; attempt < params.max_attempts; ++attempt) {
-    anneal::SimulatedAnnealerParams sa;
-    sa.num_reads = params.num_reads;
-    sa.num_sweeps = sweeps;
-    sa.seed = mix_seed(params.seed, attempt + 1);
-    const anneal::SimulatedAnnealer annealer(sa);
-    const StringConstraintSolver solver(annealer, options);
-    retry.result = solver.solve(prepared);
-    retry.final_sweeps = sweeps;
-    ++retry.attempts;
-    attempts.add();
-    if (retry.result.satisfied) break;
-    sweeps *= 2;
-  }
-  retry.result.build_seconds = prepared.build_seconds;
-  final_sweeps.record(static_cast<double>(retry.final_sweeps));
-  return retry;
 }
 
 std::vector<std::string> enumerate_solutions(const Constraint& constraint,

@@ -212,26 +212,6 @@ std::optional<SolveResult> warm_refine(const PreparedConstraint& prepared,
                                        std::uint64_t seed,
                                        const WitnessFilter& accept = {});
 
-/// Solves with escalating annealer effort: runs the simulated annealer at a
-/// doubling sweep budget (initial_sweeps, 2x, 4x, ...) until the decoded
-/// answer verifies or max_attempts budgets were tried — the retry loop a
-/// production deployment wraps around an incomplete sampler. Each attempt
-/// uses a fresh RNG stream, so retries are genuinely independent.
-struct RetryParams {
-  std::size_t num_reads = 48;
-  std::size_t initial_sweeps = 64;
-  std::size_t max_attempts = 4;
-  std::uint64_t seed = 0;
-};
-struct RetryResult {
-  SolveResult result;          ///< The final (first verified) attempt.
-  std::size_t attempts = 0;    ///< Budgets tried.
-  std::size_t final_sweeps = 0;
-};
-RetryResult solve_with_retries(const Constraint& constraint,
-                               const RetryParams& params = {},
-                               const BuildOptions& options = {});
-
 /// Enumerates distinct verified solutions of a string-producing constraint
 /// from a sample set, best-energy first, up to `limit`. Open constraints
 /// (palindromes, regex, substring placement) often have many satisfying

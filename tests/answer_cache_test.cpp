@@ -1,8 +1,7 @@
 // Canonical answer cache (src/canon/answer_cache.hpp) and its SolveService
 // integration: LRU/byte budgets, snapshot round-trips, verified-hit serving
 // with exactly-once hit/miss/fallback counters, poisoned-entry fallback,
-// pipelines chaining through hits, and — the telemetry satellite — mirror
-// equality between every cache layer's occupancy gauges
+// and mirror equality between every cache layer's occupancy gauges
 // (*.cache.{entries,bytes}) and its deterministic stats struct.
 #include "canon/answer_cache.hpp"
 
@@ -345,26 +344,6 @@ TEST(AnswerCacheServiceTest, UnknownAndTimedOutVerdictsAreNeverInserted) {
   EXPECT_EQ(cache->size(), 0u);
   // The expired job skipped the lookup entirely: no miss was charged.
   EXPECT_EQ(solver.stats().answer_misses, 0u);
-}
-
-TEST(AnswerCacheServiceTest, PipelinesChainThroughCacheHits) {
-  auto cache = std::make_shared<canon::AnswerCache>();
-  service::SolveService solver(exact_service(cache));
-
-  const strqubo::Constraint stage = strqubo::Equality{"ab"};
-  // Warm the cache, then run a pipeline whose stages all hit.
-  ASSERT_EQ(solver.submit(stage, {}).get().status,
-            smtlib::CheckSatStatus::kSat);
-
-  service::PipelineJob pipeline;
-  pipeline.stages = {stage, stage};
-  const service::PipelineResult result =
-      solver.submit_pipeline(std::move(pipeline)).get();
-  ASSERT_EQ(result.stages.size(), 2u);
-  EXPECT_TRUE(result.all_sat);
-  EXPECT_TRUE(result.stages[0].answer_cache_hit);
-  EXPECT_TRUE(result.stages[1].answer_cache_hit);
-  EXPECT_EQ(solver.stats().answer_hits, 2u);
 }
 
 TEST(AnswerCacheServiceTest, CacheDisabledWhenNull) {

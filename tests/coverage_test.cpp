@@ -166,41 +166,6 @@ TEST(CheckSatAssuming, RoutesBooleanAssumptionsToDpllT) {
   EXPECT_TRUE(result.model_value == "aa" || result.model_value == "bb");
 }
 
-TEST(SolveWithRetries, EasyConstraintSucceedsFirstAttempt) {
-  strqubo::RetryParams params;
-  params.seed = 1;
-  const auto retry = strqubo::solve_with_retries(strqubo::Equality{"rt"},
-                                                 params);
-  EXPECT_TRUE(retry.result.satisfied);
-  EXPECT_EQ(retry.attempts, 1u);
-  EXPECT_EQ(retry.final_sweeps, params.initial_sweeps);
-}
-
-TEST(SolveWithRetries, EscalatesSweepsOnFailure) {
-  // A starvation-level budget on a long target forces escalation.
-  strqubo::RetryParams params;
-  params.num_reads = 2;
-  params.initial_sweeps = 1;
-  params.max_attempts = 6;
-  params.seed = 2;
-  const auto retry = strqubo::solve_with_retries(
-      strqubo::Equality{"a much longer target string"}, params);
-  EXPECT_GE(retry.attempts, 1u);
-  if (retry.result.satisfied) {
-    EXPECT_EQ(retry.final_sweeps,
-              params.initial_sweeps << (retry.attempts - 1));
-  } else {
-    EXPECT_EQ(retry.attempts, params.max_attempts);
-  }
-}
-
-TEST(SolveWithRetries, ValidatesParams) {
-  strqubo::RetryParams params;
-  params.max_attempts = 0;
-  EXPECT_THROW(strqubo::solve_with_retries(strqubo::Equality{"x"}, params),
-               std::invalid_argument);
-}
-
 TEST(CompileAssertions, AndOfLengthAndCharAt) {
   const auto exprs = smtlib::parse_sexprs(
       "(and (= (str.len x) 3) (= (str.at x 1) \"z\"))");

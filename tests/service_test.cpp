@@ -1,5 +1,5 @@
-// qsmt::service — worker pool, the escalation ladder, cancellation,
-// deadlines, and solution-chained pipelines.
+// qsmt::service — worker pool, the escalation ladder, cancellation and
+// per-job deadlines.
 //
 // The stress tests drive the service from several submitter threads at once
 // with mixed deadlines and check the accounting invariants a job queue must
@@ -34,7 +34,6 @@
 #include "smtlib/driver.hpp"
 #include "strqubo/constraint.hpp"
 #include "strqubo/verify.hpp"
-#include "telemetry/telemetry.hpp"
 #include "util/cancel.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -346,16 +345,6 @@ TEST(Service, ExpiredDeadlineTimesOutGracefully) {
   EXPECT_EQ(result.status, smtlib::CheckSatStatus::kUnknown);
   EXPECT_TRUE(result.timed_out);
   EXPECT_EQ(service.stats().jobs_timed_out, 1u);
-}
-
-TEST(Service, DefaultDeadlineAppliesToEveryJob) {
-  service::ServiceOptions options;
-  options.default_deadline = nanoseconds(1);
-  service::SolveService service(options);
-  const service::JobResult result =
-      service.submit(strqubo::Equality{"abc"}).get();
-  EXPECT_TRUE(result.timed_out);
-  EXPECT_EQ(result.status, smtlib::CheckSatStatus::kUnknown);
 }
 
 // Sampler that always throws from sample() — the shape of an
@@ -1085,163 +1074,6 @@ TEST(ServiceStress, BatchPreservesInputOrder) {
     ASSERT_EQ(results[i].status, smtlib::CheckSatStatus::kSat) << i;
     ASSERT_TRUE(results[i].text.has_value());
     EXPECT_EQ(*results[i].text, words[i]) << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Solution-chained pipelines
-
-TEST(PipelineChaining, ChainsWarmStartsOncePerHop) {
-  telemetry::reset();
-  telemetry::set_mode(telemetry::Mode::kSummary);
-
-  service::ServiceOptions options;
-  options.num_workers = 1;
-  service::SolveService service(options);
-
-  // Three stages whose witnesses are all "ab": every hop chains.
-  service::PipelineJob pipeline;
-  pipeline.stages = {strqubo::Equality{"ab"}, strqubo::Concat{"a", "b"},
-                     strqubo::Reverse{"ba"}};
-  pipeline.options.seed = 0xC4A1;
-  const service::PipelineResult result =
-      service.submit_pipeline(std::move(pipeline)).get();
-
-  ASSERT_EQ(result.stages.size(), 3u);
-  EXPECT_TRUE(result.all_sat);
-  for (const service::JobResult& stage : result.stages) {
-    ASSERT_EQ(stage.status, smtlib::CheckSatStatus::kSat);
-    ASSERT_TRUE(stage.text.has_value());
-    EXPECT_EQ(*stage.text, "ab");
-  }
-  // Exactly once per hop: two hops, two chained warm starts.
-  EXPECT_EQ(result.chained_warm_starts, 2u);
-  const service::SolveService::Stats stats = service.stats();
-  EXPECT_EQ(stats.pipelines, 1u);
-  EXPECT_EQ(stats.chain_warm_starts, 2u);
-
-  const telemetry::Snapshot snapshot = telemetry::registry().snapshot();
-  const telemetry::CounterStat* warm =
-      snapshot.counter("route.chain.warm_starts");
-  ASSERT_NE(warm, nullptr);
-  EXPECT_EQ(warm->value, 2u);
-  const telemetry::CounterStat* stages = snapshot.counter("route.chain.stages");
-  ASSERT_NE(stages, nullptr);
-  EXPECT_EQ(stages->value, 3u);
-  const telemetry::CounterStat* pipelines =
-      snapshot.counter("route.chain.pipelines");
-  ASSERT_NE(pipelines, nullptr);
-  EXPECT_EQ(pipelines->value, 1u);
-
-  telemetry::set_mode(telemetry::Mode::kOff);
-  telemetry::reset();
-}
-
-TEST(PipelineChaining, ChainedPathMatchesColdPathVerdicts) {
-  const std::vector<strqubo::Constraint> stages = {
-      strqubo::Equality{"abc"}, strqubo::Reverse{"cba"},
-      strqubo::ReplaceAll{"abc", 'c', 'a'}};
-
-  service::ServiceOptions options;
-  options.num_workers = 1;
-  service::SolveService service(options);
-
-  // Cold path: the same constraints as independent jobs. solve_constraints
-  // derives stage seeds exactly like submit_pipeline (mix_seed(seed, i)),
-  // so chaining is the only difference between the two runs.
-  service::JobOptions job;
-  job.seed = 0xC01D;
-  const std::vector<service::JobResult> cold =
-      service.solve_constraints(stages, job);
-
-  service::PipelineJob pipeline;
-  pipeline.stages = stages;
-  pipeline.options.seed = 0xC01D;
-  const service::PipelineResult chained =
-      service.submit_pipeline(std::move(pipeline)).get();
-
-  ASSERT_EQ(chained.stages.size(), cold.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    SCOPED_TRACE("stage " + std::to_string(i));
-    ASSERT_EQ(cold[i].status, smtlib::CheckSatStatus::kSat);
-    EXPECT_EQ(chained.stages[i].status, cold[i].status);
-    // These ops have unique witnesses, so chaining cannot change them.
-    EXPECT_EQ(chained.stages[i].text, cold[i].text);
-  }
-  EXPECT_TRUE(chained.all_sat);
-}
-
-TEST(PipelineChaining, WitnesslessHopRunsCold) {
-  service::ServiceOptions options;
-  options.num_workers = 1;
-  service::SolveService service(options);
-
-  // Includes yields a position, not a string: the hop after it has no
-  // witness to chain and must run cold.
-  service::PipelineJob pipeline;
-  pipeline.stages = {strqubo::Equality{"ab"},
-                     strqubo::Includes{"abcab", "ca"},
-                     strqubo::Equality{"ba"}};
-  pipeline.options.seed = 0x1D1E;
-  const service::PipelineResult result =
-      service.submit_pipeline(std::move(pipeline)).get();
-
-  ASSERT_EQ(result.stages.size(), 3u);
-  EXPECT_TRUE(result.all_sat);
-  EXPECT_EQ(result.chained_warm_starts, 1u);  // Only hop 0 -> 1 chained.
-  EXPECT_EQ(service.stats().chain_warm_starts, 1u);
-}
-
-TEST(PipelineChaining, EmptyPipelineResolvesImmediately) {
-  service::SolveService service;
-  const service::PipelineResult result =
-      service.submit_pipeline(service::PipelineJob{}).get();
-  EXPECT_TRUE(result.stages.empty());
-  EXPECT_TRUE(result.all_sat);
-  EXPECT_EQ(result.chained_warm_starts, 0u);
-}
-
-// Every stage here is presolved at submission, so each completes inside
-// the enqueue of the stage before it. The stages must still be submitted
-// one after another, not nested one call deeper per stage: tens of
-// thousands of nested stages would overflow the submitting thread's stack.
-TEST(PipelineChaining, PresolvedStagesDoNotNestOnTheStack) {
-  constexpr std::size_t kStages = 50000;
-  service::ServiceOptions options;
-  options.num_workers = 1;
-  service::SolveService service(options);
-  service::PipelineJob pipeline;
-  pipeline.stages.assign(kStages, strqubo::Equality{"ab"});
-  const service::PipelineResult result =
-      service.submit_pipeline(std::move(pipeline)).get();
-  ASSERT_EQ(result.stages.size(), kStages);
-  EXPECT_TRUE(result.all_sat);
-  EXPECT_EQ(result.stages.back().winner, "presolve");
-  EXPECT_EQ(result.chained_warm_starts, kStages - 1);
-}
-
-TEST(PipelineChaining, ChainedWitnessesVerifyClassically) {
-  service::ServiceOptions options;
-  options.num_workers = 2;
-  service::SolveService service(options);
-
-  service::PipelineJob pipeline;
-  pipeline.stages = {strqubo::Equality{"abab"},
-                     strqubo::ReplaceAll{"abab", 'b', 'a'},
-                     strqubo::Reverse{"abab"}};
-  pipeline.options.seed = 0x7E57;
-  const service::PipelineResult result =
-      service.submit_pipeline(std::move(pipeline)).get();
-
-  ASSERT_EQ(result.stages.size(), 3u);
-  const std::vector<strqubo::Constraint> stages = {
-      strqubo::Equality{"abab"}, strqubo::ReplaceAll{"abab", 'b', 'a'},
-      strqubo::Reverse{"abab"}};
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    SCOPED_TRACE("stage " + std::to_string(i));
-    ASSERT_EQ(result.stages[i].status, smtlib::CheckSatStatus::kSat);
-    ASSERT_TRUE(result.stages[i].text.has_value());
-    EXPECT_TRUE(strqubo::verify_string(stages[i], *result.stages[i].text));
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <ostream>
-#include <type_traits>
 
 #include "anneal/exact.hpp"
 #include "anneal/simulated_annealer.hpp"
@@ -12,24 +11,31 @@
 
 namespace qsmt::strqubo {
 
+namespace {
+
 // gtest prints each parameter into the test listing, and CMake's test
-// discovery builds the ctest name from that printout. A Constraint prints
-// as its alternative's type and index followed by the alternative itself;
-// without this overload gtest dumps the alternative's raw bytes, i.e. the
-// heap addresses inside its strings, so every run would list the cases
-// under new names. The structural key, reduced to identifier characters,
-// is stable. Declared in this namespace so argument-dependent lookup finds
-// it for every alternative.
-template <typename Alternative>
-  requires(!std::is_same_v<Alternative, Constraint> &&
-           std::is_constructible_v<Constraint, Alternative>)
-void PrintTo(const Alternative& alternative, std::ostream* os) {
-  for (const char ch : structure_key(Constraint{alternative})) {
-    *os << (std::isalnum(static_cast<unsigned char>(ch)) ? ch : '_');
+// discovery builds the ctest name from that printout. gtest prints a
+// std::variant itself (its alternative's type name and index, then the
+// alternative) and never calls a PrintTo for it, so each case wraps its
+// Constraint. PrintTo names the case by describe(), with every run of
+// characters other than letters and digits spelled '_', e.g.
+// Operations/SolveEachOperation.AnnealerSatisfiesConstraint/reverse_hello.
+struct Operation {
+  Constraint constraint;
+};
+
+void PrintTo(const Operation& operation, std::ostream* os) {
+  bool separate = false;
+  for (const char ch : describe(operation.constraint)) {
+    if (!std::isalnum(static_cast<unsigned char>(ch))) {
+      separate = true;
+      continue;
+    }
+    if (separate) *os << '_';
+    separate = false;
+    *os << ch;
   }
 }
-
-namespace {
 
 anneal::SimulatedAnnealer fast_annealer(std::uint64_t seed) {
   anneal::SimulatedAnnealerParams p;
@@ -48,14 +54,15 @@ TEST(DecodeIncludesPosition, FirstSetBitWins) {
             std::nullopt);
 }
 
-class SolveEachOperation : public ::testing::TestWithParam<Constraint> {};
+class SolveEachOperation : public ::testing::TestWithParam<Operation> {};
 
 TEST_P(SolveEachOperation, AnnealerSatisfiesConstraint) {
+  const Constraint& constraint = GetParam().constraint;
   const auto annealer = fast_annealer(11);
   const StringConstraintSolver solver(annealer);
-  const SolveResult result = solver.solve(GetParam());
-  EXPECT_TRUE(result.satisfied) << describe(GetParam());
-  if (produces_string(GetParam())) {
+  const SolveResult result = solver.solve(constraint);
+  EXPECT_TRUE(result.satisfied) << describe(constraint);
+  if (produces_string(constraint)) {
     ASSERT_TRUE(result.text.has_value());
   } else {
     ASSERT_TRUE(result.position.has_value());
@@ -66,17 +73,17 @@ TEST_P(SolveEachOperation, AnnealerSatisfiesConstraint) {
 
 INSTANTIATE_TEST_SUITE_P(
     Operations, SolveEachOperation,
-    ::testing::Values(Constraint{Equality{"hello"}},
-                      Constraint{Concat{"hello", " world"}},
-                      Constraint{SubstringMatch{6, "hi"}},
-                      Constraint{Includes{"hello world", "world"}},
-                      Constraint{IndexOf{6, "hi", 2}},
-                      Constraint{Length{3, 2}},
-                      Constraint{ReplaceAll{"hello world", 'l', 'x'}},
-                      Constraint{Replace{"hello", 'e', 'a'}},
-                      Constraint{Reverse{"hello"}},
-                      Constraint{Palindrome{6}},
-                      Constraint{RegexMatch{"a[bc]+", 5}}));
+    ::testing::Values(Operation{Equality{"hello"}},
+                      Operation{Concat{"hello", " world"}},
+                      Operation{SubstringMatch{6, "hi"}},
+                      Operation{Includes{"hello world", "world"}},
+                      Operation{IndexOf{6, "hi", 2}},
+                      Operation{Length{3, 2}},
+                      Operation{ReplaceAll{"hello world", 'l', 'x'}},
+                      Operation{Replace{"hello", 'e', 'a'}},
+                      Operation{Reverse{"hello"}},
+                      Operation{Palindrome{6}},
+                      Operation{RegexMatch{"a[bc]+", 5}}));
 
 TEST(StringConstraintSolver, EqualityDecodesExactTarget) {
   const auto annealer = fast_annealer(1);
