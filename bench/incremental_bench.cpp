@@ -121,11 +121,14 @@ Chain run_chain(const std::string& base, const std::vector<Round>& rounds,
   for (const Round& round : rounds) {
     const std::string check =
         "(check-sat-assuming (" + round.assumptions() + "))";
-    warm_driver.run_script(check);
-    warm_driver.run_script(check);  // Unchanged re-check: witness reuse.
+    // The second run is the unchanged re-check: witness reuse. A driver
+    // keeps only its last record, so each one is collected as it lands.
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      warm_driver.run_script(check);
+      chain.warm_history.push_back(warm_driver.history().back());
+    }
   }
   chain.warm_seconds = warm_timer.elapsed_seconds();
-  chain.warm_history = warm_driver.history();
   chain.warm_stats = warm_driver.solve_context().stats();
   chain.warm_fragments = warm_driver.solve_context().fragments().stats();
   chain.warm_presolved =

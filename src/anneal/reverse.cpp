@@ -40,6 +40,18 @@ SampleSet ReverseAnnealer::sample(const qubo::QuboModel& model) const {
 }
 
 SampleSet ReverseAnnealer::sample(const qubo::QuboAdjacency& adjacency) const {
+  SampleSet set;
+  sample_until(adjacency, [&](std::span<const std::uint8_t> bits,
+                              double energy) {
+    set.add(std::vector<std::uint8_t>(bits.begin(), bits.end()), energy);
+    return false;
+  });
+  set.aggregate();
+  return set;
+}
+
+std::size_t ReverseAnnealer::sample_until(const qubo::QuboAdjacency& adjacency,
+                                          const ReadVisitor& visit) const {
   const std::size_t n = adjacency.num_variables();
   require(initial_state_.size() == n,
           "ReverseAnnealer: initial state size does not match model");
@@ -50,7 +62,6 @@ SampleSet ReverseAnnealer::sample(const qubo::QuboAdjacency& adjacency) const {
 
   AnnealContext& ctx = thread_local_context();
   ctx.prepare(n);
-  SampleSet set;
   for (std::size_t r = 0; r < params_.num_reads; ++r) {
     Xoshiro256 rng(params_.seed ^ 0x5e7e15edULL, r);
     std::copy(initial_state_.begin(), initial_state_.end(), ctx.bits.begin());
@@ -61,13 +72,9 @@ SampleSet ReverseAnnealer::sample(const qubo::QuboAdjacency& adjacency) const {
     detail::anneal_read(adjacency, betas, rng, ctx);
     if (params_.polish_with_greedy)
       detail::greedy_descend(adjacency, ctx.bits, ctx.field);
-    Sample out;
-    out.energy = adjacency.energy(ctx.bits);
-    out.bits.assign(ctx.bits.begin(), ctx.bits.end());
-    set.add(std::move(out));
+    if (visit(ctx.bits, adjacency.energy(ctx.bits))) return r + 1;
   }
-  set.aggregate();
-  return set;
+  return params_.num_reads;
 }
 
 }  // namespace qsmt::anneal

@@ -7,9 +7,16 @@
 // β_cold * reheat_fraction and back (a V-shaped schedule), and returns the
 // refined samples. Used for local refinement around a good-but-imperfect
 // solution — e.g. polishing the output of a previous solver stage.
+//
+// The reads run one after another on the calling thread. sample() keeps
+// all of them; sample_until() hands each finished read to the caller and
+// stops at the first one the caller accepts, so a caller that can check a
+// read on its own (the warm refine stage) pays only for the reads it needs.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "anneal/sampler.hpp"
@@ -36,6 +43,18 @@ class ReverseAnnealer final : public Sampler {
 
   SampleSet sample(const qubo::QuboModel& model) const override;
   SampleSet sample(const qubo::QuboAdjacency& adjacency) const override;
+
+  /// Sees one finished read: its (polished) bits, valid only for the
+  /// call, and their energy. Returns true to stop after this read.
+  using ReadVisitor =
+      std::function<bool(std::span<const std::uint8_t> bits, double energy)>;
+
+  /// Runs reads 0, 1, ... in order, exactly the reads sample() runs, and
+  /// hands each to `visit` as it finishes; read r runs only when `visit`
+  /// returned false for reads 0..r-1. Returns the number of reads run.
+  std::size_t sample_until(const qubo::QuboAdjacency& adjacency,
+                           const ReadVisitor& visit) const;
+
   std::string name() const override { return "reverse-annealing"; }
   bool supports_adjacency_sampling() const noexcept override { return true; }
 

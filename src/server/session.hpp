@@ -1,8 +1,8 @@
 // One client's SMT-LIB session against the shared solve service.
 //
 // A Session owns the incremental command scanner plus the full SmtDriver
-// assertion context (declarations, assertions, push/pop frames, model
-// history) for one connection, and overrides only the check-sat strategy:
+// assertion context (declarations, assertions, push/pop frames, last
+// verdict) for one connection, and overrides only the check-sat strategy:
 // the deterministic presolve tree (falsified ground fact, unsupported atom,
 // empty query, exact unsat certificate) answers locally and instantly, and
 // anything that genuinely needs a sampler is dispatched to the shared

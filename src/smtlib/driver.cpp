@@ -225,12 +225,12 @@ bool SmtDriver::execute(const Command& command, std::string& out) {
           assertions_.push_back(cmd.term);
           return true;
         } else if constexpr (std::is_same_v<T, CheckSat>) {
-          history_.push_back(check_sat());
-          out += status_name(history_.back().status);
+          last_check_sat_ = check_sat();
+          out += status_name(last_check_sat_->status);
           out += '\n';
           return true;
         } else if constexpr (std::is_same_v<T, GetModel>) {
-          out += render_model(history_.empty() ? nullptr : &history_.back());
+          out += render_model(last_check_sat_ ? &*last_check_sat_ : nullptr);
           return true;
         } else if constexpr (std::is_same_v<T, Echo>) {
           out += cmd.message;
@@ -272,21 +272,20 @@ bool SmtDriver::execute(const Command& command, std::string& out) {
           for (const auto& assumption : cmd.assumptions) {
             assertions_.push_back(assumption);
           }
-          history_.push_back(check_sat());
+          last_check_sat_ = check_sat();
           assertions_.resize(restore);
-          out += status_name(history_.back().status);
+          out += status_name(last_check_sat_->status);
           out += '\n';
           return true;
         } else if constexpr (std::is_same_v<T, GetValue>) {
-          out += render_get_value(cmd.names,
-                                  history_.empty() ? nullptr
-                                                   : &history_.back());
+          out += render_get_value(
+              cmd.names, last_check_sat_ ? &*last_check_sat_ : nullptr);
           return true;
         } else if constexpr (std::is_same_v<T, ResetCmd>) {
-          // (reset) erases everything, including the model history — a
-          // subsequent (get-model) reports no model, per SMT-LIB.
+          // (reset) erases everything, including the last check-sat record
+          // — a subsequent (get-model) reports no model, per SMT-LIB.
           reset();
-          history_.clear();
+          last_check_sat_.reset();
           return true;
         } else {
           static_assert(std::is_same_v<T, ExitCmd>);

@@ -12,6 +12,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,13 +92,17 @@ class SmtDriver {
   /// Returns false when the command was (exit).
   bool execute(const Command& command, std::string& out);
 
-  /// Records of every check-sat performed (for tests and benches).
-  const std::vector<CheckSatRecord>& history() const noexcept {
-    return history_;
+  /// The retained check-sat records: the most recent one only, or none
+  /// before the first check-sat and after (reset). Everything that reads
+  /// a verdict back (get-model, get-value, the engine) needs only the
+  /// last one, and keeping one bounds a session that never resets.
+  std::span<const CheckSatRecord> history() const noexcept {
+    return last_check_sat_ ? std::span(&*last_check_sat_, 1)
+                           : std::span<const CheckSatRecord>();
   }
 
-  /// Resets declarations, assertions, and the push/pop stack. The
-  /// check-sat history survives; the (reset) command clears it too.
+  /// Resets declarations, assertions, and the push/pop stack. The last
+  /// check-sat record survives; the (reset) command clears it too.
   /// Subclasses holding per-session solve state of their own extend this.
   virtual void reset();
 
@@ -145,7 +151,7 @@ class SmtDriver {
   std::map<std::string, Sort> declared_;
   std::vector<TermPtr> assertions_;
   std::vector<Frame> frames_;
-  std::vector<CheckSatRecord> history_;
+  std::optional<CheckSatRecord> last_check_sat_;
 };
 
 // ConjunctionResult, solve_conjunction and the incremental variant live in

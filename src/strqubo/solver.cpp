@@ -16,12 +16,6 @@ namespace qsmt::strqubo {
 
 namespace {
 
-/// Budget of the warm refine stage. Deliberately small: it either polishes
-/// the old witness into the new constraints in a few sweeps or the
-/// samplers take over.
-constexpr anneal::ReverseAnnealerParams kWarmRefine{
-    .num_reads = 8, .num_sweeps = 64, .reheat_fraction = 0.35};
-
 void record_solve_verdict(bool satisfied) {
   static const auto sat = telemetry::counter("strqubo.solve.satisfied");
   static const auto unsat = telemetry::counter("strqubo.solve.unsatisfied");
@@ -231,6 +225,55 @@ bool verify_conjunction(const std::vector<Constraint>& conjuncts,
   return !accept || accept(text);
 }
 
+namespace {
+
+/// The verify stage's per-sample step, set up once per conjunction.
+class SampleVerifier {
+ public:
+  SampleVerifier(const std::vector<Constraint>& conjuncts,
+                 const WitnessFilter& accept)
+      : conjuncts_(conjuncts),
+        accept_(accept),
+        includes_(conjuncts.size() == 1
+                      ? std::get_if<Includes>(&conjuncts.front())
+                      : nullptr),
+        // String-producing conjunctions: the first 7 * length bits are the
+        // string; auxiliary variables (one-hot regex selectors,
+        // not-contains ancillas) follow them and the decoder ignores them.
+        string_bits_(includes_ != nullptr
+                         ? 0
+                         : constraint_num_variables(conjuncts.front())) {}
+
+  /// Decodes `bits` and verifies the decoding. Writes it and `energy` into
+  /// `result` when it verifies or when `keep` is set; returns whether it
+  /// verified (and then sets result.satisfied).
+  bool check(std::span<const std::uint8_t> bits, double energy, bool keep,
+             SolveResult& result) const {
+    bool satisfied = false;
+    if (includes_ != nullptr) {
+      const auto position = decode_includes_position(bits);
+      satisfied = verify_position(*includes_, position);
+      if (keep || satisfied) result.position = position;
+    } else {
+      std::string text = strenc::decode_string(
+          bits.subspan(0, std::min(string_bits_, bits.size())));
+      satisfied = verify_conjunction(conjuncts_, text, accept_);
+      if (keep || satisfied) result.text = std::move(text);
+    }
+    if (keep || satisfied) result.energy = energy;
+    if (satisfied) result.satisfied = true;
+    return satisfied;
+  }
+
+ private:
+  const std::vector<Constraint>& conjuncts_;
+  const WitnessFilter& accept_;
+  const Includes* includes_;
+  std::size_t string_bits_;
+};
+
+}  // namespace
+
 SolveResult decode_and_verify(const std::vector<Constraint>& conjuncts,
                               const anneal::SampleSet& samples,
                               const WitnessFilter& accept) {
@@ -243,30 +286,9 @@ SolveResult decode_and_verify(const std::vector<Constraint>& conjuncts,
   // bottom of the landscape (common for class encodings), fall through the
   // sample set in energy order and keep the first decoding that passes the
   // classical consistency check.
-  const auto* includes = conjuncts.size() == 1
-                             ? std::get_if<Includes>(&conjuncts.front())
-                             : nullptr;
-  // String-producing conjunctions: the first 7 * length bits are the
-  // string; auxiliary variables (one-hot regex selectors, not-contains
-  // ancillas) follow them and the decoder ignores them.
-  const std::size_t string_bits =
-      includes != nullptr ? 0 : constraint_num_variables(conjuncts.front());
+  const SampleVerifier verifier(conjuncts, accept);
   for (std::size_t s = 0; s < samples.size(); ++s) {
-    const anneal::Sample& sample = samples[s];
-    bool satisfied = false;
-    if (includes != nullptr) {
-      const auto position = decode_includes_position(sample.bits);
-      satisfied = verify_position(*includes, position);
-      if (s == 0 || satisfied) result.position = position;
-    } else {
-      std::string text = strenc::decode_string(std::span(sample.bits).subspan(
-          0, std::min(string_bits, sample.bits.size())));
-      satisfied = verify_conjunction(conjuncts, text, accept);
-      if (s == 0 || satisfied) result.text = std::move(text);
-    }
-    if (s == 0 || satisfied) result.energy = sample.energy;
-    if (satisfied) {
-      result.satisfied = true;
+    if (verifier.check(samples[s].bits, samples[s].energy, s == 0, result)) {
       break;
     }
   }
@@ -307,8 +329,20 @@ std::optional<SolveResult> warm_refine(const PreparedConstraint& prepared,
   anneal::ReverseAnnealerParams params = kWarmRefine;
   params.seed = seed;
   const anneal::ReverseAnnealer refiner(std::move(initial), params);
-  return decode_and_verify(prepared.conjuncts,
-                           refiner.sample(prepared.adjacency), accept);
+  // Each read is verified as it finishes and the first verified one ends
+  // the pass; every caller ignores the decoding of a pass that missed.
+  const SampleVerifier verifier(prepared.conjuncts, accept);
+  SolveResult result;
+  const std::size_t reads = refiner.sample_until(
+      prepared.adjacency,
+      [&](std::span<const std::uint8_t> bits, double energy) {
+        return verifier.check(bits, energy, true, result);
+      });
+  static const auto reads_per_pass = telemetry::histogram(
+      "strqubo.warm_refine.reads", telemetry::Unit::kCount);
+  reads_per_pass.record(static_cast<double>(reads));
+  record_solve_verdict(result.satisfied);
+  return result;
 }
 
 }  // namespace qsmt::strqubo

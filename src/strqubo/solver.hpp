@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "anneal/reverse.hpp"
 #include "anneal/sampler.hpp"
 #include "qubo/adjacency.hpp"
 #include "strqubo/builders.hpp"
@@ -42,7 +43,8 @@ struct SolveResult {
   /// Classical verification verdict on the decoded answer.
   bool satisfied = false;
   /// Energy of the sample the answer was decoded from (the lowest-energy
-  /// sample whose decoding verifies, else the overall lowest).
+  /// sample whose decoding verifies, else the overall lowest; warm_refine
+  /// reports its first verified read instead).
   double energy = 0.0;
   /// Number of QUBO variables in the built model.
   std::size_t num_variables = 0;
@@ -200,13 +202,25 @@ anneal::SampleSet sample(const anneal::Sampler& sampler,
 std::optional<SolveResult> presolve(const PreparedConstraint& prepared,
                                     const WitnessFilter& accept = {});
 
+/// Budget of the warm refine stage: at most 8 reverse-anneal reads of 64
+/// sweeps, run one at a time and stopped at the first read that verifies.
+/// Deliberately small: it either polishes the old witness into the new
+/// constraints in a few sweeps or the samplers take over. warm_refine
+/// replaces the seed with its caller's.
+inline constexpr anneal::ReverseAnnealerParams kWarmRefine{
+    .num_reads = 8, .num_sweeps = 64, .reheat_fraction = 0.35};
+
 /// Warm refine stage: one small reverse-anneal pass over the prepared
 /// model with every read seeded from a previously verified `witness`
-/// (auxiliary bits start at 0), then the verify stage. Returns nullopt
-/// without running when `witness` is not 7-bit ASCII or does not encode to
-/// exactly `prepared.string_bits` bits; otherwise the verdict. The caller
-/// counts the pass (incremental.warm.starts, and incremental.warm.hits when
-/// it decided the query): one fact, counted where its stats() reports it.
+/// (auxiliary bits start at 0). Each read goes through the verify step as
+/// soon as it finishes, and the pass stops at the first read that
+/// verifies, so it verifies exactly when one of its reads does; the
+/// answer is that first verified read (not necessarily the lowest-energy
+/// one), or the last read when none verifies. `samples` is left empty. Returns nullopt without running when `witness` is not 7-bit
+/// ASCII or does not encode to exactly `prepared.string_bits` bits;
+/// otherwise the verdict. The caller counts the pass
+/// (incremental.warm.starts, and incremental.warm.hits when it decided the
+/// query): one fact, counted where its stats() reports it.
 std::optional<SolveResult> warm_refine(const PreparedConstraint& prepared,
                                        const std::string& witness,
                                        std::uint64_t seed,

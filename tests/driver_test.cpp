@@ -315,12 +315,35 @@ TEST(SmtDriver, CheckSatAssumingUndeclaredSymbolRepliesError) {
     (declare-const x String)
     (assert (= x "ab"))
     (check-sat-assuming ((= (str.len y) 2)))
-    (check-sat)
   )");
-  EXPECT_EQ(out,
-            "(error \"check-sat-assuming: undeclared symbol 'y'\")\nsat\n");
+  EXPECT_EQ(out, "(error \"check-sat-assuming: undeclared symbol 'y'\")\n");
   // The failed check left no verdict behind.
+  EXPECT_TRUE(driver.history().empty());
+  EXPECT_EQ(driver.run_script("(check-sat)"), "sat\n");
   EXPECT_EQ(driver.history().size(), 1u);
+}
+
+TEST(SmtDriver, SessionWithoutResetKeepsOnlyTheLastRecord) {
+  // A long-lived session (a daemon connection that never sends (reset))
+  // must not grow with the check-sats it has served.
+  const auto annealer = fast_annealer(28);
+  SmtDriver driver(annealer);
+  driver.run_script(R"(
+    (declare-const x String)
+    (assert (= (str.len x) 2))
+  )");
+  for (int i = 0; i < 300; ++i) {
+    const std::string value{static_cast<char>('a' + i % 26),
+                            static_cast<char>('a' + i / 26 % 26)};
+    const std::string out = driver.run_script(
+        "(check-sat-assuming ((= x \"" + value + "\")))(get-model)");
+    ASSERT_EQ(out,
+              "sat\n(model (define-fun x () String \"" + value + "\"))\n");
+    ASSERT_EQ(driver.history().size(), 1u);
+    EXPECT_EQ(driver.history().back().model_value, value);
+  }
+  driver.run_script("(reset)");
+  EXPECT_TRUE(driver.history().empty());
 }
 
 TEST(SmtDriver, PushPopWithLevels) {

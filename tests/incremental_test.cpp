@@ -15,6 +15,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "anneal/exact.hpp"
@@ -227,22 +228,34 @@ TEST(IncrementalDriver, UnchangedResolveReusesTheWitness) {
 TEST(IncrementalDriver, AssumptionsDoNotOutliveTheirCheck) {
   const anneal::ExactSolver exact;
   SmtDriver driver(exact);
-  const std::string out = driver.run_script(R"(
+  driver.run_script(R"(
     (declare-const x String)
     (assert (= (str.len x) 2))
     (assert (str.prefixof "a" x))
-    (check-sat-assuming ((str.suffixof "b" x)))
-    (check-sat-assuming ((str.suffixof "c" x)))
-    (check-sat-assuming ((= x "cc")))
-    (check-sat)
   )");
-  EXPECT_EQ(out, "sat\nsat\nunsat\nsat\n");
-  ASSERT_EQ(driver.history().size(), 4u);
-  EXPECT_EQ(driver.history()[0].model_value, "ab");
-  EXPECT_EQ(driver.history()[1].model_value, "ac");
+  // The driver keeps only its last record, so each check is read back as
+  // soon as it ran.
+  const auto check = [&](const std::string& command) {
+    const std::string out = driver.run_script(command);
+    EXPECT_EQ(driver.history().size(), 1u) << command;
+    return std::pair{out, driver.history().back()};
+  };
+  const auto [out_b, suffix_b] =
+      check(R"((check-sat-assuming ((str.suffixof "b" x))))");
+  EXPECT_EQ(out_b, "sat\n");
+  EXPECT_EQ(suffix_b.model_value, "ab");
+  const auto [out_c, suffix_c] =
+      check(R"((check-sat-assuming ((str.suffixof "c" x))))");
+  EXPECT_EQ(out_c, "sat\n");
+  EXPECT_EQ(suffix_c.model_value, "ac");
+  const auto [out_cc, exact_cc] = check(R"((check-sat-assuming ((= x "cc"))))");
+  EXPECT_EQ(out_cc, "unsat\n");
+  EXPECT_EQ(exact_cc.status, CheckSatStatus::kUnsat);
   // The plain check still sees only the asserted prefix.
-  EXPECT_EQ(driver.history()[3].status, CheckSatStatus::kSat);
-  EXPECT_EQ(driver.history()[3].model_value.front(), 'a');
+  const auto [out_plain, plain] = check("(check-sat)");
+  EXPECT_EQ(out_plain, "sat\n");
+  EXPECT_EQ(plain.status, CheckSatStatus::kSat);
+  EXPECT_EQ(plain.model_value.front(), 'a');
 }
 
 // ---------------------------------------------------------------------------

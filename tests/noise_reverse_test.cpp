@@ -232,6 +232,56 @@ TEST(ReverseAnnealer, DeterministicInSeed) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].bits, b[i].bits);
 }
 
+TEST(ReverseAnnealer, SampleUntilRunsTheReadsSampleKeeps) {
+  // Visiting every read and aggregating reproduces sample() exactly: both
+  // run the same read loop.
+  Xoshiro256 rng(9);
+  const auto model = random_model(12, rng);
+  const qubo::QuboAdjacency adjacency(model);
+  std::vector<std::uint8_t> start(12, 0);
+  start[2] = start[7] = 1;
+  ReverseAnnealerParams p;
+  p.num_reads = 6;
+  p.num_sweeps = 32;
+  p.seed = 13;
+  const ReverseAnnealer sampler(start, p);
+  SampleSet visited;
+  const std::size_t reads = sampler.sample_until(
+      adjacency, [&](std::span<const std::uint8_t> bits, double energy) {
+        EXPECT_DOUBLE_EQ(energy, adjacency.energy(bits));
+        visited.add(std::vector<std::uint8_t>(bits.begin(), bits.end()),
+                    energy);
+        return false;
+      });
+  EXPECT_EQ(reads, p.num_reads);
+  EXPECT_EQ(visited.size(), p.num_reads);
+  visited.aggregate();
+  const SampleSet sampled = sampler.sample(adjacency);
+  ASSERT_EQ(visited.size(), sampled.size());
+  for (std::size_t i = 0; i < sampled.size(); ++i) {
+    EXPECT_EQ(visited[i].bits, sampled[i].bits);
+    EXPECT_EQ(visited[i].energy, sampled[i].energy);
+    EXPECT_EQ(visited[i].num_occurrences, sampled[i].num_occurrences);
+  }
+}
+
+TEST(ReverseAnnealer, SampleUntilStopsAfterTheAcceptedRead) {
+  Xoshiro256 rng(10);
+  const auto model = random_model(10, rng);
+  const qubo::QuboAdjacency adjacency(model);
+  ReverseAnnealerParams p;
+  p.num_reads = 8;
+  p.seed = 3;
+  const ReverseAnnealer sampler(std::vector<std::uint8_t>(10, 1), p);
+  std::size_t visits = 0;
+  EXPECT_EQ(sampler.sample_until(adjacency,
+                                 [&](std::span<const std::uint8_t>, double) {
+                                   return ++visits == 3;
+                                 }),
+            3u);
+  EXPECT_EQ(visits, 3u);
+}
+
 TEST(ReverseAnnealer, NameIsStable) {
   EXPECT_EQ(ReverseAnnealer({}, {}).name(), "reverse-annealing");
 }
