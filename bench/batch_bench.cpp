@@ -3,15 +3,15 @@
 // writes BENCH_batch.json (in the CWD; run from the repo root to refresh
 // the tracked baseline); `--smoke` writes no JSON.
 //
-// Replica sweep — SimulatedAnnealer::sample at num_reads in
-// {1, 4, 8, 16, 32} with SweepMode::kScalar (the oracle, i.e. the
-// pre-substrate single-read path run per read) vs SweepMode::kBatched on
-// the string-QUBO workloads palindrome(8) and palindrome(16). Both sides
-// run on the calling thread, as every sampler does, so this bench measures
-// per-core substrate throughput. Thread scaling comes from the SolveService
-// pool and is covered by the service bench. Every (workload, reads) cell
-// asserts full bit-identity of the two sample sets before its timing is
-// trusted.
+// Replica sweep — at num_reads in {1, 4, 8, 16, 32}, a scalar read loop
+// over detail::anneal_read (the oracle, i.e. the pre-substrate single-read
+// path run per read) vs SimulatedAnnealer::sample, which always runs the
+// batched kernel, on the string-QUBO workloads palindrome(8) and
+// palindrome(16). Both sides run on the calling thread, as every sampler
+// does, so this bench measures per-core substrate throughput. Thread
+// scaling comes from the SolveService pool and is covered by the service
+// bench. Every (workload, reads) cell asserts full bit-identity of the two
+// sample sets before its timing is trusted.
 //
 // Timings are min-of-reps (see bench/hotpath_bench.cpp for the rationale).
 // The acceptance bar for the substrate is >= 3x reads/second over the
@@ -28,7 +28,10 @@
 #include <vector>
 
 #include "anneal/batched_kernel.hpp"
+#include "anneal/context.hpp"
+#include "anneal/greedy.hpp"
 #include "anneal/sample_set.hpp"
+#include "anneal/schedule.hpp"
 #include "anneal/simulated_annealer.hpp"
 #include "qubo/adjacency.hpp"
 #include "qubo/qubo_model.hpp"
@@ -83,6 +86,32 @@ anneal::SimulatedAnnealerParams base_params(std::size_t num_reads) {
   return params;
 }
 
+/// The scalar baseline: sample()'s reads run one at a time through
+/// detail::anneal_read on the same Xoshiro256(seed, read) streams and the
+/// default quench schedule, then the same polish and energy.
+anneal::SampleSet scalar_read_loop(
+    const qubo::QuboAdjacency& adjacency,
+    const anneal::SimulatedAnnealerParams& params) {
+  const anneal::BetaRange range = anneal::default_beta_range(adjacency);
+  const std::vector<double> betas = anneal::make_quench_schedule(
+      range.hot, range.cold, params.num_sweeps, params.beta_interpolation);
+  anneal::AnnealContext& ctx = anneal::thread_local_context();
+  ctx.prepare(adjacency.num_variables());
+  anneal::SampleSet set;
+  for (std::size_t r = 0; r < params.num_reads; ++r) {
+    Xoshiro256 rng(params.seed, r);
+    for (auto& b : ctx.bits) b = rng.coin() ? 1 : 0;
+    anneal::detail::anneal_read(adjacency, betas, rng, ctx);
+    anneal::detail::greedy_descend(adjacency, ctx.bits, ctx.field);
+    anneal::Sample out;
+    out.energy = adjacency.energy(ctx.bits);
+    out.bits.assign(ctx.bits.begin(), ctx.bits.end());
+    set.add(std::move(out));
+  }
+  set.aggregate();
+  return set;
+}
+
 /// Min-of-reps wall time of `fn()` (first call also returns its result via
 /// the out param so identity checks reuse the timed work).
 template <typename Fn, typename Result>
@@ -104,16 +133,13 @@ ReplicaCell bench_replicas(const Workload& workload, std::size_t num_reads,
   cell.num_variables = workload.adjacency.num_variables();
   cell.num_reads = num_reads;
 
-  anneal::SimulatedAnnealerParams scalar_params = base_params(num_reads);
-  scalar_params.sweep_mode = anneal::SweepMode::kScalar;
-  const anneal::SimulatedAnnealer scalar(scalar_params);
-  anneal::SimulatedAnnealerParams batched_params = base_params(num_reads);
-  batched_params.sweep_mode = anneal::SweepMode::kBatched;
-  const anneal::SimulatedAnnealer batched(batched_params);
+  const anneal::SimulatedAnnealerParams params = base_params(num_reads);
+  const anneal::SimulatedAnnealer batched(params);
 
   anneal::SampleSet scalar_set;
   cell.scalar_seconds = time_min(
-      reps, [&] { return scalar.sample(workload.adjacency); }, scalar_set);
+      reps, [&] { return scalar_read_loop(workload.adjacency, params); },
+      scalar_set);
   anneal::SampleSet batched_set;
   cell.batched_seconds = time_min(
       reps, [&] { return batched.sample(workload.adjacency); }, batched_set);

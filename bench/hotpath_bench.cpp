@@ -5,7 +5,7 @@
 //   1. Sweep throughput — the post-overhaul read path (screened exp-free
 //      kernel + anneal-then-quench default schedule + zero-flip early
 //      exit) vs the pre-overhaul read path (per-flip std::exp kernel on
-//      the plain geometric schedule, detail::anneal_read_reference).
+//      the plain geometric schedule, anneal_read_reference below).
 //      Both sides run num_reads=32 / num_sweeps=256 single-threaded with
 //      the greedy polish sample() applies, and report best/mean energies
 //      so quality parity is visible next to the speedup. Timings are the
@@ -30,6 +30,7 @@
 // one-hot exclusion penalties). The default paper-averaged regex encoding
 // is purely linear, so the one-hot encoding is the quadratic workload.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
@@ -108,6 +109,30 @@ struct KernelResult {
   EnergyStats new_energy;
 };
 
+// The pre-overhaul kernel: per-flip std::exp, a uniform drawn only on
+// uphill candidates, no early exit. The baseline of the sweep-throughput
+// comparison.
+void anneal_read_reference(const qubo::QuboAdjacency& adjacency,
+                           std::span<const double> betas, Xoshiro256& rng,
+                           std::vector<std::uint8_t>& bits) {
+  const std::size_t n = adjacency.num_variables();
+  std::vector<double> field(n);
+  for (std::size_t i = 0; i < n; ++i) field[i] = adjacency.local_field(bits, i);
+
+  for (double beta : betas) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double delta = bits[i] ? -field[i] : field[i];
+      if (delta <= 0.0 || rng.uniform() < std::exp(-delta * beta)) {
+        const double step = bits[i] ? -1.0 : 1.0;
+        bits[i] ^= 1u;
+        for (const auto& nb : adjacency.neighbors(i)) {
+          field[nb.index] += nb.coefficient * step;
+        }
+      }
+    }
+  }
+}
+
 // One timed repetition of the pre-overhaul read path: per-flip-exp kernel,
 // plain geometric schedule, greedy polish — what sample() did before the
 // overhaul. Records wall seconds and per-read energies (energy recording
@@ -123,7 +148,7 @@ void run_reference(const qubo::QuboAdjacency& adjacency,
   for (std::size_t read = 0; read < kNumReads; ++read) {
     Xoshiro256 rng(kSeed, read);
     for (std::size_t i = 0; i < n; ++i) bits[i] = rng.coin() ? 1 : 0;
-    anneal::detail::anneal_read_reference(adjacency, betas, rng, bits);
+    anneal_read_reference(adjacency, betas, rng, bits);
     anneal::detail::greedy_descend(adjacency, bits);
     energies[read] = adjacency.energy(bits);
   }

@@ -70,7 +70,12 @@ docs/*.md, plus any root-level markdown they link to):
       router and the service pipelines counted the last of them;
     - `submit_pipeline` or `PipelineJob`. A service job yields one
       verdict and runs no caller code on completion; the paper's
-      sequential combination is strqubo::Pipeline, in-process.
+      sequential combination is strqubo::Pipeline, in-process;
+    - `SweepMode` or `sweep_mode`. SimulatedAnnealer::sample always runs
+      the batched kernel, so there is no sweep substrate to choose.
+    No file under src/ may mention `anneal_read_reference`: the
+    pre-overhaul kernel is the hot-path bench's baseline and lives in
+    bench/hotpath_bench.cpp.
 
 12. One LRU: no file under src/ other than src/util/lru_cache.hpp may
     use `std::list<` or `.splice(`. Every cache layer is a util::LruCache,
@@ -118,6 +123,12 @@ DELETED_NAMES = {
     "that counted them are gone": re.compile(r"(?<![\w.])route\.[a-z_]"),
     "the service's pipeline job kind is gone; strqubo::Pipeline chains "
     "stages in-process": re.compile(r"\bsubmit_pipeline\b|\bPipelineJob\b"),
+    "SimulatedAnnealer always runs the batched kernel; the sweep-substrate "
+    "switch is gone": re.compile(r"\bSweepMode\b|\bsweep_mode\b"),
+}
+SRC_DELETED_NAMES = {
+    "the pre-overhaul kernel is a bench baseline; it lives in "
+    "bench/hotpath_bench.cpp": re.compile(r"\banneal_read_reference\b"),
 }
 ONE_PATH_RES = {
     "anneal::presolve(": re.compile(r"anneal::presolve\("),
@@ -268,9 +279,12 @@ def check_deleted_names() -> list:
     errors = []
     paths = [p for top in CODE_DIRS for p in files_under(top)] + DOC_FILES
     for path in paths:
+        names = DELETED_NAMES
+        if path.is_relative_to(REPO / "src"):
+            names = {**DELETED_NAMES, **SRC_DELETED_NAMES}
         text = path.read_text(encoding="utf-8", errors="replace")
         for number, line in enumerate(text.splitlines(), 1):
-            for reason, pattern in DELETED_NAMES.items():
+            for reason, pattern in names.items():
                 if pattern.search(line):
                     errors.append(
                         f"{path.relative_to(REPO)}:{number}: {reason}")

@@ -94,9 +94,11 @@ fi
 # snapshots read across threads, and the Tallies every component counts
 # into), plus the reverse annealer and the warm refine stage that stops its
 # read loop early (noise_reverse_test, warm_refine_test: the thread-local
-# anneal context handed to a visitor mid-loop). The binaries run directly
-# (rather than via ctest) so the subset is exact regardless of which gtest
-# case names discovery registered.
+# anneal context handed to a visitor mid-loop), plus parallel tempering and
+# population annealing (extensions_test), whose replicas and walkers run
+# the scalar Metropolis sweep over their own bit and field arrays. The
+# binaries run directly (rather than via ctest) so the subset is exact
+# regardless of which gtest case names discovery registered.
 subset=(annealer_test hotpath_test batched_kernel_test qubo_builder_test
         qubo_model_test adjacency_test sample_set_test schedule_test
         builders_test pimc_test embedding_test embedded_sampler_test
@@ -104,7 +106,7 @@ subset=(annealer_test hotpath_test batched_kernel_test qubo_builder_test
         service_test conformance_test corpus_test
         server_test server_stress_test incremental_test
         canon_test answer_cache_test answer_fuzz_test lru_cache_test
-        telemetry_test noise_reverse_test warm_refine_test)
+        telemetry_test noise_reverse_test warm_refine_test extensions_test)
 
 for san in address undefined; do
   echo "=== ${san} sanitizer build (build-${san}/) ==="

@@ -55,6 +55,13 @@ std::uint64_t sweep_scalar(const BatchedBlockView& view, double beta,
   return flipped_lanes;
 }
 
+std::size_t early_exit_from(std::span<const double> betas) {
+  if (betas.empty()) return 0;
+  std::size_t from = betas.size() - 1;
+  while (from > 0 && betas[from - 1] <= betas[from]) --from;
+  return from;
+}
+
 }  // namespace detail
 
 bool batched_avx2_enabled() {
@@ -94,32 +101,19 @@ BatchedSweepKernel::BatchedSweepKernel(const qubo::QuboAdjacency& adjacency,
 
 void BatchedSweepKernel::run(std::span<const double> betas,
                              bool allow_early_exit, bool force_scalar) {
-  scheduled_sweeps_ = betas.size();
-  const bool use_avx2 = !force_scalar && batched_avx2_enabled();
-  used_avx2_ = use_avx2;
-
-  // Same arming rule as the scalar kernel: the zero-flip exit is sound only
-  // within the schedule's longest non-decreasing suffix.
-  std::size_t monotone_from = 0;
-  if (allow_early_exit && !betas.empty()) {
-    monotone_from = betas.size() - 1;
-    while (monotone_from > 0 &&
-           betas[monotone_from - 1] <= betas[monotone_from]) {
-      --monotone_from;
-    }
-  }
-
-  const std::size_t blocks =
-      (num_lanes() + detail::kBatchedLanes - 1) / detail::kBatchedLanes;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    run_block(b, betas, monotone_from, allow_early_exit, use_avx2);
+  for (std::size_t b = 0; b < num_blocks(); ++b) {
+    run_block(b, betas, allow_early_exit, force_scalar);
   }
 }
 
 void BatchedSweepKernel::run_block(std::size_t block,
                                    std::span<const double> betas,
-                                   std::size_t monotone_from,
-                                   bool allow_early_exit, bool use_avx2) {
+                                   bool allow_early_exit, bool force_scalar) {
+  scheduled_sweeps_ = betas.size();
+  const bool use_avx2 = !force_scalar && batched_avx2_enabled();
+  used_avx2_ = use_avx2;
+  const std::size_t monotone_from = detail::early_exit_from(betas);
+
   const std::size_t n = adjacency_->num_variables();
   const std::size_t first = block * detail::kBatchedLanes;
   const std::size_t lanes =
@@ -137,7 +131,7 @@ void BatchedSweepKernel::run_block(std::size_t block,
   view.adjacency = adjacency_;
 
   // Lane setup: counter-seeded stream and random initial bits, exactly the
-  // scalar path's Xoshiro256(seed, read) followed by n coin() draws.
+  // scalar read's Xoshiro256(seed, read) followed by n coin() draws.
   std::fill_n(view.spins, n, 0);
   for (std::size_t l = 0; l < lanes; ++l) {
     scratch.rngs[l] = Xoshiro256(seed_, first + l);
@@ -147,9 +141,9 @@ void BatchedSweepKernel::run_block(std::size_t block,
     }
   }
 
-  // A token cancelled before the block's first sweep matches the scalar
-  // path's "cancelled before read": the lanes keep their random initial
-  // bits and record no read stats.
+  // A token cancelled before the block's first sweep leaves its lanes
+  // unannealed: they keep their random initial bits and record no read
+  // stats.
   const auto cancelled = [this] {
     return cancel_.cancellable() && cancel_.cancelled();
   };

@@ -15,12 +15,12 @@
 //   uniforms[i * kStride + l]   lane l's bulk U[0,1) draw for variable i,
 //                               regenerated once per sweep per active lane
 //
-// Lanes are grouped into blocks of kBatchedLanesPerBlock; blocks are
-// independent (their lane state never interacts) and run one after another
-// on the calling thread. Within a block the sweep
+// Lanes are grouped into blocks of kBatchedLanes; blocks are independent
+// (their lane state never interacts) and run one after another on the
+// calling thread. Within a block the sweep
 // is vectorized with AVX2 when the CPU supports it (runtime dispatch; set
 // QSMT_NO_AVX2=1 to force the portable scalar fallback). Both paths produce
-// bit-identical results to the retained scalar kernel (detail::anneal_read):
+// bit-identical results to the scalar kernel (detail::anneal_read):
 // every lane consumes the same counter-seeded RNG stream in the same order,
 // the screened Metropolis test is evaluated with the exact operation
 // sequence of metropolis.hpp (explicit mul/add — never FMA, which would
@@ -83,6 +83,13 @@ std::uint64_t sweep_scalar(const BatchedBlockView& view, double beta,
 std::uint64_t sweep_avx2(const BatchedBlockView& view, double beta,
                          std::uint64_t* lane_flips);
 
+/// First sweep at which the zero-flip early exit may fire: the start of the
+/// schedule's longest non-decreasing suffix, so every later sweep is at
+/// least as cold. Before it (a reverse-anneal schedule's reheat, say) a
+/// zero-flip sweep says nothing about the sweeps ahead. Shared by the
+/// batched kernel and detail::anneal_read.
+std::size_t early_exit_from(std::span<const double> betas);
+
 /// True when this binary carries the AVX2 translation unit (compiled with
 /// -mavx2); false on toolchains/targets without it, where the scalar
 /// fallback is the only path.
@@ -95,10 +102,11 @@ bool batched_avx2_compiled() noexcept;
 bool batched_avx2_enabled();
 
 /// The batched multi-replica sweep kernel. Lane l is replica l, seeded as
-/// Xoshiro256(seed, l) — exactly the stream the scalar path's read l uses.
-/// run() anneals every lane through a β schedule; afterwards the per-lane
-/// final bits and local fields are available for polish/energy,
-/// bit-identical to what the scalar kernel leaves in its AnnealContext.
+/// Xoshiro256(seed, l) — exactly the stream a detail::anneal_read loop's
+/// read l uses. run() anneals every lane through a β schedule; afterwards
+/// the per-lane final bits and local fields are available for
+/// polish/energy, bit-identical to what the scalar kernel leaves in its
+/// AnnealContext.
 class BatchedSweepKernel {
  public:
   /// `adjacency` must outlive the kernel; `num_replicas` must be >= 1.
@@ -106,36 +114,42 @@ class BatchedSweepKernel {
                      std::size_t num_replicas, CancelToken cancel = {});
 
   std::size_t num_lanes() const noexcept { return num_lanes_; }
+  /// Lane blocks: lanes [b * kBatchedLanes, (b + 1) * kBatchedLanes) form
+  /// block b, the last one possibly partial.
+  std::size_t num_blocks() const noexcept {
+    return (num_lanes_ + detail::kBatchedLanes - 1) / detail::kBatchedLanes;
+  }
 
-  /// Anneals every lane through `betas` (initial bits drawn from the lane's
-  /// own stream, exactly like the scalar path). `allow_early_exit` arms the
-  /// per-lane zero-flip exit within the schedule's longest non-decreasing
-  /// suffix. `force_scalar` pins the portable sweep path regardless of the
-  /// runtime dispatch — the in-process AVX2-vs-scalar identity tests use it.
-  /// May be called once per kernel.
+  /// Anneals every lane through `betas`: run_block() for each block in
+  /// order. May be called once per kernel.
   void run(std::span<const double> betas, bool allow_early_exit = true,
            bool force_scalar = false);
 
-  /// Final per-lane state after run(): one 0/1 byte per variable, and the
-  /// incrementally-maintained local fields (current, so a greedy polish can
-  /// skip its own rebuild).
+  /// Anneals block `block`'s lanes through `betas` (initial bits drawn from
+  /// each lane's own stream, exactly like detail::anneal_read's caller).
+  /// `allow_early_exit` arms the per-lane zero-flip exit from
+  /// detail::early_exit_from(betas) on. `force_scalar` pins the portable
+  /// sweep path regardless of the runtime dispatch — the in-process
+  /// AVX2-vs-scalar identity tests use it. Each block may run once.
+  void run_block(std::size_t block, std::span<const double> betas,
+                 bool allow_early_exit = true, bool force_scalar = false);
+
+  /// Final per-lane state once the lane's block has run: one 0/1 byte per
+  /// variable, and the incrementally-maintained local fields (current, so a
+  /// greedy polish can skip its own rebuild).
   std::span<const std::uint8_t> lane_bits(std::size_t lane) const;
   std::span<const double> lane_field(std::size_t lane) const;
 
   /// Per-lane read statistics in the scalar kernel's ReadStats shape.
   ReadStats lane_stats(std::size_t lane) const;
   /// False when the token was already cancelled before the lane's first
-  /// sweep — the scalar path records no ReadStats for such reads.
+  /// sweep — no ReadStats are recorded for such reads.
   bool lane_annealed(std::size_t lane) const;
 
-  /// True when the last run() took the AVX2 sweep path.
+  /// True when the last block run took the AVX2 sweep path.
   bool used_avx2() const noexcept { return used_avx2_; }
 
  private:
-  void run_block(std::size_t block, std::span<const double> betas,
-                 std::size_t monotone_from, bool allow_early_exit,
-                 bool use_avx2);
-
   const qubo::QuboAdjacency* adjacency_;
   std::uint64_t seed_;
   std::size_t num_lanes_;

@@ -5,7 +5,6 @@
 
 #include "anneal/context.hpp"
 #include "anneal/greedy.hpp"
-#include "anneal/metropolis.hpp"
 #include "anneal/simulated_annealer.hpp"
 #include "qubo/adjacency.hpp"
 #include "telemetry/telemetry.hpp"
@@ -32,17 +31,14 @@ struct Walker {
   double energy = 0.0;
 };
 
-// Exp-free Metropolis sweeps (screened accept, see simulated_annealer.hpp).
-// `ctx` supplies the field and uniform scratch buffers; walkers keep only
-// their bits and energy, so resampling copies stay cheap.
+// `sweeps` exp-free Metropolis sweeps of `walker` at `beta`. `ctx` supplies
+// the field and uniform scratch buffers; walkers keep only their bits and
+// energy, so resampling copies stay cheap.
 // Returns the number of accepted flips (telemetry).
 std::size_t metropolis_sweeps(const qubo::QuboAdjacency& adjacency,
                               Walker& walker, double beta, std::size_t sweeps,
                               Xoshiro256& rng, AnnealContext& ctx) {
   const std::size_t n = adjacency.num_variables();
-  std::size_t flips = 0;
-  auto& field = ctx.field;
-  auto& uniforms = ctx.uniforms;
   // One O(n·deg) field build per (walker, beta) call, then incremental
   // updates for all `sweeps` sweeps. The rebuild cannot be hoisted across
   // calls: resampling duplicates and kills walkers between beta steps, and
@@ -50,22 +46,13 @@ std::size_t metropolis_sweeps(const qubo::QuboAdjacency& adjacency,
   // would then cost O(n) doubles each) — so the shared ctx.field must be
   // refreshed for whichever bits this walker now holds.
   for (std::size_t i = 0; i < n; ++i) {
-    field[i] = adjacency.local_field(walker.bits, i);
+    ctx.field[i] = adjacency.local_field(walker.bits, i);
   }
+  std::size_t flips = 0;
   for (std::size_t s = 0; s < sweeps; ++s) {
-    for (std::size_t i = 0; i < n; ++i) uniforms[i] = rng.uniform();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double delta = walker.bits[i] ? -field[i] : field[i];
-      if (detail::metropolis_accept(beta * delta, uniforms[i])) {
-        const double step = walker.bits[i] ? -1.0 : 1.0;
-        walker.bits[i] ^= 1u;
-        ++flips;
-        walker.energy += delta;
-        for (const auto& nb : adjacency.neighbors(i)) {
-          field[nb.index] += nb.coefficient * step;
-        }
-      }
-    }
+    flips += detail::metropolis_sweep(adjacency, beta, rng, walker.bits,
+                                      ctx.field, ctx.uniforms,
+                                      &walker.energy);
   }
   return flips;
 }

@@ -1,6 +1,5 @@
 #include "anneal/simulated_annealer.hpp"
 
-#include <cmath>
 #include <vector>
 
 #include "anneal/batched_kernel.hpp"
@@ -20,28 +19,42 @@ SimulatedAnnealer::SimulatedAnnealer(SimulatedAnnealerParams params)
 
 namespace detail {
 
+std::size_t metropolis_sweep(const qubo::QuboAdjacency& adjacency, double beta,
+                             Xoshiro256& rng, std::span<std::uint8_t> bits,
+                             std::span<double> field,
+                             std::span<double> uniforms, double* energy) {
+  const std::size_t n = adjacency.num_variables();
+  // Bulk uniforms up front (the generation loop is branch-free and
+  // independent of the sweep state); the acceptance test itself is the
+  // screened exact-Metropolis compare from metropolis.hpp, which touches
+  // std::exp only inside its narrow ambiguity band.
+  for (std::size_t i = 0; i < n; ++i) uniforms[i] = rng.uniform();
+  std::size_t flips = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double delta = bits[i] ? -field[i] : field[i];
+    if (metropolis_accept(beta * delta, uniforms[i])) {
+      const double step = bits[i] ? -1.0 : 1.0;
+      bits[i] ^= 1u;
+      ++flips;
+      if (energy != nullptr) *energy += delta;
+      for (const auto& nb : adjacency.neighbors(i)) {
+        field[nb.index] += nb.coefficient * step;
+      }
+    }
+  }
+  return flips;
+}
+
 std::size_t anneal_read(const qubo::QuboAdjacency& adjacency,
                         std::span<const double> betas, Xoshiro256& rng,
                         AnnealContext& ctx, bool allow_early_exit,
                         const CancelToken* cancel) {
   const std::size_t n = adjacency.num_variables();
-  auto& bits = ctx.bits;
-  auto& field = ctx.field;
-  auto& uniforms = ctx.uniforms;
   // Incrementally maintained local fields: field[i] = q_ii + Σ_j q_ij x_j.
-  for (std::size_t i = 0; i < n; ++i) field[i] = adjacency.local_field(bits, i);
-
-  // The zero-flip early exit is sound only while every remaining sweep is at
-  // least as cold as the current one. Reverse-annealing schedules start cold,
-  // dip hot, and come back, so restrict the exit to the longest
-  // non-decreasing suffix of the schedule: before `monotone_from` (i.e.
-  // before the dip) a zero-flip sweep says nothing about the sweeps ahead.
-  std::size_t monotone_from = 0;
-  if (allow_early_exit && !betas.empty()) {
-    monotone_from = betas.size() - 1;
-    while (monotone_from > 0 && betas[monotone_from - 1] <= betas[monotone_from])
-      --monotone_from;
+  for (std::size_t i = 0; i < n; ++i) {
+    ctx.field[i] = adjacency.local_field(ctx.bits, i);
   }
+  const std::size_t monotone_from = early_exit_from(betas);
 
   std::size_t total_flips = 0;
   std::size_t executed = 0;
@@ -52,26 +65,9 @@ std::size_t anneal_read(const qubo::QuboAdjacency& adjacency,
     // cancelled read simply returns what it has annealed so far.
     if (cancel && cancel->cancelled()) break;
     ++executed;
-    const double beta = betas[s];
-    // Bulk uniforms up front (the generation loop is branch-free and
-    // independent of the sweep state); the acceptance test itself is the
-    // screened exact-Metropolis compare from metropolis.hpp, which touches
-    // std::exp only inside its narrow ambiguity band.
-    for (std::size_t i = 0; i < n; ++i) {
-      uniforms[i] = rng.uniform();
-    }
-    std::size_t flips = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double delta = bits[i] ? -field[i] : field[i];
-      if (metropolis_accept(beta * delta, uniforms[i])) {
-        const double step = bits[i] ? -1.0 : 1.0;
-        bits[i] ^= 1u;
-        ++flips;
-        for (const auto& nb : adjacency.neighbors(i)) {
-          field[nb.index] += nb.coefficient * step;
-        }
-      }
-    }
+    const std::size_t flips = metropolis_sweep(adjacency, betas[s], rng,
+                                               ctx.bits, ctx.field,
+                                               ctx.uniforms);
     total_flips += flips;
     // A zero-flip sweep means the state is a local minimum AND every uphill
     // proposal was rejected; once inside the non-decreasing suffix the
@@ -88,42 +84,11 @@ std::size_t anneal_read(const qubo::QuboAdjacency& adjacency,
   return total_flips;
 }
 
-void anneal_read(const qubo::QuboAdjacency& adjacency,
-                 std::span<const double> betas, Xoshiro256& rng,
-                 std::vector<std::uint8_t>& bits, bool allow_early_exit) {
-  AnnealContext& ctx = thread_local_context();
-  ctx.prepare(bits.size());
-  ctx.bits.swap(bits);
-  anneal_read(adjacency, betas, rng, ctx, allow_early_exit);
-  ctx.bits.swap(bits);
-}
-
-void anneal_read_reference(const qubo::QuboAdjacency& adjacency,
-                           std::span<const double> betas, Xoshiro256& rng,
-                           std::vector<std::uint8_t>& bits) {
-  const std::size_t n = adjacency.num_variables();
-  std::vector<double> field(n);
-  for (std::size_t i = 0; i < n; ++i) field[i] = adjacency.local_field(bits, i);
-
-  for (double beta : betas) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double delta = bits[i] ? -field[i] : field[i];
-      if (delta <= 0.0 || rng.uniform() < std::exp(-delta * beta)) {
-        const double step = bits[i] ? -1.0 : 1.0;
-        bits[i] ^= 1u;
-        for (const auto& nb : adjacency.neighbors(i)) {
-          field[nb.index] += nb.coefficient * step;
-        }
-      }
-    }
-  }
-}
-
 }  // namespace detail
 
 namespace {
 
-/// The β schedule sample() runs, shared by the scalar and batched paths.
+/// The β schedule sample() runs (never empty: num_sweeps >= 1).
 /// With a fully defaulted β range, use the anneal-then-quench schedule: the
 /// quench tail freezes each read so the kernel's zero-flip early exit fires
 /// well before the nominal sweep count, which is where most of the measured
@@ -142,36 +107,54 @@ std::vector<double> sample_schedule(const qubo::QuboAdjacency& adjacency,
                                    params.beta_interpolation);
 }
 
-/// The batched branch of SimulatedAnnealer::sample: every read is a lane of
-/// one BatchedSweepKernel, then each lane gets the scalar path's per-read
-/// tail (greedy polish + energy) off the kernel's final bits/fields.
-/// Bit-identical to the scalar loop. Emits the anneal.batch.* counters
-/// (docs/telemetry.md).
-SampleSet sample_on_kernel(const qubo::QuboAdjacency& adjacency,
-                           const SimulatedAnnealerParams& params) {
-  const std::size_t n = adjacency.num_variables();
-  const std::vector<double> betas = sample_schedule(adjacency, params);
+/// Start and length of one block's run, for its reads' trace slices.
+struct BlockInterval {
+  double ts_us = 0.0;
+  double dur_us = 0.0;
+};
 
-  BatchedSweepKernel kernel(adjacency, params.seed, params.num_reads,
-                            params.cancel);
+}  // namespace
+
+SampleSet SimulatedAnnealer::sample(const qubo::QuboModel& model) const {
+  return sample(qubo::QuboAdjacency(model));
+}
+
+/// Every read is a lane of one BatchedSweepKernel; each lane then gets the
+/// per-read tail (greedy polish + energy) off the kernel's final
+/// bits/fields. Emits the anneal.batch.* counters (docs/telemetry.md).
+SampleSet SimulatedAnnealer::sample(
+    const qubo::QuboAdjacency& adjacency) const {
+  const std::size_t n = adjacency.num_variables();
+  const std::vector<double> betas = sample_schedule(adjacency, params_);
+
+  BatchedSweepKernel kernel(adjacency, params_.seed, params_.num_reads,
+                            params_.cancel);
   const std::size_t lanes = kernel.num_lanes();
 
   telemetry::Span span("anneal.sample");
   span.arg("num_variables", static_cast<double>(n));
   span.arg("num_reads", static_cast<double>(lanes));
-  span.arg("num_sweeps", static_cast<double>(params.num_sweeps));
+  span.arg("num_sweeps", static_cast<double>(params_.num_sweeps));
+  span.arg("beta_hot", betas.front());
+  span.arg("beta_cold", betas.back());
   static const auto read_energy = telemetry::histogram("anneal.read.energy");
   const bool telemetry_on = telemetry::enabled();
+  const bool trace_on = telemetry::trace_enabled();
   if (telemetry_on) {
     static const auto beta_hot_gauge = telemetry::gauge("anneal.beta.hot");
     static const auto beta_cold_gauge = telemetry::gauge("anneal.beta.cold");
-    if (!betas.empty()) {
-      beta_hot_gauge.set(betas.front());
-      beta_cold_gauge.set(betas.back());
-    }
+    beta_hot_gauge.set(betas.front());
+    beta_cold_gauge.set(betas.back());
   }
 
-  kernel.run(betas, params.early_exit);
+  std::vector<BlockInterval> blocks;
+  for (std::size_t b = 0; b < kernel.num_blocks(); ++b) {
+    const double start_us = trace_on ? telemetry::trace_now_us() : 0.0;
+    kernel.run_block(b, betas, params_.early_exit);
+    if (trace_on) {
+      blocks.push_back({start_us, telemetry::trace_now_us() - start_us});
+    }
+  }
 
   if (telemetry_on) {
     static const auto invocations =
@@ -194,103 +177,33 @@ SampleSet sample_on_kernel(const qubo::QuboAdjacency& adjacency,
     const auto field = kernel.lane_field(l);
     ctx.bits.assign(bits.begin(), bits.end());
     ctx.field.assign(field.begin(), field.end());
-    const bool cancelled =
-        params.cancel.cancellable() && params.cancel.cancelled();
-    if (kernel.lane_annealed(l)) record_read_stats(kernel.lane_stats(l));
-    if (params.polish_with_greedy && !cancelled) {
-      detail::greedy_descend(adjacency, ctx.bits, ctx.field);
-    }
-    Sample out;
-    out.energy = adjacency.energy(ctx.bits);
-    out.bits.assign(ctx.bits.begin(), ctx.bits.end());
-    out.num_occurrences = 1;
-    if (telemetry_on) read_energy.record(out.energy);
-    set.add(std::move(out));
-  }
-  set.aggregate();
-  return set;
-}
-
-}  // namespace
-
-SampleSet SimulatedAnnealer::sample(const qubo::QuboModel& model) const {
-  return sample(qubo::QuboAdjacency(model));
-}
-
-SampleSet SimulatedAnnealer::sample(
-    const qubo::QuboAdjacency& adjacency) const {
-  const std::size_t n = adjacency.num_variables();
-
-  // Route multi-read runs through the batched substrate (bit-identical to
-  // the scalar loop below, see batched_kernel.hpp). Trace-mode telemetry
-  // stays on the scalar path for its per-read trace events; SweepMode
-  // overrides pick a substrate explicitly.
-  const bool batched =
-      params_.sweep_mode == SweepMode::kBatched ||
-      (params_.sweep_mode == SweepMode::kAuto && params_.num_reads >= 2 &&
-       !telemetry::trace_enabled());
-  if (batched) return sample_on_kernel(adjacency, params_);
-
-  const std::vector<double> betas = sample_schedule(adjacency, params_);
-  const double hot = betas.empty() ? 0.0 : betas.front();
-  const double cold = betas.empty() ? 0.0 : betas.back();
-
-  telemetry::Span span("anneal.sample");
-  span.arg("num_variables", static_cast<double>(n));
-  span.arg("num_reads", static_cast<double>(params_.num_reads));
-  span.arg("num_sweeps", static_cast<double>(params_.num_sweeps));
-  span.arg("beta_hot", betas.empty() ? hot : betas.front());
-  span.arg("beta_cold", betas.empty() ? cold : betas.back());
-  static const auto read_energy = telemetry::histogram("anneal.read.energy");
-  const bool telemetry_on = telemetry::enabled();
-  const bool trace_on = telemetry::trace_enabled();
-  if (telemetry_on) {
-    static const auto beta_hot_gauge = telemetry::gauge("anneal.beta.hot");
-    static const auto beta_cold_gauge = telemetry::gauge("anneal.beta.cold");
-    beta_hot_gauge.set(betas.empty() ? hot : betas.front());
-    beta_cold_gauge.set(betas.empty() ? cold : betas.back());
-  }
-
-  const CancelToken* cancel =
-      params_.cancel.cancellable() ? &params_.cancel : nullptr;
-  AnnealContext& ctx = thread_local_context();
-  ctx.prepare(n);
-  SampleSet set;
-  for (std::size_t r = 0; r < params_.num_reads; ++r) {
-    const double read_start_us = trace_on ? telemetry::trace_now_us() : 0.0;
-    Xoshiro256 rng(params_.seed, r);
-    for (auto& b : ctx.bits) b = rng.coin() ? 1 : 0;
-
     // A cancelled run still fills every slot (SampleSet must stay
-    // well-formed), but pending reads return their random initial state and
-    // skip the polish — the caller asked us to stop spending cycles.
-    const bool cancelled_before_read = cancel && cancel->cancelled();
-    if (!cancelled_before_read) {
-      detail::anneal_read(adjacency, betas, rng, ctx, params_.early_exit,
-                          cancel);
-    }
-    if (params_.polish_with_greedy && !(cancel && cancel->cancelled())) {
+    // well-formed) but skips the polish — the caller asked us to stop
+    // spending cycles.
+    const bool cancelled =
+        params_.cancel.cancellable() && params_.cancel.cancelled();
+    if (kernel.lane_annealed(l)) record_read_stats(kernel.lane_stats(l));
+    if (params_.polish_with_greedy && !cancelled) {
       // ctx.field is current after the anneal, so the polish pass skips its
       // own field rebuild.
       detail::greedy_descend(adjacency, ctx.bits, ctx.field);
     }
-
     Sample out;
     out.energy = adjacency.energy(ctx.bits);
     out.bits.assign(ctx.bits.begin(), ctx.bits.end());
     out.num_occurrences = 1;
     if (telemetry_on) read_energy.record(out.energy);
     if (trace_on) {
-      // Per-read trajectory: one trace slice per read with its final
-      // energy, on the calling thread's row, so chrome://tracing shows
-      // where in the sample() span the best energies landed.
+      // One trace slice per read with its final energy, on the calling
+      // thread's row. The reads of one block anneal together, so each
+      // slice spans its block's run.
+      const BlockInterval& block = blocks[l / detail::kBatchedLanes];
       telemetry::TraceEvent event;
       event.name = "anneal.read";
       event.tid = telemetry::current_thread_id();
-      event.ts_us = read_start_us;
-      event.dur_us = telemetry::trace_now_us() - read_start_us;
-      event.args = {{"read", static_cast<double>(r)},
-                    {"energy", out.energy}};
+      event.ts_us = block.ts_us;
+      event.dur_us = block.dur_us;
+      event.args = {{"read", static_cast<double>(l)}, {"energy", out.energy}};
       telemetry::add_trace_event(std::move(event));
     }
     set.add(std::move(out));

@@ -25,12 +25,16 @@
 // nominal sweep count. See docs/hotpath.md for the derivation and
 // measurements.
 //
-// Reads run in index order on the calling thread; every read owns a
-// counter-seeded RNG stream (see util/rng.hpp), so the output for a fixed
-// seed does not depend on how many threads sample at once. Parallelism
-// comes from the caller (the SolveService pool). Scratch buffers come from
-// the thread-local AnnealContext, so steady-state sampling allocates only
-// the returned samples.
+// Every read is a lane of the BatchedSweepKernel (batched_kernel.hpp): R
+// reads run as ceil(R/16) blocks of up to 16 lanes, one block after another
+// on the calling thread, and a single read is a one-lane block. Every read
+// owns a counter-seeded RNG stream (see util/rng.hpp), so the output for a
+// fixed seed does not depend on how many threads sample at once, and it is
+// bit-identical to a loop of detail::anneal_read over the same streams.
+// Parallelism comes from the caller (the SolveService pool). Scratch
+// buffers come from the thread-local AnnealContext, so steady-state
+// sampling allocates only the kernel's per-lane results and the returned
+// samples.
 #pragma once
 
 #include <cstdint>
@@ -46,21 +50,6 @@
 #include "util/rng.hpp"
 
 namespace qsmt::anneal {
-
-/// Which sweep substrate sample() runs on (docs/hotpath.md, "The batched
-/// substrate"). The batched kernel is bit-identical to the scalar one for
-/// the same seed, so this is purely a performance/diagnostics knob.
-enum class SweepMode {
-  /// Batched multi-replica kernel for multi-read runs; the scalar per-read
-  /// loop for single reads and under trace-mode telemetry (which wants its
-  /// per-read trace events).
-  kAuto,
-  /// Force the batched kernel regardless of read count.
-  kBatched,
-  /// Force the per-read scalar kernel — the bit-equivalence oracle the
-  /// batched paths are tested and benched against.
-  kScalar,
-};
 
 struct SimulatedAnnealerParams {
   std::size_t num_reads = 64;    ///< Independent annealing runs.
@@ -78,16 +67,15 @@ struct SimulatedAnnealerParams {
   /// optimization with greedy polish; turn off to keep full-length reads
   /// when sampling the Boltzmann distribution with an explicit β range.
   bool early_exit = true;
-  /// Cooperative cancellation: polled once per sweep (the same plumbing the
-  /// zero-flip early exit uses) and before each read starts. On
-  /// cancellation, in-flight reads stop after the current sweep and pending
-  /// reads return their initial states unannealed; sample() still returns a
-  /// well-formed (but low-quality) SampleSet, which callers like
-  /// qsmt::service discard. A default token never cancels.
+  /// Cooperative cancellation: polled once per block sweep (the same
+  /// plumbing the zero-flip early exit uses) and before each block's first
+  /// sweep. On cancellation, the running block's reads stop after the
+  /// current sweep, reads of blocks not yet started return their initial
+  /// states unannealed, and reads not yet polished skip the greedy polish;
+  /// sample() still returns a well-formed (but low-quality) SampleSet,
+  /// which callers like qsmt::service discard. A default token never
+  /// cancels.
   CancelToken cancel;
-  /// Sweep substrate selection; see SweepMode. Outputs are bit-identical
-  /// across modes, so only throughput (and per-read trace fidelity) differ.
-  SweepMode sweep_mode = SweepMode::kAuto;
 };
 
 class SimulatedAnnealer final : public Sampler {
@@ -108,6 +96,19 @@ class SimulatedAnnealer final : public Sampler {
 
 namespace detail {
 
+/// One Metropolis sweep at fixed inverse temperature `beta`: draws n bulk
+/// uniforms from `rng` into `uniforms`, then decides each variable in index
+/// order with the screened accept of metropolis.hpp, keeping `field`
+/// (q_ii + Σ_j q_ij x_j, current on entry) current across accepted flips.
+/// When `energy` is non-null, each accepted flip adds its Δ to it. Returns
+/// the number of accepted flips. The scalar sweep of anneal_read,
+/// ParallelTempering and PopulationAnnealing.
+std::size_t metropolis_sweep(const qubo::QuboAdjacency& adjacency, double beta,
+                             Xoshiro256& rng, std::span<std::uint8_t> bits,
+                             std::span<double> field,
+                             std::span<double> uniforms,
+                             double* energy = nullptr);
+
 /// One annealing read over a prebuilt adjacency using the exp-free threshold
 /// kernel: anneals `ctx.bits` in place following `betas`, maintaining
 /// `ctx.field` incrementally (both sized by the caller via ctx.prepare();
@@ -118,26 +119,13 @@ namespace detail {
 /// reheat regardless). A non-null `cancel` token is polled once per sweep;
 /// when it reports cancellation the read stops after the sweep in progress
 /// (bits/fields stay consistent). Returns the number of accepted flips.
-/// Exposed for the embedded (hardware-simulation) sampler, the benches, and
-/// unit tests.
+/// The reverse annealer's kernel, and the oracle the batched kernel is
+/// tested and benched against: a loop of reads seeded Xoshiro256(seed, r)
+/// reproduces SimulatedAnnealer::sample bit for bit.
 std::size_t anneal_read(const qubo::QuboAdjacency& adjacency,
                         std::span<const double> betas, Xoshiro256& rng,
                         AnnealContext& ctx, bool allow_early_exit = true,
                         const CancelToken* cancel = nullptr);
-
-/// Compatibility wrapper around the context kernel for callers that hold a
-/// bare bit vector; borrows the thread-local context's scratch buffers.
-void anneal_read(const qubo::QuboAdjacency& adjacency,
-                 std::span<const double> betas, Xoshiro256& rng,
-                 std::vector<std::uint8_t>& bits,
-                 bool allow_early_exit = true);
-
-/// The pre-overhaul kernel (per-flip std::exp, uniform drawn only on uphill
-/// candidates, no early exit). Kept as the baseline the hot-path bench and
-/// the kernel-equivalence tests compare against.
-void anneal_read_reference(const qubo::QuboAdjacency& adjacency,
-                           std::span<const double> betas, Xoshiro256& rng,
-                           std::vector<std::uint8_t>& bits);
 
 }  // namespace detail
 

@@ -5,7 +5,7 @@
 
 #include "anneal/context.hpp"
 #include "anneal/greedy.hpp"
-#include "anneal/metropolis.hpp"
+#include "anneal/simulated_annealer.hpp"
 #include "qubo/adjacency.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/require.hpp"
@@ -27,31 +27,6 @@ struct Replica {
   std::vector<double> field;
   double energy = 0.0;
 };
-
-// Exp-free Metropolis sweep (same screened-accept kernel as the SA sweep,
-// see simulated_annealer.hpp): uniforms are bulk-generated into `scratch`.
-// Returns the number of accepted flips (telemetry).
-std::size_t sweep(const qubo::QuboAdjacency& adjacency, Replica& replica,
-                  double beta, Xoshiro256& rng,
-                  std::vector<double>& scratch) {
-  const std::size_t n = adjacency.num_variables();
-  std::size_t flips = 0;
-  for (std::size_t i = 0; i < n; ++i) scratch[i] = rng.uniform();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double delta =
-        replica.bits[i] ? -replica.field[i] : replica.field[i];
-    if (detail::metropolis_accept(beta * delta, scratch[i])) {
-      const double step = replica.bits[i] ? -1.0 : 1.0;
-      replica.bits[i] ^= 1u;
-      ++flips;
-      replica.energy += delta;
-      for (const auto& nb : adjacency.neighbors(i)) {
-        replica.field[nb.index] += nb.coefficient * step;
-      }
-    }
-  }
-  return flips;
-}
 
 }  // namespace
 
@@ -78,7 +53,7 @@ SampleSet ParallelTempering::sample(
   for (std::size_t r = 0; r < params_.num_reads; ++r) {
     Xoshiro256 rng(params_.seed ^ 0x7e57ab1eULL, r);
     // The O(n·deg) field build runs exactly once per replica, here. It never
-    // needs repeating: sweep() maintains fields incrementally, and exchange
+    // needs repeating: the sweeps maintain fields incrementally, and exchange
     // moves below swap whole Replica structs, so each field array travels
     // with the bits it describes.
     std::vector<Replica> ladder(params_.num_replicas);
@@ -109,8 +84,11 @@ SampleSet ParallelTempering::sample(
       // state seen, so a cancelled read returns it immediately.
       if (cancel && cancel->cancelled()) break;
       for (std::size_t k = 0; k < ladder.size(); ++k) {
-        read_flips += sweep(adjacency, ladder[k], betas[k], rng, ctx.uniforms);
-        consider(ladder[k]);
+        Replica& replica = ladder[k];
+        read_flips += detail::metropolis_sweep(
+            adjacency, betas[k], rng, replica.bits, replica.field,
+            ctx.uniforms, &replica.energy);
+        consider(replica);
       }
       // Exchange round: alternate even/odd pairings so information can
       // percolate across the whole ladder.

@@ -1,7 +1,8 @@
-// Tests for the batched multi-replica annealing substrate: bit-identity
-// against the scalar per-read oracle across replica counts, concurrent
-// callers, and sweep paths (AVX2 vs portable scalar), once-per-sweep
-// cancellation, and early-exit bookkeeping.
+// Tests for the batched multi-replica annealing substrate that every
+// SimulatedAnnealer::sample runs on: bit-identity against a scalar read
+// loop over detail::anneal_read across replica counts, concurrent callers,
+// and sweep paths (AVX2 vs portable scalar), once-per-sweep cancellation,
+// and early-exit bookkeeping.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -9,6 +10,8 @@
 #include <vector>
 
 #include "anneal/batched_kernel.hpp"
+#include "anneal/context.hpp"
+#include "anneal/greedy.hpp"
 #include "anneal/schedule.hpp"
 #include "anneal/simulated_annealer.hpp"
 #include "concurrent_callers.hpp"
@@ -48,52 +51,79 @@ void expect_same_sample_sets(const SampleSet& a, const SampleSet& b) {
   }
 }
 
-SampleSet sample_with_mode(const qubo::QuboAdjacency& adjacency,
-                           SimulatedAnnealerParams params, SweepMode mode) {
-  params.sweep_mode = mode;
-  const SimulatedAnnealer annealer(params);
-  return annealer.sample(adjacency);
+SampleSet sample(const qubo::QuboAdjacency& adjacency,
+                 const SimulatedAnnealerParams& params) {
+  return SimulatedAnnealer(params).sample(adjacency);
 }
 
-// The load-bearing guarantee: for every replica count — below, at, and
-// across the 16-lane block boundary — the batched kernel must reproduce the
-// scalar per-read path bit for bit, energies and all, on both a random
-// dense-ish QUBO and a real string encoding.
+// The scalar oracle: one detail::anneal_read per read on the read's own
+// Xoshiro256(seed, read) stream, then the polish and energy sample()
+// applies. A token cancelled before a read leaves it unannealed and
+// unpolished, like a block that has not started.
+SampleSet read_loop(const qubo::QuboAdjacency& adjacency,
+                    const SimulatedAnnealerParams& params) {
+  const BetaRange range = default_beta_range(adjacency);
+  const double hot = params.beta_hot.value_or(range.hot);
+  const double cold = params.beta_cold.value_or(range.cold);
+  const std::vector<double> betas =
+      !params.beta_hot && !params.beta_cold
+          ? make_quench_schedule(hot, cold, params.num_sweeps,
+                                 params.beta_interpolation)
+          : make_schedule(hot, cold, params.num_sweeps,
+                          params.beta_interpolation);
+  const CancelToken* cancel =
+      params.cancel.cancellable() ? &params.cancel : nullptr;
+  const std::size_t n = adjacency.num_variables();
+  AnnealContext ctx;
+  ctx.prepare(n);
+  SampleSet set;
+  for (std::size_t r = 0; r < params.num_reads; ++r) {
+    Xoshiro256 rng(params.seed, r);
+    for (auto& b : ctx.bits) b = rng.coin() ? 1 : 0;
+    const bool cancelled = cancel != nullptr && cancel->cancelled();
+    if (!cancelled) {
+      detail::anneal_read(adjacency, betas, rng, ctx, params.early_exit,
+                          cancel);
+      if (params.polish_with_greedy) {
+        detail::greedy_descend(adjacency, ctx.bits, ctx.field);
+      }
+    }
+    Sample out;
+    out.energy = adjacency.energy(ctx.bits);
+    out.bits.assign(ctx.bits.begin(), ctx.bits.end());
+    set.add(std::move(out));
+  }
+  set.aggregate();
+  return set;
+}
+
+// The load-bearing guarantee: for every replica count — one lane, below,
+// at, and across the 16-lane block boundary — sample() must reproduce the
+// scalar read loop bit for bit, energies and all, on both a random
+// dense-ish QUBO and a real string encoding; with a token cancelled before
+// the call, every read stays at its random initial state, unpolished.
 TEST(BatchedKernel, BitIdenticalToScalarAcrossReadCounts) {
   Xoshiro256 model_rng(11, 0);
   const std::vector<qubo::QuboModel> models = {random_model(48, 0.25, model_rng),
                                                string_model()};
+  CancelSource cancelled;
+  cancelled.cancel();
   for (std::size_t m = 0; m < models.size(); ++m) {
     const qubo::QuboAdjacency adjacency(models[m]);
     for (const std::size_t reads : {1u, 2u, 5u, 8u, 16u, 17u, 32u}) {
-      SimulatedAnnealerParams params;
-      params.num_reads = reads;
-      params.num_sweeps = 64;
-      params.seed = 90 + reads;
-      const SampleSet scalar =
-          sample_with_mode(adjacency, params, SweepMode::kScalar);
-      const SampleSet batched =
-          sample_with_mode(adjacency, params, SweepMode::kBatched);
-      SCOPED_TRACE("model " + std::to_string(m) + " reads " +
-                   std::to_string(reads));
-      expect_same_sample_sets(scalar, batched);
+      for (const bool cancel : {false, true}) {
+        SimulatedAnnealerParams params;
+        params.num_reads = reads;
+        params.num_sweeps = 64;
+        params.seed = 90 + reads;
+        if (cancel) params.cancel = cancelled.token();
+        SCOPED_TRACE("model " + std::to_string(m) + " reads " +
+                     std::to_string(reads) + (cancel ? " cancelled" : ""));
+        expect_same_sample_sets(read_loop(adjacency, params),
+                                sample(adjacency, params));
+      }
     }
   }
-}
-
-// kAuto routes multi-read runs onto the batched kernel; the dispatch must
-// be invisible in the output.
-TEST(BatchedKernel, AutoModeMatchesScalarOracle) {
-  Xoshiro256 model_rng(12, 0);
-  const qubo::QuboModel model = random_model(40, 0.2, model_rng);
-  const qubo::QuboAdjacency adjacency(model);
-  SimulatedAnnealerParams params;
-  params.num_reads = 24;
-  params.num_sweeps = 96;
-  params.seed = 7;
-  expect_same_sample_sets(
-      sample_with_mode(adjacency, params, SweepMode::kScalar),
-      sample_with_mode(adjacency, params, SweepMode::kAuto));
 }
 
 // Early exit disabled must also agree (full-length reads exercise the whole
@@ -107,9 +137,8 @@ TEST(BatchedKernel, BitIdenticalWithEarlyExitDisabled) {
   params.num_sweeps = 48;
   params.seed = 3;
   params.early_exit = false;
-  expect_same_sample_sets(
-      sample_with_mode(adjacency, params, SweepMode::kScalar),
-      sample_with_mode(adjacency, params, SweepMode::kBatched));
+  expect_same_sample_sets(read_loop(adjacency, params),
+                          sample(adjacency, params));
 }
 
 // Blocks run in order on the calling thread out of its AnnealContext, so
@@ -122,11 +151,9 @@ TEST(BatchedKernel, ThreadCountDoesNotChangeResults) {
   params.num_reads = 33;  // Three blocks, the last one partial.
   params.num_sweeps = 64;
   params.seed = 21;
-  const SampleSet lone =
-      sample_with_mode(adjacency, params, SweepMode::kBatched);
-  for (const SampleSet& set : run_concurrently([&] {
-         return sample_with_mode(adjacency, params, SweepMode::kBatched);
-       })) {
+  const SampleSet lone = sample(adjacency, params);
+  for (const SampleSet& set :
+       run_concurrently([&] { return sample(adjacency, params); })) {
     expect_same_sample_sets(lone, set);
   }
 }
@@ -199,9 +226,8 @@ TEST(BatchedKernel, MidBatchCancelStopsAllGroupsWithinOneSweep) {
 }
 
 // A token cancelled before the run starts executes zero sweeps and its
-// lanes keep their initial random states unannealed, exactly like the
-// scalar path's cancelled-before-read bookkeeping; the same kernel with a
-// live token anneals.
+// lanes keep their initial random states unannealed and record no read
+// stats; the same kernel with a live token anneals.
 TEST(BatchedKernel, PreCancelledGroupRunsZeroSweeps) {
   Xoshiro256 model_rng(18, 0);
   const qubo::QuboModel model = random_model(24, 0.3, model_rng);
@@ -228,7 +254,7 @@ TEST(BatchedKernel, PreCancelledGroupRunsZeroSweeps) {
 }
 
 // The per-lane zero-flip exit must surface in the lane stats the same way
-// the scalar kernel's ReadStats do.
+// detail::anneal_read's ReadStats do.
 TEST(BatchedKernel, EarlyExitIsRecordedInGroupStats) {
   // Strong uniform linear fields: every replica settles to all-zeros almost
   // immediately, so with a long monotone schedule every lane exits early.
@@ -256,10 +282,9 @@ TEST(BatchedKernel, EarlyExitIsRecordedInGroupStats) {
     EXPECT_LT(stats.sweeps_executed, params.num_sweeps) << "lane " << lane;
   }
   EXPECT_GT(early_exited, 0u);
-  // And the scalar oracle agrees wholesale.
-  expect_same_sample_sets(
-      sample_with_mode(adjacency, params, SweepMode::kScalar),
-      sample_with_mode(adjacency, params, SweepMode::kBatched));
+  // And the scalar read loop agrees wholesale.
+  expect_same_sample_sets(read_loop(adjacency, params),
+                          sample(adjacency, params));
 }
 
 }  // namespace

@@ -427,6 +427,62 @@ TEST(BatchTelemetry, BatchedSampleEmitsDocumentedMetrics) {
   }
 }
 
+// Trace mode samples on the same batched kernel as every other mode: a
+// 16-read sample() counts one batched invocation, emits one anneal.read
+// slice per read carrying its read index and final energy, and returns the
+// sample set a telemetry-off call returns.
+TEST(BatchTelemetry, TraceModeKeepsBatchedKernelAndPerReadSlices) {
+  anneal::SimulatedAnnealerParams params;
+  params.num_reads = 16;
+  params.num_sweeps = 64;
+  params.seed = 11;
+  const anneal::SimulatedAnnealer annealer(params);
+  qubo::QuboModel model(10);
+  for (std::size_t i = 0; i < 10; ++i) {
+    model.add_linear(i, i % 3 ? 0.7 : -1.2);
+    if (i + 1 < 10) model.add_quadratic(i, i + 1, i % 2 ? 1.5 : -0.8);
+  }
+
+  set_mode(Mode::kOff);
+  reset();
+  const anneal::SampleSet quiet = annealer.sample(model);
+  set_mode(Mode::kTrace);
+  reset();
+  const anneal::SampleSet traced = annealer.sample(model);
+
+  const Snapshot snapshot = registry().snapshot();
+  const CounterStat* invocations = snapshot.counter("anneal.batch.invocations");
+  ASSERT_NE(invocations, nullptr);
+  EXPECT_EQ(invocations->value, 1u);
+
+  std::vector<double> reads;
+  for (const TraceEvent& event : trace_events()) {
+    if (event.name != "anneal.read") continue;
+    ASSERT_EQ(event.args.size(), 2u);
+    EXPECT_EQ(event.args[0].first, "read");
+    EXPECT_EQ(event.args[1].first, "energy");
+    reads.push_back(event.args[0].second);
+    const double energy = event.args[1].second;
+    EXPECT_TRUE(std::any_of(traced.begin(), traced.end(),
+                            [&](const anneal::Sample& s) {
+                              return s.energy == energy;
+                            }))
+        << "read " << event.args[0].second;
+  }
+  ASSERT_EQ(reads.size(), params.num_reads);
+  for (std::size_t r = 0; r < reads.size(); ++r) {
+    EXPECT_EQ(reads[r], static_cast<double>(r));
+  }
+
+  ASSERT_EQ(traced.size(), quiet.size());
+  for (std::size_t k = 0; k < traced.size(); ++k) {
+    EXPECT_EQ(traced[k].energy, quiet[k].energy) << "sample " << k;
+    EXPECT_EQ(traced[k].bits, quiet[k].bits) << "sample " << k;
+    EXPECT_EQ(traced[k].num_occurrences, quiet[k].num_occurrences)
+        << "sample " << k;
+  }
+}
+
 // Pins the incremental-solving counters from docs/telemetry.md. The
 // workload walks every hot-resolve path through one driver: a cold first
 // solve, an unchanged re-check (witness reuse), a changed assumption that
