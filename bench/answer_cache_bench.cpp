@@ -1,7 +1,7 @@
 // Answer-cache bench: what alpha-equivalent memoization is worth on a
 // duplicate-heavy stream (BENCH_answercache.json is the tracked baseline).
 //
-// Three passes over one seeded workload:
+// Four passes over one seeded workload:
 //
 //   1. cold — a cache-less service solves the distinct set: the per-job
 //      cost every duplicate would otherwise pay;
@@ -11,7 +11,14 @@
 //   3. warm — the duplicate stream (every distinct case repeated) through
 //      the warmed service: every job must be served from the cache, so the
 //      measured per-job cost IS the lookup + witness remap + one classical
-//      verification that replaces a full anneal.
+//      verification that replaces a full anneal;
+//   4. in flight — bursts of the duplicate stream, each submitted to a
+//      fresh cache-backed service whose sampler factories are held closed
+//      until the whole burst is in, so every repeat of a case arrives while
+//      its first is still solving. Single flight parks the repeats behind
+//      that first job, so a burst runs at most one cold ladder per distinct
+//      answer key (gated in both modes); the ladder attempts it paid are
+//      reported against the cold pass's.
 //
 // The gated workload is presolve-declined traffic
 // (bench/presolve_declined.hpp): a job the exact presolve decides costs
@@ -26,19 +33,25 @@
 // (cold-pass sampling attempts the warm stream never dispatched). --smoke
 // shrinks the workload and gates >= 3x with the same byte-equality checks,
 // seconds-scale for CI.
+#include <atomic>
 #include <cstddef>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "canon/answer_cache.hpp"
+#include "canon/canon.hpp"
 #include "presolve_declined.hpp"
 #include "service/service.hpp"
 #include "strqubo/constraint.hpp"
+#include "strqubo/verify.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
@@ -113,6 +126,93 @@ service::ServiceOptions bench_service(
   options.portfolio = {service::simulated_annealing_member("sa", deep)};
   options.answer_cache = std::move(cache);
   return options;
+}
+
+/// bench_service with its rung held closed until `open` is set: a burst
+/// submitted while it is closed is wholly in flight before any job can
+/// sample, let alone resolve.
+service::ServiceOptions held_service(std::shared_ptr<canon::AnswerCache> cache,
+                                     std::shared_ptr<std::atomic<bool>> open) {
+  service::ServiceOptions options = bench_service(std::move(cache));
+  const service::PortfolioMember sa = options.portfolio.front();
+  options.portfolio.front().make = [sa, open](std::uint64_t seed,
+                                              CancelToken cancel) {
+    while (!open->load()) std::this_thread::yield();
+    return sa.make(seed, cancel);
+  };
+  return options;
+}
+
+/// Pass 4 over every burst: jobs that ran a ladder of their own (attempts
+/// > 0), the attempts they paid, and the most ladders any one burst ran
+/// against its count of distinct answer keys.
+struct InFlight {
+  std::size_t bursts = 0;
+  std::size_t jobs = 0;
+  std::size_t keys = 0;
+  std::size_t ladders = 0;
+  std::size_t attempts = 0;
+  std::size_t max_burst_ladders = 0;
+  std::uint64_t coalesced = 0;
+  std::size_t unverified_sat = 0;
+  double seconds = 0.0;
+};
+
+/// A sat result checked against its own constraint.
+bool verified(const strqubo::Constraint& constraint,
+              const service::JobResult& result) {
+  if (const auto* includes = std::get_if<strqubo::Includes>(&constraint)) {
+    return strqubo::verify_position(*includes, result.position);
+  }
+  return result.text && strqubo::verify_string(constraint, *result.text);
+}
+
+InFlight measure_in_flight(const std::vector<strqubo::Constraint>& distinct,
+                           std::size_t repeats, std::size_t bursts) {
+  InFlight m;
+  m.bursts = bursts;
+  std::set<std::string> keys;
+  for (const strqubo::Constraint& constraint : distinct) {
+    keys.insert(canon::constraint_answer_key(constraint, {}));
+  }
+  m.keys = keys.size();
+  for (std::size_t burst = 0; burst < bursts; ++burst) {
+    auto open = std::make_shared<std::atomic<bool>>(false);
+    service::SolveService service(
+        held_service(std::make_shared<canon::AnswerCache>(), open));
+    // Each case's first repeat is submitted first, under the cold pass's
+    // seed in burst 0, then the rest: the repeats are its in-flight twins.
+    std::vector<std::future<service::JobResult>> futures;
+    std::vector<const strqubo::Constraint*> payloads;
+    for (std::size_t r = 0; r < repeats; ++r) {
+      for (std::size_t i = 0; i < distinct.size(); ++i) {
+        service::JobOptions job;
+        job.seed = mix_seed(kSeed + burst, r * distinct.size() + i);
+        futures.push_back(service.submit(distinct[i], job));
+        payloads.push_back(&distinct[i]);
+      }
+    }
+    Stopwatch timer;
+    open->store(true);
+    std::size_t ladders = 0;
+    for (std::size_t j = 0; j < futures.size(); ++j) {
+      const service::JobResult result = futures[j].get();
+      if (result.attempts > 0) {
+        ++ladders;
+        m.attempts += result.attempts;
+      }
+      if (result.status == smtlib::CheckSatStatus::kSat &&
+          !verified(*payloads[j], result)) {
+        ++m.unverified_sat;
+      }
+    }
+    m.seconds += timer.elapsed_seconds();
+    m.jobs += futures.size();
+    m.ladders += ladders;
+    m.max_burst_ladders = std::max(m.max_burst_ladders, ladders);
+    m.coalesced += service.stats().answer_coalesced;
+  }
+  return m;
 }
 
 /// The cold, warming and warm passes over `distinct`, each case repeated
@@ -236,6 +336,8 @@ int main(int argc, char** argv) {
   }
   const Measurement gated = measure(declined, repeats);
   const Measurement ungated = measure(mixed, repeats);
+  const InFlight in_flight =
+      measure_in_flight(declined, repeats, smoke ? 1 : 3);
   const double speedup = gated.speedup();
   // Every served hit skipped the sampling the cold pass paid for the same
   // constraint: attempts * reads per attempt.
@@ -261,6 +363,15 @@ int main(int argc, char** argv) {
             << ungated.warm_mean_ms() << " ms/job, speedup "
             << ungated.speedup() << "x, hit rate " << ungated.hit_rate
             << "\n";
+  std::cout << "  in flight: " << in_flight.bursts << " burst(s) of "
+            << in_flight.jobs / in_flight.bursts << " jobs over "
+            << in_flight.keys << " answer keys: " << in_flight.ladders
+            << " ladders (at most " << in_flight.max_burst_ladders
+            << " per burst), " << in_flight.attempts << " attempts ("
+            << static_cast<double>(in_flight.attempts) / in_flight.bursts
+            << " per burst vs " << gated.cold_attempts << " cold), "
+            << in_flight.coalesced << " coalesced, " << in_flight.seconds
+            << " s\n";
 
   if (gated.verdict_mismatches != 0) {
     std::cerr << "answer_cache_bench: FAIL " << gated.verdict_mismatches
@@ -279,6 +390,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  if (in_flight.max_burst_ladders > in_flight.keys ||
+      in_flight.unverified_sat != 0) {
+    std::cerr << "answer_cache_bench: FAIL in-flight burst ran "
+              << in_flight.max_burst_ladders << " ladders over "
+              << in_flight.keys << " answer keys ("
+              << in_flight.unverified_sat << " unverified sat)\n";
+    return 1;
+  }
+
   const double gate_ratio = smoke ? 3.0 : 10.0;
   if (smoke) {
     if (speedup < gate_ratio) {
@@ -287,7 +407,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::cout << "answer_cache_bench: PASS (>= " << gate_ratio
-              << "x warm-vs-cold, hit rate 1.0)\n";
+              << "x warm-vs-cold, hit rate 1.0, <= 1 in-flight ladder per "
+                 "key)\n";
     return 0;
   }
 
@@ -314,7 +435,15 @@ int main(int argc, char** argv) {
       << "  \"mixed_stream_ungated\": {\"cold_mean_ms_per_job\": "
       << ungated.cold_mean_ms() << ", \"warm_mean_ms_per_job\": "
       << ungated.warm_mean_ms() << ", \"speedup\": " << ungated.speedup()
-      << ", \"presolved\": " << ungated.cold_presolved << "}\n"
+      << ", \"presolved\": " << ungated.cold_presolved << "},\n"
+      << "  \"in_flight\": {\"bursts\": " << in_flight.bursts
+      << ", \"jobs\": " << in_flight.jobs << ", \"answer_keys\": "
+      << in_flight.keys << ", \"ladders\": " << in_flight.ladders
+      << ", \"max_ladders_per_burst\": " << in_flight.max_burst_ladders
+      << ", \"attempts\": " << in_flight.attempts
+      << ", \"cold_attempts_per_burst\": " << gated.cold_attempts
+      << ", \"coalesced\": " << in_flight.coalesced << ", \"seconds\": "
+      << in_flight.seconds << "}\n"
       << "}\n";
 
   if (speedup < gate_ratio) {
@@ -323,6 +452,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cout << "answer_cache_bench: PASS (>= " << gate_ratio
-            << "x warm-vs-cold at hit rate 1.0)\n";
+            << "x warm-vs-cold at hit rate 1.0, <= 1 in-flight ladder per "
+               "key)\n";
   return 0;
 }

@@ -125,9 +125,12 @@ done
 # their own threads while workers do the same), and the socket server
 # (accept loop against shutdown, reader threads against disconnect
 # cancellation), plus the util::LruCache get-or-build race that all four
-# cache layers share. A report fails the stage: TSan exits non-zero when
-# it found a race.
-tsan_subset=(service_test server_test server_stress_test lru_cache_test)
+# cache layers share, and the answer-cache suites: a worker settles the
+# jobs parked behind a completing leader (lookups, verification, inserts)
+# while session threads submit. A report fails the stage: TSan exits
+# non-zero when it found a race.
+tsan_subset=(service_test server_test server_stress_test lru_cache_test
+             answer_cache_test answer_fuzz_test)
 echo "=== thread sanitizer build (build-thread/) ==="
 cmake -B build-thread -S . -DQSMT_SANITIZE=thread >/dev/null
 cmake --build build-thread -j "${jobs}" --target "${tsan_subset[@]}"

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <variant>
 
@@ -138,6 +139,9 @@ struct SolveService::Impl {
     std::shared_ptr<const canon::CanonicalScript> canonical;
     /// Served from the answer cache: complete() must not re-insert.
     bool answer_cache_hit = false;
+    /// Leads the in-flight Flight of answer_key: complete() settles the
+    /// jobs parked behind it. Set under queue_mutex before it is queued.
+    bool leads = false;
     /// A conjunction job's model, built (or found in the model cache) at
     /// submission; the task samples it. Null for script jobs and for jobs
     /// whose token had fired before submission finished.
@@ -150,8 +154,9 @@ struct SolveService::Impl {
     /// false fills the result and fulfils the promise — nobody else touches
     /// either afterwards.
     std::atomic<bool> decided{false};
-    /// Written by the submitting thread until the job is queued, then only
-    /// by the job's one task, which also completes it.
+    /// Written by the submitting thread until the job is queued or parked,
+    /// then only by the job's one task (or, for a parked job, the thread
+    /// that settles it), which also completes it.
     double queue_seconds = 0.0;
     std::size_t attempts = 0;
     /// The task stopped because the job's token fired (the deadline or an
@@ -163,6 +168,16 @@ struct SolveService::Impl {
     /// Caller adopted an external CancelSource (claim_and_finish must
     /// always cancel so the caller's other handles observe the verdict).
     bool external_cancel = false;
+  };
+
+  /// Single flight: one per answer key with a queued or running leader,
+  /// holding the alpha-equivalent jobs parked behind it. A follower takes
+  /// no worker until its leader completes.
+  struct Flight {
+    /// The leader's deadline (deadline_of); a job with an earlier one
+    /// never parks behind it.
+    SteadyClock::time_point deadline;
+    std::vector<std::shared_ptr<Job>> followers;
   };
 
   explicit Impl(ServiceOptions opts)
@@ -212,6 +227,7 @@ struct SolveService::Impl {
     job->options = std::move(job_options);
     job->enqueued = SteadyClock::now();
     std::future<JobResult> future = job->promise.get_future();
+    submitted.add();
 
     // Canonical answer cache: look the job up before queueing it. A
     // verified hit resolves the future right here — no task is ever
@@ -259,23 +275,44 @@ struct SolveService::Impl {
     // The exact stages run here, on the submitting thread, so a job they
     // decide never waits for a worker. A job whose token already fired
     // skips them and is queued, so its task reports the cancellation.
-    if (conjuncts != nullptr && !job->cancel.token().cancelled() &&
-        decide_at_submission(*job)) {
-      return future;
-    }
+    const bool sampled =
+        conjuncts != nullptr && !job->cancel.token().cancelled();
+    if (sampled && decide_at_submission(*job)) return future;
     {
       std::lock_guard<std::mutex> lock(queue_mutex);
       if (stopping) {
         resolve_unrun(*job, "service stopped before solve");
         return future;
       }
+      // Single flight: an undecided conjunction job parks behind the job
+      // in flight on its answer key when that leader's deadline is no
+      // later than its own, and leads the key when none is in flight.
+      if (sampled && !job->answer_key.empty()) {
+        const auto [flight, fresh] = flights.try_emplace(job->answer_key);
+        if (fresh) {
+          flight->second.deadline = deadline_of(*job);
+          job->leads = true;
+        } else if (flight->second.deadline <= deadline_of(*job)) {
+          flight->second.followers.push_back(std::move(job));
+          coalesced.add();
+          return future;
+        }
+      }
       // One task per job: it climbs the whole ladder on one worker.
       queue.push_back(job);
       publish_queue_depth_locked();
     }
     queue_cv.notify_one();
-    submitted.add();
     return future;
+  }
+
+  /// The job's deadline as an instant; max() when it has none.
+  static SteadyClock::time_point deadline_of(const Job& job) {
+    if (job.options.deadline.count() <= 0) {
+      return SteadyClock::time_point::max();
+    }
+    return job.enqueued + std::chrono::duration_cast<SteadyClock::duration>(
+                              job.options.deadline);
   }
 
   void record_wait(Job& job, double seconds) {
@@ -300,7 +337,6 @@ struct SolveService::Impl {
       if (!solved || !solved->satisfied) return false;
     }
     job.attempts = 1;
-    submitted.add();
     record_wait(job, 0.0);
     claim_and_finish(job, [&](JobResult& result) {
       if (!solved) {
@@ -647,7 +683,6 @@ struct SolveService::Impl {
       job.external_cancel = true;
       job.cancel.cancel();
     }
-    submitted.add();
     answer_hits.add();
     complete(job, std::move(result));
     return true;
@@ -712,7 +747,107 @@ struct SolveService::Impl {
         telemetry::histogram("service.job.seconds", telemetry::Unit::kSeconds);
     completed.add();
     seconds.record(result.solve_seconds);
+    if (job.leads) settle_followers(job, result);
     job.promise.set_value(std::move(result));
+  }
+
+  /// Settles the jobs parked behind a completing leader, whose sat verdict
+  /// is already in the answer cache:
+  ///  * a follower whose own token fired while parked stops cut short, as
+  ///    a queued job would;
+  ///  * a sat verdict reaches each follower through the answer-cache
+  ///    lookup and one verification against the follower's own payload;
+  ///    an evicted entry or a failed check queues the follower cold;
+  ///  * a leader that ended kUnknown otherwise (its whole ladder ran
+  ///    unverified, or a shutdown resolved it unrun) shares that verdict;
+  ///  * a leader its deadline or its client's disconnect cut short hands
+  ///    the key to the live follower with the earliest deadline, which is
+  ///    queued and leads the rest; during a shutdown the followers resolve
+  ///    unrun instead, since the destructor may be draining the queue.
+  void settle_followers(Job& leader, const JobResult& verdict) {
+    const bool cut_short = leader.cancelled;
+    std::vector<std::shared_ptr<Job>> followers;
+    bool handed_off = false;
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex);
+      const auto flight = flights.find(leader.answer_key);
+      if (flight == flights.end()) return;
+      followers = std::move(flight->second.followers);
+      if (cut_short && !stopping) {
+        handed_off = hand_off_locked(flight->second, followers);
+      }
+      if (!handed_off) flights.erase(flight);
+    }
+    if (handed_off) queue_cv.notify_one();
+    for (const std::shared_ptr<Job>& follower : followers) {
+      if (follower->cancel.token().cancelled()) {
+        stop_cancelled(*follower);
+      } else if (cut_short) {
+        resolve_unrun(*follower, "service stopped before solve");
+      } else if (verdict.status == smtlib::CheckSatStatus::kSat) {
+        serve_follower(follower);
+      } else {
+        claim_and_finish(*follower, [&](JobResult& result) {
+          result.notes = verdict.notes;
+          result.notes.push_back(
+              "verdict shared with an alpha-equivalent job in flight");
+        });
+      }
+    }
+  }
+
+  /// Under queue_mutex: queues the live follower with the earliest
+  /// deadline as `flight`'s new leader, with the other live followers
+  /// parked behind it. Leaves in `followers` only those whose token fired.
+  /// Returns true when a follower was queued.
+  bool hand_off_locked(Flight& flight,
+                       std::vector<std::shared_ptr<Job>>& followers) {
+    const auto live = std::stable_partition(
+        followers.begin(), followers.end(),
+        [](const std::shared_ptr<Job>& job) {
+          return job->cancel.token().cancelled();
+        });
+    if (live == followers.end()) return false;
+    std::iter_swap(live, std::min_element(
+                             live, followers.end(),
+                             [](const std::shared_ptr<Job>& a,
+                                const std::shared_ptr<Job>& b) {
+                               return deadline_of(*a) < deadline_of(*b);
+                             }));
+    const std::shared_ptr<Job> successor = *live;
+    successor->leads = true;
+    flight.deadline = deadline_of(*successor);
+    flight.followers.assign(std::next(live), followers.end());
+    followers.erase(live, followers.end());
+    queue.push_back(successor);
+    publish_queue_depth_locked();
+    return true;
+  }
+
+  /// A sat leader's follower, served as at submission: the answer-cache
+  /// lookup and its one verification against the follower's payload. A
+  /// miss or a failed check queues it outside any flight, or resolves it
+  /// unrun during a shutdown.
+  void serve_follower(const std::shared_ptr<Job>& follower) {
+    if (std::optional<canon::CachedAnswer> cached =
+            options.answer_cache->lookup(follower->answer_key)) {
+      if (serve_cached(*follower, *cached)) return;
+      answer_fallbacks.add();
+    }
+    bool queued = false;
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex);
+      if (!stopping) {
+        queue.push_back(follower);
+        publish_queue_depth_locked();
+        queued = true;
+      }
+    }
+    if (queued) {
+      queue_cv.notify_one();
+    } else {
+      resolve_unrun(*follower, "service stopped before solve");
+    }
   }
 
   void publish_queue_depth_locked() {
@@ -729,6 +864,8 @@ struct SolveService::Impl {
   std::condition_variable queue_cv;
   std::deque<std::shared_ptr<Job>> queue;
   bool stopping = false;
+  /// Guarded by queue_mutex.
+  std::unordered_map<std::string, Flight> flights;
   std::vector<std::thread> workers;
 
   util::LruCache<std::string,
@@ -751,6 +888,7 @@ struct SolveService::Impl {
   telemetry::Tally answer_hits{"service.answer.hits"};
   telemetry::Tally answer_misses{"service.answer.misses"};
   telemetry::Tally answer_fallbacks{"service.answer.fallbacks"};
+  telemetry::Tally coalesced{"service.answer.coalesced"};
 };
 
 SolveService::SolveService(ServiceOptions options)
@@ -822,6 +960,7 @@ SolveService::Stats SolveService::stats() const noexcept {
   stats.answer_hits = impl_->answer_hits.value();
   stats.answer_misses = impl_->answer_misses.value();
   stats.answer_fallbacks = impl_->answer_fallbacks.value();
+  stats.answer_coalesced = impl_->coalesced.value();
   const util::CacheStats models = impl_->model_cache.stats();
   stats.model_cache_hits = models.hits;
   stats.model_cache_misses = models.misses;

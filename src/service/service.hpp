@@ -29,8 +29,10 @@
 // presolved, and a presolved job resolves there without a worker. Any
 // other job is queued with its strqubo::PreparedConstraint; its task
 // warm-refines from JobOptions::warm_start and only then re-samples rung by
-// rung. A rung's sampler is constructed only when that rung samples, and
-// never on the submitting thread. The server's sessions
+// rung. With an answer cache configured, a job whose alpha-equivalent twin
+// is already queued or running parks behind it instead (single flight, see
+// ServiceOptions::answer_cache). A rung's sampler is constructed only when
+// that rung samples, and never on the submitting thread. The server's sessions
 // submit every sampled check-sat this way. Script jobs reach the same
 // stages through engine::solve_script and the in-process driver.
 //
@@ -119,6 +121,15 @@ struct ServiceOptions {
   /// session) — entries are keyed by canonical structure alone, so a
   /// witness can only be observed by holders of a structurally identical
   /// query. Null disables answer memoization entirely.
+  ///
+  /// The cache also keys single flight: a conjunction job that misses and
+  /// that the exact stages leave undecided parks behind a queued or running
+  /// job with the same answer key (its leader) whose deadline is no later
+  /// than its own, and takes no worker. When the leader ends sat, each
+  /// follower is served through the lookup and its one verification above;
+  /// when it exhausts the ladder, followers share its kUnknown with a note;
+  /// when its deadline or its client's disconnect cuts it short, the
+  /// follower with the earliest deadline is queued and leads the rest.
   std::shared_ptr<canon::AnswerCache> answer_cache;
 };
 
@@ -248,14 +259,20 @@ class SolveService {
     std::uint64_t warm_starts = 0;
     std::uint64_t warm_hits = 0;
     /// Answer-cache dispositions (ServiceOptions::answer_cache), counted
-    /// exactly once per job: jobs served straight from a verified cache
-    /// hit / jobs whose canonical key missed / hits whose witness failed
-    /// its confirmation and fell through to a cold solve. The cache's own
+    /// once per lookup: jobs served straight from a verified cache hit /
+    /// jobs whose canonical key missed / hits whose witness failed its
+    /// confirmation and fell through to a cold solve. The cache's own
     /// lookup counters relate as answer_cache.hits == answer_hits +
     /// answer_fallbacks (every lookup hit either serves or falls back).
     std::uint64_t answer_hits = 0;
     std::uint64_t answer_misses = 0;
     std::uint64_t answer_fallbacks = 0;
+    /// Jobs that missed, were left undecided by the exact stages and parked
+    /// behind an in-flight job with the same answer key (single flight)
+    /// instead of taking a worker. When its leader ends sat, a parked job
+    /// looks the key up again, so one job may count a miss and then a hit
+    /// or a fallback.
+    std::uint64_t answer_coalesced = 0;
     /// Prepared-model LRU occupancy, also published as the
     /// service.model_cache.{entries,bytes} gauges.
     std::uint64_t model_cache_entries = 0;

@@ -63,18 +63,20 @@ double HistogramStat::quantile(double q) const noexcept {
   const double rank = q * static_cast<double>(count);
   std::uint64_t cumulative = 0;
   for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
+    if (buckets[b] == 0) continue;
+    const std::uint64_t before = cumulative;
     cumulative += buckets[b];
-    if (static_cast<double>(cumulative) >= rank) {
-      // Geometric midpoint of the bucket, clamped to the observed range.
-      const double lower = histogram_bucket_lower(b);
-      const double upper = b + 1 < kHistogramBuckets
-                               ? histogram_bucket_lower(b + 1)
-                               : max;
-      const double mid = lower > 0.0 && upper > 0.0
-                             ? std::sqrt(lower * upper)
-                             : upper * 0.5;
-      return std::clamp(mid, min, max);
-    }
+    if (static_cast<double>(cumulative) < rank) continue;
+    // Interpolate by rank inside the bucket, narrowed to the observed
+    // range: log-linearly (the buckets are powers of two), or linearly
+    // when the range reaches down to zero.
+    const double lower = std::max(histogram_bucket_lower(b), min);
+    const double upper = std::min(
+        b + 1 < kHistogramBuckets ? histogram_bucket_lower(b + 1) : max, max);
+    const double fraction = (rank - static_cast<double>(before)) /
+                            static_cast<double>(buckets[b]);
+    if (!(lower > 0.0)) return lower + fraction * (upper - lower);
+    return lower * std::pow(upper / lower, fraction);
   }
   return max;
 }

@@ -76,7 +76,8 @@ struct HistogramStat {
 
   double mean() const noexcept;
   /// Bucket-estimated quantile (q in [0, 1]); exact min/max at the ends,
-  /// geometric bucket midpoints in between, clamped to [min, max].
+  /// in between interpolated log-linearly by rank inside the bucket that
+  /// holds it, narrowed to [min, max].
   double quantile(double q) const noexcept;
 };
 

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -1075,6 +1076,320 @@ TEST(ServiceStress, BatchPreservesInputOrder) {
     ASSERT_TRUE(results[i].text.has_value());
     EXPECT_EQ(*results[i].text, words[i]) << i;
   }
+}
+
+// --- Single flight ---------------------------------------------------------
+//
+// With an answer cache configured, a conjunction job that misses and that
+// the exact stages leave undecided parks behind a queued or running job
+// with the same answer key. These tests hold the leader inside its first
+// sampler-factory call (FlightGate) so followers are known to be parked
+// before it settles, and count factory calls to see how many ladders ran.
+
+// Holds the first factory call until released, or until that job's token
+// fires, when it throws so the job stops cut short. Every call past the
+// gate builds `inner`'s sampler, or throws when `inner` has no factory.
+struct FlightGate {
+  std::atomic<int> calls{0};
+  std::atomic<bool> released{false};
+
+  void wait_until_entered() const {
+    while (calls.load() == 0) std::this_thread::sleep_for(milliseconds(1));
+  }
+};
+
+service::PortfolioMember gated(std::shared_ptr<FlightGate> gate,
+                                service::PortfolioMember inner) {
+  service::PortfolioMember member;
+  member.name = "gated-" + inner.name;
+  member.make = [gate, inner](std::uint64_t seed, CancelToken cancel)
+      -> std::unique_ptr<anneal::Sampler> {
+    if (gate->calls.fetch_add(1) == 0) {
+      while (!gate->released.load()) {
+        if (cancel.cancelled()) throw std::runtime_error("cut short");
+        std::this_thread::sleep_for(milliseconds(1));
+      }
+    }
+    if (!inner.make) throw std::runtime_error("no sampler");
+    return inner.make(seed, cancel);
+  };
+  return member;
+}
+
+service::ServiceOptions flight_options(std::shared_ptr<FlightGate> gate,
+                                       service::PortfolioMember inner =
+                                           service::simulated_annealing_member(
+                                               "sa")) {
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  options.portfolio = {gated(std::move(gate), std::move(inner))};
+  options.answer_cache = std::make_shared<canon::AnswerCache>();
+  return options;
+}
+
+// Alpha-variants of one conjunction: the same conjuncts in either order
+// share one canonical answer key.
+std::vector<strqubo::Constraint> flight_variant(std::size_t i) {
+  const strqubo::Constraint a = test::declined(strqubo::NotContains{5, "ab"});
+  const strqubo::Constraint b = test::declined(strqubo::NotContains{5, "ca"});
+  if (i % 2 == 0) return {a, b};
+  return {b, a};
+}
+
+bool parked(std::future<service::JobResult>& future) {
+  return future.wait_for(std::chrono::seconds(0)) !=
+         std::future_status::ready;
+}
+
+void expect_own_witness(const std::vector<strqubo::Constraint>& payload,
+                        const service::JobResult& result) {
+  ASSERT_EQ(result.status, smtlib::CheckSatStatus::kSat);
+  ASSERT_TRUE(result.text.has_value());
+  EXPECT_TRUE(strqubo::verify_conjunction(payload, *result.text));
+}
+
+TEST(ServiceCoalescing, VariantsBehindAParkedLeaderRunOneLadder) {
+  constexpr std::size_t kFollowers = 5;
+  auto gate = std::make_shared<FlightGate>();
+  const service::ServiceOptions options = flight_options(gate);
+  const std::shared_ptr<canon::AnswerCache> cache = options.answer_cache;
+  service::SolveService service(options);
+
+  service::JobOptions job;
+  job.seed = 1;
+  std::future<service::JobResult> leader =
+      service.submit(flight_variant(0), job);
+  gate->wait_until_entered();
+  std::vector<std::future<service::JobResult>> followers;
+  for (std::size_t i = 1; i <= kFollowers; ++i) {
+    job.seed = 1 + i;
+    followers.push_back(service.submit(flight_variant(i), job));
+  }
+  bool all_parked = true;
+  for (auto& follower : followers) all_parked = all_parked && parked(follower);
+  const std::uint64_t coalesced = service.stats().answer_coalesced;
+  gate->released.store(true);
+  EXPECT_TRUE(all_parked);
+  EXPECT_EQ(coalesced, kFollowers);
+
+  const service::JobResult first = leader.get();
+  expect_own_witness(flight_variant(0), first);
+  EXPECT_FALSE(first.answer_cache_hit);
+  for (std::size_t i = 1; i <= kFollowers; ++i) {
+    SCOPED_TRACE("follower " + std::to_string(i));
+    const service::JobResult result = followers[i - 1].get();
+    expect_own_witness(flight_variant(i), result);
+    EXPECT_TRUE(result.answer_cache_hit);
+    EXPECT_EQ(result.winner, "answer-cache");
+    EXPECT_EQ(result.attempts, 0u);
+  }
+  // One ladder: every factory call was the leader's.
+  EXPECT_EQ(gate->calls.load(), static_cast<int>(first.attempts));
+
+  // Each job is counted once, and every cache hit still serves or falls
+  // back.
+  const service::SolveService::Stats stats = service.stats();
+  EXPECT_EQ(stats.jobs_submitted, kFollowers + 1);
+  EXPECT_EQ(stats.jobs_completed, kFollowers + 1);
+  EXPECT_EQ(stats.answer_coalesced, kFollowers);
+  EXPECT_EQ(stats.answer_misses, kFollowers + 1);
+  EXPECT_EQ(stats.answer_hits, kFollowers);
+  EXPECT_EQ(stats.answer_fallbacks, 0u);
+  EXPECT_EQ(cache->stats().hits, stats.answer_hits + stats.answer_fallbacks);
+}
+
+TEST(ServiceCoalescing, ExhaustedLeaderSharesItsUnknownWithANote) {
+  constexpr std::size_t kFollowers = 3;
+  auto gate = std::make_shared<FlightGate>();
+  service::SolveService service(
+      flight_options(gate, service::PortfolioMember{"none", nullptr}));
+
+  std::future<service::JobResult> leader = service.submit(flight_variant(0));
+  gate->wait_until_entered();
+  std::vector<std::future<service::JobResult>> followers;
+  for (std::size_t i = 1; i <= kFollowers; ++i) {
+    followers.push_back(service.submit(flight_variant(i)));
+  }
+  gate->released.store(true);
+
+  const service::JobResult first = leader.get();
+  ASSERT_EQ(first.status, smtlib::CheckSatStatus::kUnknown);
+  EXPECT_FALSE(first.timed_out);
+  for (auto& follower : followers) {
+    const service::JobResult result = follower.get();
+    EXPECT_EQ(result.status, smtlib::CheckSatStatus::kUnknown);
+    EXPECT_FALSE(result.timed_out);
+    EXPECT_EQ(result.attempts, 0u);
+    ASSERT_EQ(result.notes.size(), first.notes.size() + 1);
+    EXPECT_TRUE(std::equal(first.notes.begin(), first.notes.end(),
+                           result.notes.begin()));
+    EXPECT_EQ(result.notes.back(),
+              "verdict shared with an alpha-equivalent job in flight");
+  }
+  EXPECT_EQ(gate->calls.load(), 1);
+  const service::SolveService::Stats stats = service.stats();
+  EXPECT_EQ(stats.answer_coalesced, kFollowers);
+  EXPECT_EQ(stats.jobs_submitted, stats.jobs_completed);
+}
+
+// A leader its deadline or its client's disconnect cuts short hands the
+// key to one follower, which runs the ladder and serves the rest.
+void expect_hand_off(const std::function<void(service::JobOptions&)>& arm,
+                     const std::function<void()>& cut, bool timed_out) {
+  constexpr std::size_t kFollowers = 4;
+  auto gate = std::make_shared<FlightGate>();
+  service::SolveService service(flight_options(gate));
+
+  service::JobOptions lead;
+  lead.seed = 1;
+  arm(lead);
+  std::future<service::JobResult> leader =
+      service.submit(flight_variant(0), lead);
+  gate->wait_until_entered();
+  std::vector<std::future<service::JobResult>> followers;
+  for (std::size_t i = 1; i <= kFollowers; ++i) {
+    service::JobOptions job;
+    job.seed = 1 + i;
+    followers.push_back(service.submit(flight_variant(i), job));
+  }
+  EXPECT_EQ(service.stats().answer_coalesced, kFollowers);
+  cut();
+
+  const service::JobResult first = leader.get();
+  EXPECT_EQ(first.status, smtlib::CheckSatStatus::kUnknown);
+  EXPECT_EQ(first.timed_out, timed_out);
+  EXPECT_EQ(first.members_cancelled, 1u);
+  std::size_t cold = 0;
+  std::size_t cold_attempts = 0;
+  for (std::size_t i = 1; i <= kFollowers; ++i) {
+    SCOPED_TRACE("follower " + std::to_string(i));
+    const service::JobResult result = followers[i - 1].get();
+    expect_own_witness(flight_variant(i), result);
+    if (!result.answer_cache_hit) {
+      ++cold;
+      cold_attempts += result.attempts;
+    }
+  }
+  EXPECT_EQ(cold, 1u);  // The successor ran; the rest were served.
+  EXPECT_EQ(gate->calls.load(), static_cast<int>(1 + cold_attempts));
+  const service::SolveService::Stats stats = service.stats();
+  EXPECT_EQ(stats.jobs_submitted, stats.jobs_completed);
+  EXPECT_EQ(stats.answer_hits, kFollowers - 1);
+}
+
+TEST(ServiceCoalescing, DeadlineExpiredLeaderHandsOffToAFollower) {
+  expect_hand_off(
+      [](service::JobOptions& job) { job.deadline = milliseconds(200); },
+      [] {}, /*timed_out=*/true);
+}
+
+TEST(ServiceCoalescing, CancelledLeaderHandsOffToAFollower) {
+  CancelSource client;
+  expect_hand_off([&](service::JobOptions& job) { job.cancel = client; },
+                  [&] { client.cancel(); }, /*timed_out=*/false);
+}
+
+TEST(ServiceCoalescing, JobWithAnEarlierDeadlineDoesNotJoin) {
+  auto gate = std::make_shared<FlightGate>();
+  service::SolveService service(flight_options(gate));
+
+  service::JobOptions lead;
+  lead.deadline = std::chrono::seconds(600);
+  std::future<service::JobResult> leader =
+      service.submit(flight_variant(0), lead);
+  gate->wait_until_entered();
+  service::JobOptions sooner;
+  sooner.deadline = std::chrono::seconds(300);
+  std::future<service::JobResult> early =
+      service.submit(flight_variant(1), sooner);
+  const std::uint64_t after_early = service.stats().answer_coalesced;
+  service::JobOptions later;
+  later.deadline = std::chrono::seconds(900);
+  std::future<service::JobResult> late =
+      service.submit(flight_variant(2), later);
+  const std::uint64_t after_late = service.stats().answer_coalesced;
+  gate->released.store(true);
+
+  EXPECT_EQ(after_early, 0u);
+  EXPECT_EQ(after_late, 1u);
+  const service::JobResult first = leader.get();
+  expect_own_witness(flight_variant(0), first);
+  // Queued on its own: it ran its own ladder after the leader.
+  const service::JobResult own = early.get();
+  expect_own_witness(flight_variant(1), own);
+  EXPECT_FALSE(own.answer_cache_hit);
+  EXPECT_GE(own.attempts, 1u);
+  const service::JobResult served = late.get();
+  expect_own_witness(flight_variant(2), served);
+  EXPECT_TRUE(served.answer_cache_hit);
+  EXPECT_EQ(gate->calls.load(),
+            static_cast<int>(first.attempts + own.attempts));
+}
+
+TEST(ServiceCoalescing, DistinctKeysNeverCoalesce) {
+  auto gate = std::make_shared<FlightGate>();
+  service::SolveService service(flight_options(gate));
+
+  std::future<service::JobResult> leader = service.submit(flight_variant(0));
+  gate->wait_until_entered();
+  const std::vector<strqubo::Constraint> other = {
+      test::declined(strqubo::NotContains{5, "ab"})};
+  std::future<service::JobResult> distinct = service.submit(other);
+  const std::uint64_t coalesced = service.stats().answer_coalesced;
+  gate->released.store(true);
+
+  EXPECT_EQ(coalesced, 0u);
+  const service::JobResult first = leader.get();
+  expect_own_witness(flight_variant(0), first);
+  const service::JobResult second = distinct.get();
+  expect_own_witness(other, second);
+  EXPECT_FALSE(second.answer_cache_hit);
+  EXPECT_EQ(gate->calls.load(),
+            static_cast<int>(first.attempts + second.attempts));
+}
+
+// Destroyed with one key's leader running and followers parked behind it,
+// and a second key's leader queued with followers of its own: every future
+// resolves, and the queued leader's followers share its "service stopped"
+// verdict instead of being queued while the destructor drains the queue.
+TEST(ServiceCoalescing, DestructorResolvesParkedFollowers) {
+  constexpr std::size_t kFollowers = 3;
+  auto gate = std::make_shared<FlightGate>();
+  const std::vector<strqubo::Constraint> other = {
+      test::declined(strqubo::NotContains{5, "ab"})};
+  std::vector<std::future<service::JobResult>> running;
+  std::vector<std::future<service::JobResult>> queued;
+  std::thread releaser;
+  {
+    service::SolveService service(
+        flight_options(gate, service::PortfolioMember{"none", nullptr}));
+    running.push_back(service.submit(flight_variant(0)));
+    gate->wait_until_entered();
+    queued.push_back(service.submit(other));
+    for (std::size_t i = 1; i <= kFollowers; ++i) {
+      running.push_back(service.submit(flight_variant(i)));
+      queued.push_back(service.submit(other));
+    }
+    EXPECT_EQ(service.stats().answer_coalesced, 2 * kFollowers);
+    // Released while the destructor waits for the worker.
+    releaser = std::thread([gate] {
+      std::this_thread::sleep_for(milliseconds(200));
+      gate->released.store(true);
+    });
+  }
+  releaser.join();
+  for (auto& future : running) {
+    const service::JobResult result = future.get();
+    EXPECT_EQ(result.status, smtlib::CheckSatStatus::kUnknown);
+    EXPECT_FALSE(result.notes.empty());
+  }
+  for (auto& future : queued) {
+    const service::JobResult result = future.get();
+    EXPECT_EQ(result.status, smtlib::CheckSatStatus::kUnknown);
+    ASSERT_FALSE(result.notes.empty());
+    EXPECT_EQ(result.notes.front(), "service stopped before solve");
+  }
+  EXPECT_EQ(gate->calls.load(), 1);
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "anneal/batched_kernel.hpp"
 #include "anneal/exact.hpp"
 #include "anneal/simulated_annealer.hpp"
+#include "canon/answer_cache.hpp"
 #include "engine/engine.hpp"
 #include "graph/embedding_cache.hpp"
 #include "presolve_declined.hpp"
@@ -85,6 +89,29 @@ TEST(Registry, HistogramMergesAcrossConcurrentWriters) {
   EXPECT_DOUBLE_EQ(stat->min, 1.0);
   EXPECT_DOUBLE_EQ(stat->max, static_cast<double>(kThreads));
   EXPECT_DOUBLE_EQ(stat->mean(), expected_sum / stat->count);
+}
+
+// Quantiles interpolate by rank inside a power-of-two bucket, so they
+// track values that share a bucket instead of reporting its midpoint.
+TEST(Registry, HistogramQuantileInterpolatesInsideTheBucket) {
+  Registry registry;
+  const Histogram values = registry.histogram("values", Unit::kNone);
+  for (int v = 1; v <= 1000; ++v) values.record(static_cast<double>(v));
+  const Snapshot snapshot = registry.snapshot();
+  const HistogramStat* stat = snapshot.histogram("values");
+  ASSERT_NE(stat, nullptr);
+  // p50 and p25 fall inside [256, 512) and [128, 256), p99 inside
+  // [512, 1000]; each bucket's geometric midpoint is 25-30% off.
+  EXPECT_NEAR(stat->quantile(0.25), 250.0, 2.5);
+  EXPECT_NEAR(stat->quantile(0.5), 500.0, 5.0);
+  EXPECT_NEAR(stat->quantile(0.99), 990.0, 9.9);
+  EXPECT_DOUBLE_EQ(stat->quantile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(stat->quantile(1.0), 1000.0);
+  // Narrowed to [min, max]: one repeated value reads back exactly.
+  const Histogram constant = registry.histogram("constant", Unit::kNone);
+  for (int i = 0; i < 10; ++i) constant.record(5.0);
+  const Snapshot again = registry.snapshot();
+  EXPECT_DOUBLE_EQ(again.histogram("constant")->quantile(0.5), 5.0);
 }
 
 TEST(Registry, GaugeIsLastWriteWinsAcrossThreads) {
@@ -359,6 +386,68 @@ TEST(ServiceTelemetry, ConcurrentBatchEmitsDocumentedMetrics) {
     }
   }
   EXPECT_EQ(winner_total, 4u);
+}
+
+// Pins service.answer.coalesced: alpha-variants submitted while their
+// leader sits in its sampler factory park behind it, each job is counted
+// submitted and completed once, and every answer-cache lookup hit still
+// either serves or falls back.
+TEST(ServiceTelemetry, CoalescedFollowersAreCountedOnce) {
+  set_mode(Mode::kSummary);
+  reset();
+  constexpr std::uint64_t kFollowers = 4;
+
+  struct Gate {
+    std::atomic<int> calls{0};
+    std::atomic<bool> released{false};
+  };
+  auto gate = std::make_shared<Gate>();
+  const service::PortfolioMember sa = service::simulated_annealing_member("sa");
+  service::PortfolioMember gated;
+  gated.name = "gated";
+  gated.make = [gate, sa](std::uint64_t seed, CancelToken cancel) {
+    if (gate->calls.fetch_add(1) == 0) {
+      while (!gate->released.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return sa.make(seed, cancel);
+  };
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  options.portfolio = {gated};
+  options.answer_cache = std::make_shared<canon::AnswerCache>();
+  service::SolveService service(options);
+
+  const strqubo::Constraint a = test::declined(strqubo::NotContains{5, "ab"});
+  const strqubo::Constraint b = test::declined(strqubo::NotContains{5, "ca"});
+  std::vector<std::future<service::JobResult>> futures;
+  futures.push_back(service.submit(std::vector{a, b}));
+  while (gate->calls.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::uint64_t i = 0; i < kFollowers; ++i) {
+    futures.push_back(service.submit(i % 2 ? std::vector{a, b}
+                                           : std::vector{b, a}));
+  }
+  gate->released.store(true);
+  for (auto& future : futures) {
+    EXPECT_EQ(future.get().status, smtlib::CheckSatStatus::kSat);
+  }
+
+  const Snapshot snapshot = registry().snapshot();
+  const auto value = [&](const char* name) {
+    const CounterStat* c = snapshot.counter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c == nullptr ? 0u : c->value;
+  };
+  EXPECT_EQ(value("service.answer.coalesced"), kFollowers);
+  EXPECT_EQ(service.stats().answer_coalesced, kFollowers);
+  EXPECT_EQ(value("service.jobs.submitted"), kFollowers + 1);
+  EXPECT_EQ(value("service.jobs.completed"), kFollowers + 1);
+  EXPECT_EQ(value("service.answer.hits"), kFollowers);
+  EXPECT_EQ(value("answer_cache.hits"),
+            value("service.answer.hits") + value("service.answer.fallbacks"));
 }
 
 // Pins the exact-presolve names from docs/telemetry.md: one service job of
